@@ -37,7 +37,8 @@ def phi(mod: Modification, deg: Multidegree) -> tuple[DualGraph, SheafModel]:
     if off:
         raise ValueError(f"degree must be 1 on exceptional vertices, violated at {off}")
     model = pushforward_model(mod, deg)
-    assert model.noninvertible == mod.modified_edges
+    if model.noninvertible != mod.modified_edges:
+        raise AssertionError("pushforward missed a modified edge")
     return mod.target, model
 
 
@@ -54,7 +55,8 @@ def phi_inverse(graph: DualGraph, model: SheafModel) -> tuple[Modification, Mult
     values = list(model.multidegree.values)
     values += [(c, 1) for c in sorted(mod.chain_vertices)]
     deg = Multidegree(mod.source, tuple(values))
-    assert deg.total == model.degree
+    if deg.total != model.degree:
+        raise AssertionError("lifted bundle changed the total degree")
     return mod, deg
 
 

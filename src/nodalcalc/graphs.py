@@ -15,6 +15,13 @@ from functools import cached_property
 from typing import Iterable, Iterator
 
 
+def _json_int(value, what: str) -> int:
+    """A JSON integer from outside input; floats, bools, null and strings are refused."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 class ExceptionalCycleError(ValueError):
     """Raised when the whole graph is a closed cycle of exceptional vertices.
 
@@ -154,7 +161,8 @@ class DualGraph:
         if not isinstance(data, dict):
             raise ValueError("curve data must be a JSON object")
         try:
-            vertices = [(entry["id"], entry.get("genus", 0)) for entry in data["vertices"]]
+            vertices = [(entry["id"], _json_int(entry.get("genus", 0), "vertex genus"))
+                        for entry in data["vertices"]]
             edges = [(entry["id"], tuple(entry["ends"])) for entry in data.get("edges", [])]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed curve data: {exc}") from exc
@@ -339,7 +347,8 @@ def maximal_exceptional_chains(graph: DualGraph) -> tuple[ExceptionalChain, ...]
             nxt = b if a == cur else a
             if nxt not in exc:
                 return run, nxt
-            assert nxt != start and nxt not in run, "exceptional cycle not detected upfront"
+            if nxt == start or nxt in run:
+                raise AssertionError("exceptional cycle not detected upfront")
             run.append(nxt)
             first, second = [pair[0] for pair in graph.incidence[nxt]]
             e = second if first == e else first

@@ -21,6 +21,7 @@ from typing import Iterable, Mapping
 
 from .graphs import (
     DualGraph,
+    _json_int,
     classify,
     maximal_exceptional_chains,
 )
@@ -140,10 +141,13 @@ class Modification:
             raise ValueError("modification data must be a JSON object")
         try:
             target = DualGraph.from_json_dict(data["target"])
-            lengths = {str(m["edge"]): int(m["length"]) for m in data["modified_edges"]}
+            lengths = {str(m["edge"]): _json_int(m["length"], "chain length")
+                       for m in data["modified_edges"]}
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed modification data: {exc}") from exc
         if "source" in data and "chains" in data:
+            if not isinstance(data["chains"], Mapping):
+                raise ValueError("modification 'chains' must be a JSON object")
             source = DualGraph.from_json_dict(data["source"])
             registry = tuple(
                 (str(e), tuple(str(c) for c in chain)) for e, chain in data["chains"].items()
@@ -250,7 +254,8 @@ def stable_model(graph: DualGraph) -> Modification:
         new_edges.append((eid, (c.left, c.right)))
         registry.append((eid, c.vertices))
     target = DualGraph(vertices, tuple(kept + new_edges))
-    assert classify(target) == "stable", "contraction left an exceptional vertex"
+    if classify(target) != "stable":
+        raise AssertionError("contraction left an exceptional vertex")
     return Modification(target, graph, tuple(registry))
 
 

@@ -116,7 +116,8 @@ def pushforward_model(mod: Modification, deg: Multidegree) -> SheafModel:
         if delta == 0:
             head = _leading_sign(degs)
             tail = _leading_sign(degs[::-1])
-            assert (head == -1) != (tail == -1), "exactly one side must lead with -1"
+            if (head == -1) == (tail == -1):
+                raise AssertionError("exactly one side must lead with -1")
             tilde[a if head == -1 else b] -= 1
         elif delta == -1:
             tilde[a] -= 1
@@ -126,7 +127,8 @@ def pushforward_model(mod: Modification, deg: Multidegree) -> SheafModel:
     model = SheafModel(
         mod.target, frozenset(noninvertible), Multidegree(mod.target, tuple(tilde.items()))
     )
-    assert model.degree == deg.total, "pushforward changed the total degree"
+    if model.degree != deg.total:
+        raise AssertionError("pushforward changed the total degree")
     return model
 
 

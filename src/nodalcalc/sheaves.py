@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple
 
-from .graphs import DualGraph, _check_members
+from .graphs import DualGraph, _check_members, _json_int
 
 
 def _vertex_values(graph: DualGraph, values) -> tuple[tuple[str, int], ...]:
@@ -78,7 +78,8 @@ class Multidegree:
     def from_json_dict(cls, graph: DualGraph, data: Mapping) -> "Multidegree":
         if not isinstance(data, Mapping):
             raise ValueError("multidegree data must be a JSON object")
-        return cls(graph, tuple((str(k), int(v)) for k, v in data.items()))
+        values = tuple((str(k), _json_int(v, f"degree at {k!r}")) for k, v in data.items())
+        return cls(graph, values)
 
 
 def omega_multidegree(graph: DualGraph) -> Multidegree:
@@ -175,6 +176,8 @@ class SheafModel:
         if not isinstance(data, Mapping):
             raise ValueError("sheaf data must be a JSON object")
         try:
+            if not isinstance(data["noninvertible"], list):
+                raise ValueError("sheaf 'noninvertible' must be a JSON list of edge ids")
             edges = frozenset(str(e) for e in data["noninvertible"])
             deg = Multidegree.from_json_dict(graph, data["multidegree"])
         except KeyError as exc:
@@ -190,10 +193,17 @@ def sheaf_degree(model: SheafModel, members: Iterable[str]) -> int:
     internal.
     """
     sub = _check_members(model.graph, members)
-    base = sum(model.multidegree[v] for v in sub)
-    ends = model.graph.edge_ends
-    internal = sum(1 for e in model.noninvertible if ends[e][0] in sub and ends[e][1] in sub)
-    return base + internal
+    return _restricted_degree(
+        model.multidegree.as_dict, model.graph.edge_ends, model.noninvertible, sub
+    )
+
+
+def _restricted_degree(values, ends, noninvertible, members) -> int:
+    """Multidegree sum over the members plus the non-invertible nodes internal to them."""
+    degree = sum(map(values.__getitem__, members))
+    for e in noninvertible:
+        degree += ends[e][0] in members and ends[e][1] in members
+    return degree
 
 
 # -- cohomology on chains of rational curves --------------------------------

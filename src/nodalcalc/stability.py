@@ -9,7 +9,10 @@ its share of the dualizing degree minus half its boundary.  The same
 lower bound on an honest line bundle, together with degree 1 on every
 exceptional vertex, is the balanced condition.
 
-All inequality checks are exact; the rational ones use Fraction.
+One scan kernel serves all four scans.  Since omega_Z = k_Z - 2 chi_Z,
+under the canonical polarization the chi-margin rank (d_Z + chi_Z) + e_Z
+is exactly (2g - 2) times the degree-bound margin d_Z - d omega_Z /
+(2g - 2) + k_Z / 2.  All checks are exact; rational margins use Fraction.
 """
 
 from __future__ import annotations
@@ -19,18 +22,18 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import ceil, floor
-from typing import Iterator, Mapping
+from typing import Collection, Iterator, Mapping
 
 from .graphs import (
     DualGraph,
+    _json_int,
     boundary_count,
-    chi_structure,
     classify,
     connected_subcurves,
     exceptional_vertices,
 )
 from .modifications import Modification, pullback_multidegree, small_modification
-from .sheaves import Multidegree, SheafModel, omega_multidegree
+from .sheaves import Multidegree, SheafModel, _restricted_degree
 
 
 def chi_twisted(deg_z: int, chi_oz: int, deg_z_e: int, rank: int) -> int:
@@ -69,7 +72,8 @@ class Polarization:
         if not isinstance(data, Mapping):
             raise ValueError("polarization data must be a JSON object")
         try:
-            return cls(int(data["rank"]), Multidegree.from_json_dict(graph, data["e"]))
+            rank = _json_int(data["rank"], "polarization rank")
+            return cls(rank, Multidegree.from_json_dict(graph, data["e"]))
         except KeyError as exc:
             raise ValueError(f"polarization data missing key {exc}") from exc
 
@@ -80,31 +84,31 @@ def canonical_polarization(graph: DualGraph, d: int) -> Polarization:
     Rank 2g - 2 with multidegree (g - 1 - d) times the dualizing one; it
     is compatible with degree d for every graph of genus at least 2.
     """
-    g = graph.genus
-    if g < 2:
+    if graph.genus < 2:
         raise ValueError("canonical polarization requires genus at least 2")
-    omega = omega_multidegree(graph)
-    values = tuple((v, (g - 1 - d) * w) for v, w in omega.values)
-    return Polarization(2 * g - 2, Multidegree(graph, values))
+    return Polarization(2 * graph.genus - 2, Multidegree(graph, _canonical_e(graph, d)))
+
+
+def _canonical_e(graph: DualGraph, d: int) -> dict[str, int]:
+    """Multidegree of the canonical polarizing sheaf: (g - 1 - d) omega."""
+    k = graph.genus - 1 - d
+    return {v: k * graph.omega_degree(v) for v in graph.vertex_ids}
 
 
 # -- subcurve scans ---------------------------------------------------------
 
 
 @lru_cache(maxsize=None)
-def _subcurve_table(graph: DualGraph) -> tuple[tuple[frozenset[str], int, int, int], ...]:
-    """(members, chi, boundary, omega degree) per connected proper subcurve."""
-    omega = {v: graph.omega_degree(v) for v in graph.vertex_ids}
+def _subcurve_table(graph: DualGraph) -> tuple[tuple[frozenset[str], int], ...]:
+    """(members, chi) per connected proper subcurve.
+
+    Every row is connected, so chi = |Z| - internal edges - sum of genera.
+    """
+    genus = graph.genus_map
     rows = []
-    for members in connected_subcurves(graph, proper=True):
-        rows.append(
-            (
-                members,
-                chi_structure(graph, members),
-                boundary_count(graph, members),
-                sum(omega[v] for v in members),
-            )
-        )
+    for z in connected_subcurves(graph, proper=True):
+        internal = sum(1 for _, (a, b) in graph.edges if a in z and b in z)
+        rows.append((z, len(z) - internal - sum(genus[v] for v in z)))
     return tuple(rows)
 
 
@@ -140,41 +144,46 @@ class SubcurveScan:
         raise ValueError(f"unknown stability mode {mode!r}")
 
 
-def _require_compatible(pol: Polarization, d: int) -> None:
+def _require_compatible(pol: Polarization, graph: DualGraph, d: int) -> None:
+    if pol.graph != graph:
+        raise ValueError("polarization lives on a different graph")
     if not pol.compatible_with_degree(d):
         raise ValueError(f"polarization incompatible with degree {d}")
 
 
+def _margins(
+    graph: DualGraph, values: Mapping[str, int], noninvertible: Collection[str],
+    rank: int, e_values: Mapping[str, int],
+) -> tuple[tuple[frozenset[str], int], ...]:
+    """The scan kernel: chi_twisted(d_Z, chi_Z, e_Z, rank) on every table row."""
+    ends = graph.edge_ends
+    return tuple(
+        (z, chi_twisted(_restricted_degree(values, ends, noninvertible, z), chi,
+                        sum(map(e_values.__getitem__, z)), rank))
+        for z, chi in _subcurve_table(graph)
+    )
+
+
+def _canonical_scan(
+    graph: DualGraph, values: Mapping[str, int], noninvertible: Collection[str], d: int,
+) -> SubcurveScan:
+    """Degree-bound margins: canonical chi margins divided by the rank 2g - 2."""
+    scale = 2 * graph.genus - 2
+    margins = _margins(graph, values, noninvertible, scale, _canonical_e(graph, d))
+    return SubcurveScan(tuple((z, Fraction(m, scale)) for z, m in margins))
+
+
 def sheaf_stability_report(model: SheafModel, pol: Polarization) -> SubcurveScan:
     """Twisted Euler characteristic of the model on every connected proper subcurve."""
-    if pol.graph != model.graph:
-        raise ValueError("polarization lives on a different graph")
-    _require_compatible(pol, model.degree)
-    tilde = model.multidegree.as_dict
-    ends = model.graph.edge_ends
-    e_values = pol.e.as_dict
-    entries = []
-    for members, chi, _, _ in _subcurve_table(model.graph):
-        dz = sum(tilde[v] for v in members)
-        dz += sum(1 for n in model.noninvertible if ends[n][0] in members and ends[n][1] in members)
-        ez = sum(e_values[v] for v in members)
-        entries.append((members, chi_twisted(dz, chi, ez, pol.rank)))
-    return SubcurveScan(tuple(entries))
+    _require_compatible(pol, model.graph, model.degree)
+    values = model.multidegree.as_dict
+    return SubcurveScan(_margins(model.graph, values, model.noninvertible, pol.rank, pol.e.as_dict))
 
 
 def bundle_stability_report(deg: Multidegree, pol: Polarization) -> SubcurveScan:
     """Same scan for an honest line bundle given by its multidegree."""
-    if pol.graph != deg.graph:
-        raise ValueError("polarization lives on a different graph")
-    _require_compatible(pol, deg.total)
-    values = deg.as_dict
-    e_values = pol.e.as_dict
-    entries = []
-    for members, chi, _, _ in _subcurve_table(deg.graph):
-        dz = sum(values[v] for v in members)
-        ez = sum(e_values[v] for v in members)
-        entries.append((members, chi_twisted(dz, chi, ez, pol.rank)))
-    return SubcurveScan(tuple(entries))
+    _require_compatible(pol, deg.graph, deg.total)
+    return SubcurveScan(_margins(deg.graph, deg.as_dict, (), pol.rank, pol.e.as_dict))
 
 
 def check_sheaf_stability(
@@ -204,16 +213,7 @@ def check_ssI2(model: SheafModel, d: int) -> SubcurveScan:
         raise ValueError("degree bound requires genus at least 2")
     if d != model.degree:
         raise ValueError(f"sheaf model has degree {model.degree}, not {d}")
-    tilde = model.multidegree.as_dict
-    ends = graph.edge_ends
-    scale = 2 * graph.genus - 2
-    entries = []
-    for members, _, k, degw in _subcurve_table(graph):
-        dz = sum(tilde[v] for v in members)
-        dz += sum(1 for n in model.noninvertible if ends[n][0] in members and ends[n][1] in members)
-        margin = dz - Fraction(d * degw, scale) + Fraction(k, 2)
-        entries.append((members, margin))
-    return SubcurveScan(tuple(entries))
+    return _canonical_scan(graph, model.multidegree.as_dict, model.noninvertible, d)
 
 
 # -- balanced multidegrees --------------------------------------------------
@@ -253,15 +253,7 @@ def balanced_report(deg: Multidegree) -> BalancedScan:
     if graph.genus < 2:
         raise ValueError("balanced check requires genus at least 2")
     violations = tuple(v for v in exceptional_vertices(graph) if deg[v] != 1)
-    values = deg.as_dict
-    d = deg.total
-    scale = 2 * graph.genus - 2
-    entries = []
-    for members, _, k, degw in _subcurve_table(graph):
-        dz = sum(values[v] for v in members)
-        margin = dz - Fraction(d * degw, scale) + Fraction(k, 2)
-        entries.append((members, margin))
-    return BalancedScan(graph, violations, SubcurveScan(tuple(entries)))
+    return BalancedScan(graph, violations, _canonical_scan(graph, deg.as_dict, (), deg.total))
 
 
 def check_balanced(deg: Multidegree, mode: str = "balanced") -> bool:

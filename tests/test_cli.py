@@ -204,6 +204,54 @@ class TestChecks:
         assert data["verdict"] is False
 
 
+GOLDEN_BALANCED = """\
+{
+  "equality_sites": [],
+  "exceptional_violations": [],
+  "failures": [
+    {
+      "margin": "-1/2",
+      "subcurve": [
+        "w"
+      ]
+    }
+  ],
+  "mode": "balanced",
+  "verdict": false
+}
+"""
+
+GOLDEN_STABILITY = """\
+{
+  "base_vertex": null,
+  "degree": 2,
+  "equality_sites": [],
+  "failures": [
+    {
+      "margin": -1,
+      "subcurve": [
+        "w"
+      ]
+    }
+  ],
+  "mode": "semistable",
+  "verdict": false
+}
+"""
+
+
+@pytest.mark.parametrize("command, payload, golden", [
+    ("check-balanced", {"v": 3, "w": -1}, GOLDEN_BALANCED),
+    ("check-stability", {"noninvertible": [], "multidegree": {"v": 3, "w": -1}},
+     GOLDEN_STABILITY),
+])
+def test_golden_check_output(tmp_path, capsys, command, payload, golden):
+    # the canonical chi margin is (2g - 2) times the degree-bound margin
+    curve = write(tmp_path, "theta.json", THETA)
+    code, out, err = run(capsys, [command, curve, write(tmp_path, "in.json", payload)])
+    assert (code, out, err) == (1, golden, "")
+
+
 class TestCorrespondenceCommands:
     def test_phi(self, tmp_path, capsys):
         mod = write(tmp_path, "mod.json", {
@@ -310,6 +358,48 @@ class TestVerifyCommand:
         code, _, err = run(capsys, ["verify", "--instances", "0"])
         assert code == 2
         assert "instance_count" in err
+
+
+MOD_WITH_CHAINS = {
+    "target": THETA,
+    "modified_edges": [{"edge": "e1", "length": 1}],
+    "source": {
+        "vertices": [{"id": "v"}, {"id": "w"}, {"id": "e1#1"}],
+        "edges": [
+            {"id": "e1#0-1", "ends": ["v", "e1#1"]},
+            {"id": "e1#1-2", "ends": ["e1#1", "w"]},
+            {"id": "e2", "ends": ["v", "w"]},
+            {"id": "e3", "ends": ["v", "w"]},
+        ],
+    },
+    "chains": {"e1": ["e1#1"]},
+}
+
+
+@pytest.mark.parametrize("argv, files", [
+    (["check-balanced", "curve", "in"], {"curve": THETA, "in": {"v": 0.9, "w": 1.5}}),
+    (["pushforward", "in", "deg"],
+     {"in": {"target": THETA, "modified_edges": [{"edge": "e1", "length": 1}]},
+      "deg": {"v": 0, "w": None, "e1#1": 1}}),
+    (["phi-inv", "curve", "in"],
+     {"curve": {**THETA, "edges": [{"id": e, "ends": ["v", "w"]} for e in "abc"]},
+      "in": {"noninvertible": "ab", "multidegree": {"v": 0, "w": 1}}}),
+    (["modify", "in"], {"in": {**MOD_WITH_CHAINS, "chains": [["e1", "e1#1"]]}}),
+    (["modify", "in"], {"in": {**MOD_WITH_CHAINS, "modified_edges": [
+        {"edge": "e1", "length": True}]}}),
+    (["check-stability", "curve", "sheaf", "--polarization", "in"],
+     {"curve": THETA, "sheaf": {"noninvertible": [], "multidegree": {"v": 1, "w": 1}},
+      "in": {"rank": 2.0, "e": {"v": -1, "w": -1}}}),
+    (["classify", "in"], {"in": {**THETA, "vertices": [{"id": "v", "genus": "0"},
+                                                        {"id": "w"}]}}),
+], ids=["float_degrees", "null_degree", "string_noninvertible", "chains_list",
+        "bool_length", "float_rank", "string_genus"])
+def test_non_integer_json_rejected(tmp_path, capsys, argv, files):
+    paths = {name: write(tmp_path, f"{name}.json", data) for name, data in files.items()}
+    code, out, err = run(capsys, [paths.get(arg, arg) for arg in argv])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 class TestUsageErrors:

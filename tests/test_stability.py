@@ -1,5 +1,7 @@
 """Polarizations, stability scans, balanced checks, enumeration."""
 
+import functools
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,20 +12,31 @@ from nodalcalc import (
     Polarization,
     SheafModel,
     balanced_report,
+    boundary_count,
     bundle_stability_report,
     canonical_polarization,
     check_balanced,
     check_bundle_stability,
     check_sheaf_stability,
     check_ssI2,
+    chi_structure,
     chi_twisted,
+    connected_subcurves,
     elliptic_bridge,
     enumerate_balanced,
     enumerate_semistable_models,
     modify,
+    omega_multidegree,
     pullback_multidegree,
+    sheaf_degree,
     sheaf_stability_report,
     theta_graph,
+)
+from nodalcalc.verify import random_stable_graph
+
+K4 = DualGraph(
+    tuple((v, 0) for v in "abcd"),
+    tuple((a + b, (a, b)) for a, b in ("ab", "ac", "ad", "bc", "bd", "cd")),
 )
 
 
@@ -150,17 +163,87 @@ class TestSsI2:
             check_ssI2(theta_model((), 1, 1), 5)
 
     def test_equivalent_to_canonical_scan(self):
-        # same verdicts and equality sites as the canonical chi scan
-        for nn in ((), ("e1",), ("e1", "e2")):
-            for v in range(-2, 4):
-                for w in range(-2, 4):
-                    model = theta_model(nn, v, w)
-                    d = model.degree
-                    pol = canonical_polarization(theta_graph(), d)
-                    chi_scan = sheaf_stability_report(model, pol)
-                    ssi = check_ssI2(model, d)
-                    assert chi_scan.holds == ssi.holds
-                    assert set(chi_scan.equality_sites) == set(ssi.equality_sites)
+        # Every scan entry, exactly and in order, against per-subcurve
+        # formulas built from public functions that never read the
+        # subcurve table; verdicts of the chi form against the
+        # degree-bound form in every mode.
+        rng = random.Random(20140604)
+        cases = [
+            (theta_graph(), [theta_model(nn, v, w) for nn in ((), ("e1",), ("e1", "e2"))
+                             for v in range(-2, 4) for w in range(-2, 4)])
+        ]
+        graphs = [theta_graph(), elliptic_bridge(), K4]
+        graphs += [random_stable_graph(rng, 5, 3) for _ in range(20)]
+        for graph in graphs:
+            edges = [e for e, _ in graph.edges]
+            models = []
+            for _ in range(4):
+                deg = Multidegree(graph, {v: rng.randint(-2, 3) for v in graph.vertex_ids})
+                models.append(
+                    SheafModel(graph, frozenset(e for e in edges if rng.random() < 0.3), deg)
+                )
+            cases.append((graph, models))
+
+        def degree_bound(graph, degree_on, d):
+            omega = omega_multidegree(graph)
+            scale = 2 * graph.genus - 2
+            return tuple(
+                (z, degree_on(z) - Fraction(d * omega.degree_on(z), scale)
+                 + Fraction(boundary_count(graph, z), 2))
+                for z in connected_subcurves(graph, proper=True)
+            )
+
+        def chi_margins(graph, degree_on, pol):
+            return tuple(
+                (z, chi_twisted(degree_on(z), chi_structure(graph, z),
+                                pol.e.degree_on(z), pol.rank))
+                for z in connected_subcurves(graph, proper=True)
+            )
+
+        for graph, models in cases:
+            scale = 2 * graph.genus - 2
+            for model in models:
+                d = model.degree
+                pol = canonical_polarization(graph, d)
+                chi_scan = sheaf_stability_report(model, pol)
+                ssi = check_ssI2(model, d)
+                on = functools.partial(sheaf_degree, model)
+                assert chi_scan.entries == chi_margins(graph, on, pol)
+                assert ssi.entries == degree_bound(graph, on, d)
+                assert [m * scale for _, m in ssi.entries] == [m for _, m in chi_scan.entries]
+                for mode in ("semistable", "stable"):
+                    assert chi_scan.verdict(mode) == ssi.verdict(mode)
+                for p in graph.vertex_ids:
+                    assert chi_scan.verdict("quasistable", p) == ssi.verdict("quasistable", p)
+
+                # a bundle on a modification, against the pulled-back polarization
+                lengths = {e: rng.randint(1, 2) for e in graph.edge_ends if rng.random() < 0.4}
+                mod = modify(graph, lengths)
+                src = mod.source
+                deg = Multidegree(src, {v: rng.randint(-1, 2) for v in src.vertex_ids})
+                pulled = canonical_polarization(graph, deg.total).pullback(mod)
+                assert bundle_stability_report(deg, pulled).entries == chi_margins(
+                    src, deg.degree_on, pulled
+                )
+
+                # a bundle on a small modification, balanced or not
+                small = modify(graph, dict.fromkeys(lengths, 1))
+                src = small.source
+                exc = small.chain_vertices
+                deg = Multidegree(src, {
+                    v: 1 if v in exc and rng.random() < 0.9 else rng.randint(-1, 3)
+                    for v in src.vertex_ids
+                })
+                report = balanced_report(deg)
+                expected = degree_bound(src, deg.degree_on, deg.total)
+                assert report.scan.entries == expected
+                chi_src = bundle_stability_report(deg, canonical_polarization(src, deg.total))
+                assert [m * scale for _, m in expected] == [m for _, m in chi_src.entries]
+                balanced = all(m >= 0 for _, m in expected) and all(deg[v] == 1 for v in exc)
+                whole = set(src.vertex_ids)
+                stably = balanced and all(whole - z <= exc for z, m in expected if m == 0)
+                assert report.verdict("balanced") == balanced
+                assert report.verdict("stably_balanced") == stably
 
 
 class TestBundleStability:
