@@ -163,12 +163,12 @@ class DualGraph:
         try:
             vertices = [(entry["id"], _json_int(entry.get("genus", 0), "vertex genus"))
                         for entry in data["vertices"]]
-            edges = [(entry["id"], tuple(entry["ends"])) for entry in data.get("edges", [])]
+            edges = [(entry["id"], entry["ends"]) for entry in data.get("edges", [])]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed curve data: {exc}") from exc
         for _, ends in edges:
-            if len(ends) != 2:
-                raise ValueError("edge 'ends' must list exactly two vertex ids")
+            if not isinstance(ends, list) or len(ends) != 2:
+                raise ValueError("edge 'ends' must be a JSON list of exactly two vertex ids")
         return cls(tuple(vertices), tuple(edges))
 
 

@@ -148,6 +148,8 @@ class Modification:
         if "source" in data and "chains" in data:
             if not isinstance(data["chains"], Mapping):
                 raise ValueError("modification 'chains' must be a JSON object")
+            if not all(isinstance(chain, list) for chain in data["chains"].values()):
+                raise ValueError("each modification chain must be a JSON list of vertex ids")
             source = DualGraph.from_json_dict(data["source"])
             registry = tuple(
                 (str(e), tuple(str(c) for c in chain)) for e, chain in data["chains"].items()

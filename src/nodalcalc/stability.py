@@ -12,7 +12,12 @@ exceptional vertex, is the balanced condition.
 One scan kernel serves all four scans.  Since omega_Z = k_Z - 2 chi_Z,
 under the canonical polarization the chi-margin rank (d_Z + chi_Z) + e_Z
 is exactly (2g - 2) times the degree-bound margin d_Z - d omega_Z /
-(2g - 2) + k_Z / 2.  All checks are exact; rational margins use Fraction.
+(2g - 2) + k_Z / 2.  The kernel yields integer margins lazily, and each
+verdict mode is one exact predicate on a (subcurve, margin) row, which
+holds for a chi margin exactly when it holds for the degree-bound margin.
+The enumerators apply it straight to the kernel's integer rows and stop
+at the first failing subcurve; Fraction appears only in the degree-bound
+reports, once per row.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import ceil, floor
-from typing import Collection, Iterator, Mapping
+from typing import Callable, Collection, Iterator, Mapping
 
 from .graphs import (
     DualGraph,
@@ -133,15 +138,23 @@ class SubcurveScan:
     def verdict(self, mode: str, base_vertex: str | None = None) -> bool:
         """semistable: all margins >= 0.  stable: all > 0.
         quasistable: equality allowed only away from the base vertex."""
-        if mode == "semistable":
-            return self.holds
-        if mode == "stable":
-            return self.holds and not self.equality_sites
-        if mode == "quasistable":
-            if base_vertex is None:
-                raise ValueError("quasistable verdict needs a base vertex")
-            return self.holds and all(base_vertex not in z for z in self.equality_sites)
-        raise ValueError(f"unknown stability mode {mode!r}")
+        ok = _stability_test(mode, base_vertex)
+        return all(ok(z, m) for z, m in self.entries)
+
+
+def _stability_test(
+    mode: str, base_vertex: str | None,
+) -> Callable[[frozenset[str], int | Fraction], bool]:
+    """The per-row predicate of a stability mode; the mode is checked here."""
+    if mode == "semistable":
+        return lambda z, m: m >= 0
+    if mode == "stable":
+        return lambda z, m: m > 0
+    if mode == "quasistable":
+        if base_vertex is None:
+            raise ValueError("quasistable verdict needs a base vertex")
+        return lambda z, m: m > 0 or (m == 0 and base_vertex not in z)
+    raise ValueError(f"unknown stability mode {mode!r}")
 
 
 def _require_compatible(pol: Polarization, graph: DualGraph, d: int) -> None:
@@ -154,10 +167,14 @@ def _require_compatible(pol: Polarization, graph: DualGraph, d: int) -> None:
 def _margins(
     graph: DualGraph, values: Mapping[str, int], noninvertible: Collection[str],
     rank: int, e_values: Mapping[str, int],
-) -> tuple[tuple[frozenset[str], int], ...]:
-    """The scan kernel: chi_twisted(d_Z, chi_Z, e_Z, rank) on every table row."""
+) -> Iterator[tuple[frozenset[str], int]]:
+    """The scan kernel: chi_twisted(d_Z, chi_Z, e_Z, rank), lazily, row by row.
+
+    Reports materialise every row; the enumerators stop at the first row
+    that fails their predicate.
+    """
     ends = graph.edge_ends
-    return tuple(
+    return (
         (z, chi_twisted(_restricted_degree(values, ends, noninvertible, z), chi,
                         sum(map(e_values.__getitem__, z)), rank))
         for z, chi in _subcurve_table(graph)
@@ -177,13 +194,15 @@ def sheaf_stability_report(model: SheafModel, pol: Polarization) -> SubcurveScan
     """Twisted Euler characteristic of the model on every connected proper subcurve."""
     _require_compatible(pol, model.graph, model.degree)
     values = model.multidegree.as_dict
-    return SubcurveScan(_margins(model.graph, values, model.noninvertible, pol.rank, pol.e.as_dict))
+    return SubcurveScan(tuple(
+        _margins(model.graph, values, model.noninvertible, pol.rank, pol.e.as_dict)
+    ))
 
 
 def bundle_stability_report(deg: Multidegree, pol: Polarization) -> SubcurveScan:
     """Same scan for an honest line bundle given by its multidegree."""
     _require_compatible(pol, deg.graph, deg.total)
-    return SubcurveScan(_margins(deg.graph, deg.as_dict, (), pol.rank, pol.e.as_dict))
+    return SubcurveScan(tuple(_margins(deg.graph, deg.as_dict, (), pol.rank, pol.e.as_dict)))
 
 
 def check_sheaf_stability(
@@ -228,16 +247,25 @@ class BalancedScan:
     scan: SubcurveScan
 
     def verdict(self, mode: str = "balanced") -> bool:
-        ok = not self.exceptional_violations and self.scan.holds
-        if mode == "balanced":
-            return ok
-        if mode == "stably_balanced":
-            if not ok:
-                return False
-            exc = set(exceptional_vertices(self.graph))
-            whole = set(self.graph.vertex_ids)
-            return all(whole - z <= exc for z in self.scan.equality_sites)
-        raise ValueError(f"unknown balanced mode {mode!r}")
+        ok = _balanced_test(mode, self.graph)
+        return not self.exceptional_violations and all(ok(z, m) for z, m in self.scan.entries)
+
+
+def _balanced_test(
+    mode: str, graph: DualGraph,
+) -> Callable[[frozenset[str], int | Fraction], bool]:
+    """The per-row predicate of a balanced mode; the mode is checked here.
+
+    Stably balanced allows equality only on subcurves whose complement
+    is exceptional.
+    """
+    if mode == "balanced":
+        return lambda z, m: m >= 0
+    if mode == "stably_balanced":
+        whole = frozenset(graph.vertex_ids)
+        exc = frozenset(exceptional_vertices(graph))
+        return lambda z, m: m > 0 or (m == 0 and whole - z <= exc)
+    raise ValueError(f"unknown balanced mode {mode!r}")
 
 
 def balanced_report(deg: Multidegree) -> BalancedScan:
@@ -313,14 +341,22 @@ def enumerate_semistable_models(
     The graph must be stable of genus at least 2.  Enumeration order is
     deterministic: non-invertible sets in lexicographic order of their
     sorted edge ids, then multidegrees in lexicographic order over the
-    sorted vertices.
+    sorted vertices.  A candidate is rejected at its first failing
+    subcurve, on integer chi margins.
     """
+    ok = _stability_test(mode, base_vertex)
     if classify(graph) != "stable":
         raise ValueError("enumeration requires a stable graph")
     if graph.genus < 2:
         raise ValueError("enumeration requires genus at least 2")
     vids = list(graph.vertex_ids)
     ends = graph.edge_ends
+    scale = 2 * graph.genus - 2
+    e_values = _canonical_e(graph, d)
+    window_lows = []
+    for v in vids:
+        center, half = _degree_window(graph, d, v)
+        window_lows.append(ceil(center - half))
     out = []
     for subset in _edge_subsets(graph):
         budget = d - len(subset)
@@ -329,17 +365,14 @@ def enumerate_semistable_models(
             a, b = ends[e]
             if a == b:
                 loops_in[a] += 1
-        lows = []
-        for v in vids:
-            center, half = _degree_window(graph, d, v)
-            lows.append(ceil(center - half) - loops_in[v])
+        lows = [lo - loops_in[v] for v, lo in zip(vids, window_lows)]
         highs = [budget - (sum(lows) - lo) for lo in lows]
         for vec in _bounded_vectors(lows, highs, budget):
-            model = SheafModel(
-                graph, frozenset(subset), Multidegree(graph, tuple(zip(vids, vec)))
-            )
-            if check_ssI2(model, d).verdict(mode, base_vertex):
-                out.append(model)
+            values = dict(zip(vids, vec))
+            if all(ok(z, m) for z, m in _margins(graph, values, subset, scale, e_values)):
+                out.append(SheafModel(
+                    graph, frozenset(subset), Multidegree(graph, tuple(values.items()))
+                ))
     return out
 
 
@@ -351,16 +384,22 @@ def enumerate_balanced(
     Yields (modification, multidegree) pairs: every subset of edges is
     subdivided once, chain vertices carry degree 1, and the remaining
     degrees range over the balanced window.  Same deterministic order
-    as the sheaf enumeration.
+    and the same early exit as the sheaf enumeration.
     """
+    _balanced_test(mode, graph)  # an unknown mode fails before any candidate
     if classify(graph) != "stable":
         raise ValueError("enumeration requires a stable graph")
     if graph.genus < 2:
         raise ValueError("enumeration requires genus at least 2")
+    scale = 2 * graph.genus - 2
     out = []
     for subset in _edge_subsets(graph):
         mod = small_modification(graph, subset)
         source = mod.source
+        if classify(source) not in ("stable", "quasistable"):
+            raise ValueError("balanced multidegrees live on quasistable graphs")
+        ok = _balanced_test(mode, source)
+        e_values = _canonical_e(source, d)
         chain_vs = sorted(mod.chain_vertices)
         plain = [v for v in source.vertex_ids if v not in mod.chain_vertices]
         budget = d - len(chain_vs)
@@ -371,10 +410,10 @@ def enumerate_balanced(
             highs.append(floor(center + half))
         cap = [budget - (sum(lows) - lo) for lo in lows]
         highs = [min(h, c) for h, c in zip(highs, cap)]
+        # the exceptional vertices are exactly the chain vertices, so the
+        # degree-1 rule holds by construction
         for vec in _bounded_vectors(lows, highs, budget):
-            deg = Multidegree(
-                source, tuple(zip(plain, vec)) + tuple((c, 1) for c in chain_vs)
-            )
-            if balanced_report(deg).verdict(mode):
-                out.append((mod, deg))
+            values = dict(zip(plain, vec)) | dict.fromkeys(chain_vs, 1)
+            if all(ok(z, m) for z, m in _margins(source, values, (), scale, e_values)):
+                out.append((mod, Multidegree(source, tuple(values.items()))))
     return out

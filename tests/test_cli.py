@@ -392,8 +392,14 @@ MOD_WITH_CHAINS = {
       "in": {"rank": 2.0, "e": {"v": -1, "w": -1}}}),
     (["classify", "in"], {"in": {**THETA, "vertices": [{"id": "v", "genus": "0"},
                                                         {"id": "w"}]}}),
+    (["classify", "in"], {"in": {**THETA, "edges": [{"id": "e1", "ends": "vw"},
+                                                     *THETA["edges"][1:]]}}),
+    (["modify", "in"], {"in": {**MOD_WITH_CHAINS, "chains": {"e1": "x"}, "source": {
+        "vertices": [{"id": "v"}, {"id": "w"}, {"id": "x"}],
+        "edges": [{"id": "e1#0-1", "ends": ["v", "x"]}, {"id": "e1#1-2", "ends": ["x", "w"]},
+                  *THETA["edges"][1:]]}}}),
 ], ids=["float_degrees", "null_degree", "string_noninvertible", "chains_list",
-        "bool_length", "float_rank", "string_genus"])
+        "bool_length", "float_rank", "string_genus", "string_ends", "string_chain"])
 def test_non_integer_json_rejected(tmp_path, capsys, argv, files):
     paths = {name: write(tmp_path, f"{name}.json", data) for name, data in files.items()}
     code, out, err = run(capsys, [paths.get(arg, arg) for arg in argv])

@@ -3,6 +3,8 @@
 import functools
 import random
 from fractions import Fraction
+from itertools import combinations, product
+from math import ceil
 
 import pytest
 
@@ -30,6 +32,7 @@ from nodalcalc import (
     pullback_multidegree,
     sheaf_degree,
     sheaf_stability_report,
+    small_modification,
     theta_graph,
 )
 from nodalcalc.verify import random_stable_graph
@@ -383,6 +386,74 @@ class TestEnumeration:
         a = enumerate_semistable_models(theta_graph(), 2)
         b = enumerate_semistable_models(theta_graph(), 2)
         assert a == b
+
+    def test_mode_checked_before_graph_and_candidates(self):
+        # the source of a modification is not stable, so a later check
+        # would report the graph instead of the mode
+        y = modify(theta_graph(), {"e1": 1}).source
+        with pytest.raises(ValueError, match="unknown stability mode"):
+            enumerate_semistable_models(y, 2, "unstable")
+        with pytest.raises(ValueError, match="base vertex"):
+            enumerate_semistable_models(y, 2, "quasistable")
+        with pytest.raises(ValueError, match="unknown balanced mode"):
+            enumerate_balanced(y, 2, "unbalanced")
+
+    def test_enumerations_match_report_path(self):
+        # Oracle for the enumerators' early exit on integer margins: every
+        # candidate of a box built here from the one-vertex degree bound
+        # alone goes through the full report and its verdict.
+        rng = random.Random(20140605)
+        cases = [(g, d) for g in (theta_graph(), elliptic_bridge(), K4) for d in range(2, 6)]
+        for _ in range(10):
+            graph = random_stable_graph(rng, 4, 3)
+            cases.append((graph, graph.genus + rng.randint(-1, 1)))
+
+        def edge_subsets(graph):
+            ids = sorted(graph.edge_ends)
+            return sorted(c for r in range(len(ids) + 1) for c in combinations(ids, r))
+
+        def box(graph, vids, d, budget, internal):
+            # d_v + internal nodes at v >= d omega_v / (2g - 2) - k_v / 2
+            scale = 2 * graph.genus - 2
+            lows = [ceil(Fraction(d * graph.omega_degree(v), scale)
+                         - Fraction(boundary_count(graph, (v,)), 2)) - internal.get(v, 0)
+                    for v in vids]
+            ranges = [range(lo, budget - (sum(lows) - lo) + 1) for lo in lows]
+            return [vec for vec in product(*ranges) if sum(vec) == budget]
+
+        for graph, d in cases:
+            vids = list(graph.vertex_ids)
+            sheaf_modes = [("semistable", None), ("stable", None)]
+            sheaf_modes += [("quasistable", p) for p in vids]
+            models = {key: [] for key in sheaf_modes}
+            pairs = {"balanced": [], "stably_balanced": []}
+            for subset in edge_subsets(graph):
+                loops = {}
+                for e in subset:
+                    a, b = graph.edge_ends[e]
+                    if a == b:
+                        loops[a] = loops.get(a, 0) + 1
+                for vec in box(graph, vids, d, d - len(subset), loops):
+                    model = SheafModel(graph, frozenset(subset),
+                                       Multidegree(graph, tuple(zip(vids, vec))))
+                    scan = check_ssI2(model, d)
+                    for key in sheaf_modes:
+                        if scan.verdict(*key):
+                            models[key].append(model)
+                mod = small_modification(graph, subset)
+                chain = sorted(mod.chain_vertices)
+                plain = [v for v in mod.source.vertex_ids if v not in mod.chain_vertices]
+                for vec in box(mod.source, plain, d, d - len(chain), {}):
+                    deg = Multidegree(mod.source, tuple(zip(plain, vec)) + tuple(
+                        (c, 1) for c in chain))
+                    report = balanced_report(deg)
+                    for mode, found in pairs.items():
+                        if report.verdict(mode):
+                            found.append((mod, deg))
+            for key, expected in models.items():
+                assert enumerate_semistable_models(graph, d, *key) == expected, (graph, d, key)
+            for mode, expected in pairs.items():
+                assert enumerate_balanced(graph, d, mode) == expected, (graph, d, mode)
 
 
 class TestSingleVertexEnumeration:
