@@ -179,6 +179,9 @@ def cmd_check_stability(args) -> tuple[dict, int]:
         pol = Polarization.from_json_dict(graph, _load_json(args.polarization))
     else:
         pol = canonical_polarization(graph, model.degree)
+    if args.mode == "quasistable" and args.base_vertex is not None:
+        if args.base_vertex not in graph.vertex_ids:
+            raise _InputError(f"--base-vertex {args.base_vertex!r} is not a vertex of the curve")
     scan = sheaf_stability_report(model, pol)
     verdict = scan.verdict(args.mode, args.base_vertex)
     payload = {

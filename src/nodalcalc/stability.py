@@ -16,8 +16,8 @@ is exactly (2g - 2) times the degree-bound margin d_Z - d omega_Z /
 verdict mode is one exact predicate on a (subcurve, margin) row, which
 holds for a chi margin exactly when it holds for the degree-bound margin.
 The enumerators apply it straight to the kernel's integer rows and stop
-at the first failing subcurve; Fraction appears only in the degree-bound
-reports, once per row.
+at the first failing subcurve, so they build no Fraction per candidate or
+per subcurve row; the degree-bound reports build one per row.
 """
 
 from __future__ import annotations
@@ -143,9 +143,12 @@ class SubcurveScan:
 
 
 def _stability_test(
-    mode: str, base_vertex: str | None,
+    mode: str, base_vertex: str | None, graph: DualGraph | None = None,
 ) -> Callable[[frozenset[str], int | Fraction], bool]:
-    """The per-row predicate of a stability mode; the mode is checked here."""
+    """The per-row predicate of a stability mode; the mode is checked here.
+
+    Given the graph, a quasistable base vertex must be one of its vertices.
+    """
     if mode == "semistable":
         return lambda z, m: m >= 0
     if mode == "stable":
@@ -153,6 +156,8 @@ def _stability_test(
     if mode == "quasistable":
         if base_vertex is None:
             raise ValueError("quasistable verdict needs a base vertex")
+        if graph is not None and base_vertex not in graph.vertex_ids:
+            raise ValueError(f"base vertex {base_vertex!r} is not a vertex of the graph")
         return lambda z, m: m > 0 or (m == 0 and base_vertex not in z)
     raise ValueError(f"unknown stability mode {mode!r}")
 
@@ -209,14 +214,16 @@ def check_sheaf_stability(
     model: SheafModel, pol: Polarization, mode: str = "semistable",
     base_vertex: str | None = None,
 ) -> bool:
-    return sheaf_stability_report(model, pol).verdict(mode, base_vertex)
+    ok = _stability_test(mode, base_vertex, model.graph)
+    return all(ok(z, m) for z, m in sheaf_stability_report(model, pol).entries)
 
 
 def check_bundle_stability(
     deg: Multidegree, pol: Polarization, mode: str = "semistable",
     base_vertex: str | None = None,
 ) -> bool:
-    return bundle_stability_report(deg, pol).verdict(mode, base_vertex)
+    ok = _stability_test(mode, base_vertex, deg.graph)
+    return all(ok(z, m) for z, m in bundle_stability_report(deg, pol).entries)
 
 
 def check_ssI2(model: SheafModel, d: int) -> SubcurveScan:
@@ -344,7 +351,7 @@ def enumerate_semistable_models(
     sorted vertices.  A candidate is rejected at its first failing
     subcurve, on integer chi margins.
     """
-    ok = _stability_test(mode, base_vertex)
+    ok = _stability_test(mode, base_vertex, graph)
     if classify(graph) != "stable":
         raise ValueError("enumeration requires a stable graph")
     if graph.genus < 2:
@@ -386,7 +393,8 @@ def enumerate_balanced(
     degrees range over the balanced window.  Same deterministic order
     and the same early exit as the sheaf enumeration.
     """
-    _balanced_test(mode, graph)  # an unknown mode fails before any candidate
+    if mode not in ("balanced", "stably_balanced"):
+        raise ValueError(f"unknown balanced mode {mode!r}")
     if classify(graph) != "stable":
         raise ValueError("enumeration requires a stable graph")
     if graph.genus < 2:

@@ -188,6 +188,16 @@ class TestChecks:
         assert code == 2
         assert "base" in err
 
+    def test_quasistable_unknown_base(self, tmp_path, capsys):
+        curve = write(tmp_path, "theta.json", THETA)
+        sheaf = write(tmp_path, "sheaf.json",
+                      {"noninvertible": [], "multidegree": {"v": -1, "w": 2}})
+        code, out, err = run(capsys, ["check-stability", curve, sheaf,
+                                      "--mode", "quasistable", "--base-vertex", "nosuch"])
+        assert code == 2
+        assert out == ""
+        assert "not a vertex" in err
+
     def test_balanced_pass(self, tmp_path, capsys):
         curve = write(tmp_path, "theta.json", THETA)
         deg = write(tmp_path, "deg.json", {"v": 1, "w": 1})

@@ -122,6 +122,19 @@ class TestSheafStability:
         with pytest.raises(ValueError):
             scan.verdict("quasistable")
 
+    def test_quasistable_base_vertex_must_be_a_vertex(self):
+        # an unknown id lies in no subcurve, so it would give the
+        # semistable verdict: (-1, 2) is semistable, not quasistable at v
+        pol = canonical_polarization(theta_graph(), 1)
+        model = theta_model((), -1, 2)
+        assert check_sheaf_stability(model, pol, "semistable")
+        assert not check_sheaf_stability(model, pol, "quasistable", "v")
+        with pytest.raises(ValueError, match="not a vertex"):
+            check_sheaf_stability(model, pol, "quasistable", "nosuch")
+        deg = Multidegree(theta_graph(), (("v", -1), ("w", 2)))
+        with pytest.raises(ValueError, match="not a vertex"):
+            check_bundle_stability(deg, pol, "quasistable", "nosuch")
+
     def test_unknown_mode(self):
         pol = canonical_polarization(theta_graph(), 2)
         scan = sheaf_stability_report(theta_model((), 1, 1), pol)
@@ -395,6 +408,8 @@ class TestEnumeration:
             enumerate_semistable_models(y, 2, "unstable")
         with pytest.raises(ValueError, match="base vertex"):
             enumerate_semistable_models(y, 2, "quasistable")
+        with pytest.raises(ValueError, match="not a vertex"):
+            enumerate_semistable_models(y, 2, "quasistable", "nosuch")
         with pytest.raises(ValueError, match="unknown balanced mode"):
             enumerate_balanced(y, 2, "unbalanced")
 
