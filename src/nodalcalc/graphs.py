@@ -266,13 +266,24 @@ def classify(graph: DualGraph) -> str:
 
 # -- connected subcurve enumeration ---------------------------------------
 
+# Refuse graphs with more connected subcurves than this rather than hang:
+# each subcurve is a row of every stability scan.
+_MAX_SUBCURVES = 1 << 20
+
 
 def connected_subcurves(graph: DualGraph, proper: bool = False) -> Iterator[frozenset[str]]:
     """Yield the vertex sets of connected subcurves.
 
-    Enumeration is by increasing bitmask over the sorted vertex ids, so
-    the order is deterministic.  With ``proper`` the whole curve is
-    skipped.  Exponential in the vertex count; meant for small graphs.
+    The order is by increasing bitmask over the sorted vertex ids, so it
+    is deterministic.  With ``proper`` the whole curve is skipped.
+
+    The sets are grown from single vertices, one neighbouring vertex at a
+    time; every connected set of k >= 2 vertices is reached this way, from
+    the connected set left after removing one of its non-cut vertices.  The
+    cost is proportional to the number of connected subcurves times the
+    valence, not to the 2^n vertex subsets, but that number is itself
+    exponential for dense graphs: more than _MAX_SUBCURVES of them raise
+    ValueError.
     """
     ids = graph.vertex_ids
     n = len(ids)
@@ -282,25 +293,31 @@ def connected_subcurves(graph: DualGraph, proper: bool = False) -> Iterator[froz
         if a != b:
             neighbor_mask[index[a]] |= 1 << index[b]
             neighbor_mask[index[b]] |= 1 << index[a]
+    found = {1 << i: frozenset((v,)) for i, v in enumerate(ids)}
+    # (set, its neighbours outside it) as bitmasks, for each set still to extend
+    stack = [(1 << i, neighbor_mask[i]) for i in range(n)]
+    while stack:
+        mask, border = stack.pop()
+        members = found[mask]
+        rest = border
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            grown = mask | bit
+            if grown in found:
+                continue
+            if len(found) >= _MAX_SUBCURVES:
+                raise ValueError(
+                    f"graph has more than {_MAX_SUBCURVES} connected subcurves; "
+                    "too many to enumerate"
+                )
+            i = bit.bit_length() - 1
+            found[grown] = members | {ids[i]}
+            stack.append((grown, (border | neighbor_mask[i]) & ~grown))
     full = (1 << n) - 1
-    for mask in range(1, full + 1):
-        if proper and mask == full:
-            continue
-        # breadth-first closure from the lowest set bit
-        seed = mask & -mask
-        reached = seed
-        frontier = seed
-        while frontier:
-            grow = 0
-            m = frontier
-            while m:
-                bit = m & -m
-                m ^= bit
-                grow |= neighbor_mask[bit.bit_length() - 1]
-            frontier = grow & mask & ~reached
-            reached |= frontier
-        if reached == mask:
-            yield frozenset(ids[i] for i in range(n) if mask >> i & 1)
+    for mask in sorted(found):
+        if not (proper and mask == full):
+            yield found[mask]
 
 
 # -- exceptional chains ----------------------------------------------------

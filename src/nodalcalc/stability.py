@@ -15,9 +15,10 @@ is exactly (2g - 2) times the degree-bound margin d_Z - d omega_Z /
 (2g - 2) + k_Z / 2.  The kernel yields integer margins lazily, and each
 verdict mode is one exact predicate on a (subcurve, margin) row, which
 holds for a chi margin exactly when it holds for the degree-bound margin.
-The enumerators apply it straight to the kernel's integer rows and stop
-at the first failing subcurve, so they build no Fraction per candidate or
-per subcurve row; the degree-bound reports build one per row.
+The enumerators and the check_* verdicts apply it straight to the
+kernel's integer rows and stop at the first failing subcurve, so they
+build no Fraction per candidate or per subcurve row; the degree-bound
+reports build one per row.
 """
 
 from __future__ import annotations
@@ -103,17 +104,38 @@ def _canonical_e(graph: DualGraph, d: int) -> dict[str, int]:
 # -- subcurve scans ---------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+# Distinct graphs whose tables are kept.  The cache is keyed by graph, so a
+# long run over fresh random modifications would otherwise grow it without
+# end; a certify or random-family pass reuses fewer than 400 tables.
+_TABLE_CACHE_SIZE = 512
+
+
+@lru_cache(maxsize=_TABLE_CACHE_SIZE)
 def _subcurve_table(graph: DualGraph) -> tuple[tuple[frozenset[str], int], ...]:
     """(members, chi) per connected proper subcurve.
 
-    Every row is connected, so chi = |Z| - internal edges - sum of genera.
+    Every row is connected, so chi_Z is the sum over v in Z of
+    1 - g(v) - loops(v), minus the non-loop edges inside Z.  Each such edge
+    is counted at its smaller end, from a table of each vertex's larger
+    neighbours with their edge multiplicities, built once per graph.
     """
-    genus = graph.genus_map
+    own = {v: 1 - g for v, g in graph.vertices}
+    larger: dict[str, dict[str, int]] = {v: {} for v in graph.vertex_ids}
+    for _, (a, b) in graph.edges:
+        if a == b:
+            own[a] -= 1
+        else:
+            larger[a][b] = larger[a].get(b, 0) + 1
+    above = {v: tuple(nbrs.items()) for v, nbrs in larger.items()}
     rows = []
     for z in connected_subcurves(graph, proper=True):
-        internal = sum(1 for _, (a, b) in graph.edges if a in z and b in z)
-        rows.append((z, len(z) - internal - sum(genus[v] for v in z)))
+        chi = 0
+        for v in z:
+            chi += own[v]
+            for w, k in above[v]:
+                if w in z:
+                    chi -= k
+        rows.append((z, chi))
     return tuple(rows)
 
 
@@ -162,13 +184,6 @@ def _stability_test(
     raise ValueError(f"unknown stability mode {mode!r}")
 
 
-def _require_compatible(pol: Polarization, graph: DualGraph, d: int) -> None:
-    if pol.graph != graph:
-        raise ValueError("polarization lives on a different graph")
-    if not pol.compatible_with_degree(d):
-        raise ValueError(f"polarization incompatible with degree {d}")
-
-
 def _margins(
     graph: DualGraph, values: Mapping[str, int], noninvertible: Collection[str],
     rank: int, e_values: Mapping[str, int],
@@ -186,6 +201,18 @@ def _margins(
     )
 
 
+def _polarized_margins(
+    pol: Polarization, graph: DualGraph, d: int, values: Mapping[str, int],
+    noninvertible: Collection[str],
+) -> Iterator[tuple[frozenset[str], int]]:
+    """The kernel's rows under ``pol``, which must live on ``graph`` and suit degree d."""
+    if pol.graph != graph:
+        raise ValueError("polarization lives on a different graph")
+    if not pol.compatible_with_degree(d):
+        raise ValueError(f"polarization incompatible with degree {d}")
+    return _margins(graph, values, noninvertible, pol.rank, pol.e.as_dict)
+
+
 def _canonical_scan(
     graph: DualGraph, values: Mapping[str, int], noninvertible: Collection[str], d: int,
 ) -> SubcurveScan:
@@ -197,33 +224,36 @@ def _canonical_scan(
 
 def sheaf_stability_report(model: SheafModel, pol: Polarization) -> SubcurveScan:
     """Twisted Euler characteristic of the model on every connected proper subcurve."""
-    _require_compatible(pol, model.graph, model.degree)
-    values = model.multidegree.as_dict
-    return SubcurveScan(tuple(
-        _margins(model.graph, values, model.noninvertible, pol.rank, pol.e.as_dict)
-    ))
+    return SubcurveScan(tuple(_polarized_margins(
+        pol, model.graph, model.degree, model.multidegree.as_dict, model.noninvertible,
+    )))
 
 
 def bundle_stability_report(deg: Multidegree, pol: Polarization) -> SubcurveScan:
     """Same scan for an honest line bundle given by its multidegree."""
-    _require_compatible(pol, deg.graph, deg.total)
-    return SubcurveScan(tuple(_margins(deg.graph, deg.as_dict, (), pol.rank, pol.e.as_dict)))
+    return SubcurveScan(tuple(_polarized_margins(pol, deg.graph, deg.total, deg.as_dict, ())))
 
 
 def check_sheaf_stability(
     model: SheafModel, pol: Polarization, mode: str = "semistable",
     base_vertex: str | None = None,
 ) -> bool:
+    """Verdict of sheaf_stability_report, stopping at the first failing subcurve."""
     ok = _stability_test(mode, base_vertex, model.graph)
-    return all(ok(z, m) for z, m in sheaf_stability_report(model, pol).entries)
+    margins = _polarized_margins(
+        pol, model.graph, model.degree, model.multidegree.as_dict, model.noninvertible,
+    )
+    return all(ok(z, m) for z, m in margins)
 
 
 def check_bundle_stability(
     deg: Multidegree, pol: Polarization, mode: str = "semistable",
     base_vertex: str | None = None,
 ) -> bool:
+    """Verdict of bundle_stability_report, stopping at the first failing subcurve."""
     ok = _stability_test(mode, base_vertex, deg.graph)
-    return all(ok(z, m) for z, m in bundle_stability_report(deg, pol).entries)
+    margins = _polarized_margins(pol, deg.graph, deg.total, deg.as_dict, ())
+    return all(ok(z, m) for z, m in margins)
 
 
 def check_ssI2(model: SheafModel, d: int) -> SubcurveScan:

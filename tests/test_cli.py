@@ -1,10 +1,11 @@
 """End-to-end command line coverage driven through main()."""
 
 import json
+from itertools import combinations
 
 import pytest
 
-from nodalcalc import cli
+from nodalcalc import cli, graphs, stability
 
 THETA = {
     "vertices": [{"id": "v", "genus": 0}, {"id": "w", "genus": 0}],
@@ -432,3 +433,18 @@ class TestUsageErrors:
         code, _, err = run(capsys, ["phi", mod, deg])
         assert code == 2
         assert "error:" in err
+
+    def test_too_many_subcurves(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(graphs, "_MAX_SUBCURVES", 10)
+        stability._subcurve_table.cache_clear()  # a cached K5 table would skip the enumeration
+        k5 = {
+            "vertices": [{"id": v, "genus": 0} for v in "abcde"],
+            "edges": [{"id": a + b, "ends": [a, b]} for a, b in combinations("abcde", 2)],
+        }
+        curve = write(tmp_path, "k5.json", k5)
+        sheaf = write(tmp_path, "sheaf.json",
+                      {"noninvertible": [], "multidegree": dict.fromkeys("abcde", 1)})
+        code, out, err = run(capsys, ["check-stability", curve, sheaf])
+        assert code == 2
+        assert out == ""
+        assert "more than 10 connected subcurves" in err

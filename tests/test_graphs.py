@@ -1,5 +1,8 @@
 """Dual graph construction, measurements, classification, chains."""
 
+import random
+from itertools import combinations
+
 import pytest
 
 from nodalcalc import (
@@ -18,7 +21,10 @@ from nodalcalc import (
     theta_graph,
     elliptic_bridge,
 )
+from nodalcalc import graphs
 from nodalcalc.graphs import internal_edge_count
+from nodalcalc.stability import _subcurve_table
+from nodalcalc.verify import random_graph, random_modification
 
 
 def loop_vertex():
@@ -34,6 +40,38 @@ def square_cycle():
         ("e4", ("v4", "v1")),
     )
     return DualGraph(vs, es)
+
+
+def complete_graph(n):
+    vs = tuple((f"v{i}", 0) for i in range(n))
+    return DualGraph(vs, tuple((f"e{a}{b}", (f"v{a}", f"v{b}"))
+                               for a, b in combinations(range(n), 2)))
+
+
+def oracle_graphs():
+    """Loops, parallel edges, dense graphs, long chains, and random modifications."""
+    loops = DualGraph((("v", 0),), (("l1", ("v", "v")), ("l2", ("v", "v"))))
+    # ids v0..v11 sort as v0, v1, v10, v11, v2, ..., so bit order is not cycle order
+    cycle = DualGraph(
+        tuple((f"v{i}", 0) for i in range(12)),
+        tuple((f"e{i}", (f"v{i}", f"v{(i + 1) % 12}")) for i in range(12))
+        + tuple((f"p{i}", (f"v{i}", f"v{i + 1}")) for i in range(0, 12, 3)),
+    )
+    found = [loops, theta_graph(), elliptic_bridge(), complete_graph(4), complete_graph(5),
+             cycle]
+    rng = random.Random(1994)
+    for _ in range(30):
+        g = random_graph(rng, 5, 3)
+        found += [g, random_modification(rng, g, 2).source]
+    return found
+
+
+def brute_force_subcurves(graph):
+    """Every nonempty vertex subset by increasing bitmask, kept when connected."""
+    ids = graph.vertex_ids
+    subsets = (frozenset(v for i, v in enumerate(ids) if mask >> i & 1)
+               for mask in range(1, 1 << len(ids)))
+    return [z for z in subsets if is_connected_subcurve(graph, z)]
 
 
 class TestConstruction:
@@ -197,6 +235,29 @@ class TestConnectedSubcurves:
     def test_deterministic_order(self):
         runs = [list(connected_subcurves(square_cycle())) for _ in range(2)]
         assert runs[0] == runs[1]
+
+    def test_matches_brute_force_in_order(self):
+        for g in oracle_graphs():
+            want = brute_force_subcurves(g)
+            assert list(connected_subcurves(g)) == want
+            assert list(connected_subcurves(g, proper=True)) == [
+                z for z in want if len(z) < len(g.vertices)
+            ]
+
+    def test_table_chi_matches_chi_structure(self):
+        for g in oracle_graphs():
+            rows = _subcurve_table(g)
+            assert [z for z, _ in rows] == list(connected_subcurves(g, proper=True))
+            for z, chi in rows:
+                assert chi == chi_structure(g, z)
+
+    def test_too_many_subcurves_refused(self, monkeypatch):
+        monkeypatch.setattr(graphs, "_MAX_SUBCURVES", 10)
+        path = DualGraph(tuple((v, 0) for v in "abcd"),
+                         (("e1", ("a", "b")), ("e2", ("b", "c")), ("e3", ("c", "d"))))
+        assert len(list(connected_subcurves(path))) == 10
+        with pytest.raises(ValueError, match="more than 10 connected subcurves"):
+            list(connected_subcurves(complete_graph(5)))
 
     def test_membership_helper(self):
         assert is_connected_subcurve(square_cycle(), {"v1", "v2"})
