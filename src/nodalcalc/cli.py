@@ -5,6 +5,10 @@ and polarizations all use the formats of their defining modules, and
 reports print with sorted keys so the same inputs give byte-identical
 output.  Exit status: 0 pass, 1 a check or verification failed, 2 bad
 input or usage.
+
+``main`` may be called repeatedly in one process: it builds its argument
+parser on the first call and reuses it, and each call parses into a
+fresh namespace, so no option or default carries over between calls.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 from .correspondence import certify_bijection, phi, phi_inverse
@@ -51,7 +56,8 @@ from .verify import ALL_SUITES, VerifyConfig, run_verification
 
 
 class _InputError(Exception):
-    """Bad file, bad JSON, or a malformed payload; reported with exit 2."""
+    """Bad file, bad JSON, a malformed payload, or an unwritable output
+    path; reported with exit 2."""
 
 
 def _load_json(path: str):
@@ -72,10 +78,21 @@ def _load_modification(path: str) -> Modification:
     return Modification.from_json_dict(_load_json(path))
 
 
+def _dumps(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _write(path: str | Path, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as err:
+        raise _InputError(str(err)) from err
+
+
 def _emit(payload: dict, output: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    text = _dumps(payload)
     if output:
-        Path(output).write_text(text, encoding="utf-8")
+        _write(output, text)
     else:
         sys.stdout.write(text)
 
@@ -267,11 +284,7 @@ def cmd_verify(args) -> tuple[dict, int]:
     for name, entry in report["suites"].items():
         if entry["status"] == "fail":
             filename = f"counterexample-{name}.json"
-            path = Path(args.dump_dir) / filename
-            path.write_text(
-                json.dumps(entry["failures"][0], indent=2, sort_keys=True) + "\n",
-                encoding="utf-8",
-            )
+            _write(Path(args.dump_dir) / filename, _dumps(entry["failures"][0]))
             dumps[name] = filename
     if dumps:
         report["reproduction_files"] = dumps
@@ -281,6 +294,7 @@ def cmd_verify(args) -> tuple[dict, int]:
 # -- parser ------------------------------------------------------------------
 
 
+@lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nodalcalc",
@@ -310,7 +324,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("multidegree", help="multidegree JSON file on the modified curve")
 
     p = sub("chain-h", cmd_chain_h, "cohomology of a multidegree on a rational chain")
-    p.add_argument("--degrees", required=True, help="comma-separated integers")
+    p.add_argument("--degrees", required=True,
+                   help="comma-separated integers; a list that starts with a "
+                   "negative number needs the = form, as in --degrees=-1,2")
     p.add_argument("--punctured", action="store_true",
                    help="impose vanishing at both free ends")
 
@@ -366,13 +382,10 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         payload, code = args.fn(args)
-    except _InputError as err:
+        _emit(payload, args.output)
+    except (_InputError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    _emit(payload, args.output)
     return code
 
 

@@ -1,5 +1,6 @@
 """End-to-end command line coverage driven through main()."""
 
+import argparse
 import json
 from itertools import combinations
 
@@ -160,6 +161,12 @@ class TestChainH:
         assert code == 2
         assert "comma-separated" in err
 
+    def test_negative_first_degree(self, capsys):
+        # "--degrees -1,2" would read "-1,2" as an option; the = form works
+        code, data = run_json(capsys, ["chain-h", "--degrees=-1,2"])
+        assert code == 0
+        assert data["degrees"] == [-1, 2]
+
 
 class TestChecks:
     def test_stability_pass(self, tmp_path, capsys):
@@ -313,6 +320,14 @@ class TestOutputHandling:
         assert stdout == ""
         assert json.loads(out.read_text())["genus"] == 2
 
+    def test_unwritable_output(self, tmp_path, capsys):
+        curve = write(tmp_path, "theta.json", THETA)
+        target = tmp_path / "missing" / "report.json"
+        code, out, err = run(capsys, ["classify", curve, "--output", str(target)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and str(target) in err
+
     def test_byte_identical_reports(self, tmp_path, capsys):
         curve = write(tmp_path, "theta.json", THETA)
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -344,7 +359,8 @@ class TestVerifyCommand:
         run(capsys, self.ARGS + ["--output", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
-    def test_failure_dumps_counterexample(self, tmp_path, capsys, monkeypatch):
+    @pytest.fixture
+    def failing_roundtrip(self, monkeypatch):
         bad = {
             "config": {"suites": ["roundtrip"]},
             "suites": {
@@ -358,12 +374,24 @@ class TestVerifyCommand:
             "ok": False,
         }
         monkeypatch.setattr(cli, "run_verification", lambda cfg: bad)
+
+    @pytest.mark.usefixtures("failing_roundtrip")
+    def test_failure_dumps_counterexample(self, tmp_path, capsys):
         code, data = run_json(capsys, ["verify", "--suite", "roundtrip",
                                        "--dump-dir", str(tmp_path)])
         assert code == 1
         assert data["reproduction_files"] == {"roundtrip": "counterexample-roundtrip.json"}
         dumped = json.loads((tmp_path / "counterexample-roundtrip.json").read_text())
         assert dumped["detail"] == "planted"
+
+    @pytest.mark.usefixtures("failing_roundtrip")
+    def test_unwritable_dump_dir(self, tmp_path, capsys):
+        missing = tmp_path / "missing"
+        code, out, err = run(capsys, ["verify", "--suite", "roundtrip",
+                                      "--dump-dir", str(missing)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and str(missing) in err
 
     def test_bad_config_rejected(self, capsys):
         code, _, err = run(capsys, ["verify", "--instances", "0"])
@@ -448,3 +476,38 @@ class TestUsageErrors:
         assert code == 2
         assert out == ""
         assert "more than 10 connected subcurves" in err
+
+
+def test_parser_reused_without_leaking_state(tmp_path, capsys, monkeypatch):
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        built.append(self.prog)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli._build_parser.cache_clear()
+    curve = write(tmp_path, "theta.json", THETA)
+    sheaf = write(tmp_path, "sheaf.json", {"noninvertible": [], "multidegree": {"v": 1, "w": 1}})
+    stable = ["check-stability", curve, sheaf, "--mode", "stable"]
+    verify = ["verify", "--instances", "1", "--max-vertices", "3", "--chain-length-max", "1",
+              "--dump-dir", str(tmp_path)]
+    first = run(capsys, stable)
+    assert json.loads(first[1])["mode"] == "stable"
+    code, data = run_json(capsys, ["check-stability", curve, sheaf])
+    assert (code, data["mode"]) == (0, "semistable")
+
+    code, data = run_json(capsys, verify + ["--suite", "chain-cohomology"])
+    assert (code, set(data["suites"])) == (0, {"chain-cohomology"})
+    # a usage error after one --suite has been appended
+    with pytest.raises(SystemExit) as exc:
+        cli.main(verify + ["--suite", "roundtrip", "--suite", "nosuch"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+    code, data = run_json(capsys, verify + ["--suite", "roundtrip"])
+    assert (code, set(data["suites"])) == (0, {"roundtrip"})
+    assert data["config"]["suites"] == ["roundtrip"]
+
+    assert run(capsys, stable) == first
+    assert built.count("nodalcalc") == 1
