@@ -10,8 +10,8 @@ contractions, stability scans) work purely at this level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, fields
+from types import MappingProxyType
 from typing import Iterable, Iterator
 
 
@@ -20,6 +20,15 @@ def _json_int(value, what: str) -> int:
     if type(value) is not int:
         raise ValueError(f"{what} must be an integer, got {value!r}")
     return value
+
+
+def _reduce_to_fields(obj):
+    """``__reduce__`` of a frozen dataclass with read-only derived views.
+
+    The views cannot be pickled or deep-copied, so a copy is rebuilt from
+    the fields through the constructor, which recomputes the views.
+    """
+    return type(obj), tuple(getattr(obj, f.name) for f in fields(obj))
 
 
 class ExceptionalCycleError(ValueError):
@@ -39,6 +48,13 @@ class DualGraph:
     Input order is irrelevant: the constructor sorts vertices and edges
     by id and sorts the two ends of every edge, so equality and hashing
     are canonical.
+
+    The derived views are computed once, on construction, and are
+    read-only: ``vertex_ids`` (sorted), ``genus_map``, ``edge_ends``,
+    ``genus`` (arithmetic genus: first Betti number plus the vertex
+    genera) and ``incidence``, which maps each vertex to its incident
+    ``(edge_id, other_end)`` pairs.  A loop at ``v`` appears twice in
+    the pairs of ``v``, so their number is the valence.
     """
 
     vertices: tuple[tuple[str, int], ...]
@@ -53,14 +69,21 @@ class DualGraph:
             if b < a:
                 a, b = b, a
             edges.append((str(eid), (a, b)))
+        edges.sort()
         object.__setattr__(self, "vertices", verts)
-        object.__setattr__(self, "edges", tuple(sorted(edges)))
+        object.__setattr__(self, "edges", tuple(edges))
+        object.__setattr__(self, "vertex_ids", tuple(v for v, _ in verts))
+        object.__setattr__(self, "genus_map", MappingProxyType(dict(verts)))
+        object.__setattr__(self, "edge_ends", MappingProxyType(dict(edges)))
+        b1 = len(edges) - len(verts) + 1
+        object.__setattr__(self, "genus", b1 + sum(g for _, g in verts))
         self._validate()
 
     def _validate(self) -> None:
+        """Check the graph and set ``incidence``, once its endpoints are known."""
         if not self.vertices:
             raise ValueError("graph needs at least one vertex")
-        ids = [v for v, _ in self.vertices]
+        ids = self.vertex_ids
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate vertex id")
         for v, g in self.vertices:
@@ -69,12 +92,18 @@ class DualGraph:
         eids = [e for e, _ in self.edges]
         if len(set(eids)) != len(eids):
             raise ValueError("duplicate edge id")
-        known = set(ids)
+        inc: dict[str, list[tuple[str, str]]] = {v: [] for v in ids}
         for e, (a, b) in self.edges:
-            if a not in known or b not in known:
+            if a not in inc or b not in inc:
                 raise ValueError(f"edge {e!r} has unknown endpoint")
-        if len(self._component_ids(known)) > 1:
+            inc[a].append((e, b))
+            inc[b].append((e, a))
+        incidence = {v: tuple(sorted(pairs)) for v, pairs in inc.items()}
+        object.__setattr__(self, "incidence", MappingProxyType(incidence))
+        if len(self._component_ids(set(ids))) > 1:
             raise ValueError("graph not connected")
+
+    __reduce__ = _reduce_to_fields
 
     def _component_ids(self, members: set[str]) -> list[set[str]]:
         """Connected components of the subgraph induced on ``members``."""
@@ -96,31 +125,6 @@ class DualGraph:
 
     # -- basic accessors -------------------------------------------------
 
-    @cached_property
-    def vertex_ids(self) -> tuple[str, ...]:
-        return tuple(v for v, _ in self.vertices)
-
-    @cached_property
-    def genus_map(self) -> dict[str, int]:
-        return dict(self.vertices)
-
-    @cached_property
-    def edge_ends(self) -> dict[str, tuple[str, str]]:
-        return dict(self.edges)
-
-    @cached_property
-    def incidence(self) -> dict[str, tuple[tuple[str, str], ...]]:
-        """For each vertex, the incident ``(edge_id, other_end)`` pairs.
-
-        A loop at ``v`` appears twice in the list for ``v``, so the list
-        length is the valence.
-        """
-        inc: dict[str, list[tuple[str, str]]] = {v: [] for v in self.vertex_ids}
-        for e, (a, b) in self.edges:
-            inc[a].append((e, b))
-            inc[b].append((e, a))
-        return {v: tuple(sorted(pairs)) for v, pairs in inc.items()}
-
     def genus_of(self, v: str) -> int:
         return self.genus_map[v]
 
@@ -137,12 +141,6 @@ class DualGraph:
 
     def loops_at(self, v: str) -> int:
         return sum(1 for e, (a, b) in self.edges if a == v and b == v)
-
-    @cached_property
-    def genus(self) -> int:
-        """Arithmetic genus: first Betti number plus the vertex genera."""
-        b1 = len(self.edges) - len(self.vertices) + 1
-        return b1 + sum(g for _, g in self.vertices)
 
     def omega_degree(self, v: str) -> int:
         """Multidegree of the dualizing sheaf at ``v``: 2g(v) - 2 + valence."""

@@ -17,11 +17,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .graphs import (
     DualGraph,
     _json_int,
+    _reduce_to_fields,
     classify,
     maximal_exceptional_chains,
 )
@@ -36,6 +38,10 @@ class Modification:
     chain vertex ids in the source, side 0 first.  The source must be
     exactly the subdivision of the target described by the registry;
     this is checked on construction.
+
+    ``chains`` (edge to chain), ``lengths`` (edge to chain length) and
+    ``chain_vertices`` are computed once, on construction, and are
+    read-only.
     """
 
     target: DualGraph
@@ -46,29 +52,22 @@ class Modification:
         reg = tuple(sorted((str(e), tuple(str(c) for c in chain))
                            for e, chain in dict(self.chain_registry).items()))
         object.__setattr__(self, "chain_registry", reg)
+        object.__setattr__(self, "chains", MappingProxyType(dict(reg)))
+        object.__setattr__(self, "lengths", MappingProxyType({e: len(c) for e, c in reg}))
+        object.__setattr__(self, "chain_vertices", frozenset(v for _, c in reg for v in c))
         self._validate()
 
-    # -- derived views ----------------------------------------------------
+    __reduce__ = _reduce_to_fields
 
-    @cached_property
-    def chains(self) -> dict[str, tuple[str, ...]]:
-        return dict(self.chain_registry)
+    # -- derived views ----------------------------------------------------
 
     @property
     def modified_edges(self) -> frozenset[str]:
         return frozenset(self.chains)
 
     @cached_property
-    def lengths(self) -> dict[str, int]:
-        return {e: len(chain) for e, chain in self.chain_registry}
-
-    @cached_property
-    def chain_vertices(self) -> frozenset[str]:
-        return frozenset(v for _, chain in self.chain_registry for v in chain)
-
-    @cached_property
-    def vertex_map(self) -> dict[str, object]:
-        """Source vertex to target vertex, or to (edge, position) on a chain."""
+    def vertex_map(self) -> Mapping[str, object]:
+        """Source vertex to target vertex, or to (edge, position) on a chain; read-only."""
         image: dict[str, object] = {}
         for v in self.source.vertex_ids:
             if v not in self.chain_vertices:
@@ -76,7 +75,7 @@ class Modification:
         for e, chain in self.chain_registry:
             for pos, c in enumerate(chain, start=1):
                 image[c] = (e, pos)
-        return image
+        return MappingProxyType(image)
 
     def chain_of(self, edge: str) -> tuple[str, ...]:
         return self.chains[edge]

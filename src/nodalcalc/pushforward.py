@@ -72,13 +72,6 @@ def admissibility(mod: Modification, deg: Multidegree) -> AdmissibilityFlags:
     return AdmissibilityFlags(admissible, negatively, positively, invertible)
 
 
-def _leading_sign(degs: tuple[int, ...]) -> int:
-    for d in degs:
-        if d:
-            return d
-    return 0
-
-
 def pushforward_model(mod: Modification, deg: Multidegree) -> SheafModel:
     """Sheaf model of the direct image of an admissible line bundle.
 
@@ -92,30 +85,52 @@ def pushforward_model(mod: Modification, deg: Multidegree) -> SheafModel:
                            (the same vertex twice over a loop)
     Vertices away from the chains keep their degrees.  The total degree
     of the model equals the total degree of the bundle.
+
+    One pass per chain reads the interval-sum range off running prefix
+    sums: the run ending at an entry ranges between its prefix sum minus
+    the largest and minus the smallest earlier prefix sum (0 included).
+    The same pass gives the total and the first and last nonzero
+    entries.  ``interval_sum_range`` is the independent reference.
     """
-    sequences = chain_degrees(mod, deg)
-    for e, degs in sequences:
-        lo, hi = interval_sum_range(degs)
+    if deg.graph != mod.source:
+        raise ValueError("multidegree does not live on the modification source")
+    values = deg.as_dict
+    corrections = []
+    for e, chain in mod.chain_registry:
+        prefix = low_prefix = high_prefix = 0
+        lo = hi = values[chain[0]]
+        head = tail = 0
+        for c in chain:
+            d = values[c]
+            if d:
+                tail = d
+                if not head:
+                    head = d
+            prefix += d
+            if prefix - high_prefix < lo:
+                lo = prefix - high_prefix
+            if prefix - low_prefix > hi:
+                hi = prefix - low_prefix
+            if prefix < low_prefix:
+                low_prefix = prefix
+            elif prefix > high_prefix:
+                high_prefix = prefix
         if lo < -1 or hi > 1:
             raise NotAdmissibleError(
                 f"chain over {e!r} has a contiguous run of degree "
-                f"{lo if lo < -1 else hi}: {list(degs)}"
+                f"{lo if lo < -1 else hi}: {[values[c] for c in chain]}"
             )
+        if head:
+            corrections.append((e, prefix, head, tail))
 
-    values = deg.as_dict
     tilde = {v: values[v] for v in mod.target.vertex_ids}
     noninvertible = set()
-    for e, degs in sequences:
-        delta = sum(degs)
-        if delta == 0 and not any(degs):
-            continue
+    for e, delta, head, tail in corrections:
         noninvertible.add(e)
         a, b = mod.target.ends(e)  # a is side 0
         if delta == 1:
             continue
         if delta == 0:
-            head = _leading_sign(degs)
-            tail = _leading_sign(degs[::-1])
             if (head == -1) == (tail == -1):
                 raise AssertionError("exactly one side must lead with -1")
             tilde[a if head == -1 else b] -= 1

@@ -12,20 +12,50 @@ The module also computes cohomology of a line bundle on a chain of
 rational curves by explicit linear algebra over the rationals; that
 computation is deliberately independent of the interval-sum shortcuts
 used elsewhere, so the two can be checked against each other.
+
+Value assignments are checked in canonical form.  A ``tuple`` of
+``(str, int)`` tuples listing exactly ``graph.vertex_ids`` in that order,
+every value of type ``int``, is accepted as it is, with one comparison
+of its keys; every other input (a dict, a list of pairs, bools, floats,
+an unsorted or partial tuple) is normalized and checked entry by entry.
+The library builds its own multidegrees in canonical form, so the check
+is cheap where it runs most.  Derived views such as ``as_dict`` and
+``degree_changes`` are computed once, on construction, and are read-only
+mappings.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from typing import Iterable, Mapping, NamedTuple
+from types import MappingProxyType
+from typing import Iterable, NamedTuple
 
-from .graphs import DualGraph, _check_members, _json_int
+from .graphs import DualGraph, _check_members, _json_int, _reduce_to_fields
+
+
+def _is_canonical(graph: DualGraph, values) -> bool:
+    """Whether ``values`` is a tuple of (str, int) tuples keyed by exactly ``graph.vertex_ids``."""
+    if type(values) is not tuple:
+        return False
+    keys = []
+    for item in values:
+        if (type(item) is not tuple or len(item) != 2
+                or type(item[0]) is not str or type(item[1]) is not int):
+            return False
+        keys.append(item[0])
+    return tuple(keys) == graph.vertex_ids
 
 
 def _vertex_values(graph: DualGraph, values) -> tuple[tuple[str, int], ...]:
-    """Normalize a value assignment to cover exactly the vertices."""
+    """Normalize a value assignment to cover exactly the vertices.
+
+    Sorted vertex ids are distinct, so keys equal to ``graph.vertex_ids``
+    repeat none, name no unknown vertex and miss none.
+    """
+    if _is_canonical(graph, values):
+        return values
     if isinstance(values, Mapping):
         items = [(str(k), int(v)) for k, v in values.items()]
     else:
@@ -44,17 +74,24 @@ def _vertex_values(graph: DualGraph, values) -> tuple[tuple[str, int], ...]:
 
 @dataclass(frozen=True)
 class Multidegree:
-    """Integer degree assignment on the vertices of a dual graph."""
+    """Integer degree assignment on the vertices of a dual graph.
+
+    ``values`` may be any mapping or iterable of ``(vertex, degree)``
+    pairs covering every vertex once; it is stored sorted by vertex id.
+    Input already in that canonical form, a tuple of ``(str, int)``
+    tuples in ``graph.vertex_ids`` order, is kept without rebuilding.
+    ``as_dict`` is a read-only mapping computed once, on construction.
+    """
 
     graph: DualGraph
     values: tuple[tuple[str, int], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", _vertex_values(self.graph, self.values))
+        values = _vertex_values(self.graph, self.values)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "as_dict", MappingProxyType(dict(values)))
 
-    @cached_property
-    def as_dict(self) -> dict[str, int]:
-        return dict(self.values)
+    __reduce__ = _reduce_to_fields
 
     def __getitem__(self, v: str) -> int:
         return self.as_dict[v]
@@ -93,41 +130,38 @@ class Twister:
 
     Coefficients may be given for any subset of the vertices; missing
     ones default to 0.
+
+    ``as_dict`` and ``degree_changes`` are read-only mappings computed
+    once, on construction.  ``degree_changes`` is the per-vertex degree
+    change, the negated graph Laplacian of c: each non-loop edge v-w
+    moves c(w) - c(v) onto v and the opposite onto w, and loops
+    contribute nothing.  The changes always sum to 0.
     """
 
     graph: DualGraph
     coefficients: tuple[tuple[str, int], ...]
 
     def __post_init__(self) -> None:
+        graph = self.graph
         if isinstance(self.coefficients, Mapping):
             given = {str(k): int(v) for k, v in self.coefficients.items()}
         else:
             given = {str(k): int(v) for k, v in self.coefficients}
-        extra = set(given) - set(self.graph.vertex_ids)
+        extra = given.keys() - graph.genus_map.keys()
         if extra:
             raise ValueError(f"twister names unknown vertices: {sorted(extra)}")
-        full = tuple((v, given.get(v, 0)) for v in self.graph.vertex_ids)
-        object.__setattr__(self, "coefficients", full)
-
-    @cached_property
-    def as_dict(self) -> dict[str, int]:
-        return dict(self.coefficients)
-
-    @cached_property
-    def degree_changes(self) -> dict[str, int]:
-        """Per-vertex degree change: the negated graph Laplacian of c.
-
-        Each non-loop edge v-w moves c(w) - c(v) onto v and the opposite
-        onto w; loops contribute nothing.  The changes always sum to 0.
-        """
-        c = self.as_dict
-        delta = {v: 0 for v in self.graph.vertex_ids}
-        for _, (a, b) in self.graph.edges:
+        c = {v: given.get(v, 0) for v in graph.vertex_ids}
+        delta = dict.fromkeys(graph.vertex_ids, 0)
+        for _, (a, b) in graph.edges:
             if a == b:
                 continue
             delta[a] += c[b] - c[a]
             delta[b] += c[a] - c[b]
-        return delta
+        object.__setattr__(self, "coefficients", tuple(c.items()))
+        object.__setattr__(self, "as_dict", MappingProxyType(c))
+        object.__setattr__(self, "degree_changes", MappingProxyType(delta))
+
+    __reduce__ = _reduce_to_fields
 
 
 def twist(deg: Multidegree, twister: Twister) -> Multidegree:
@@ -154,7 +188,7 @@ class SheafModel:
 
     def __post_init__(self) -> None:
         edges = frozenset(str(e) for e in self.noninvertible)
-        unknown = edges - set(self.graph.edge_ends)
+        unknown = [e for e in edges if e not in self.graph.edge_ends]
         if unknown:
             raise ValueError(f"non-invertible set names unknown edges: {sorted(unknown)}")
         object.__setattr__(self, "noninvertible", edges)

@@ -191,7 +191,10 @@ def _margins(
     """The scan kernel: chi_twisted(d_Z, chi_Z, e_Z, rank), lazily, row by row.
 
     Reports materialise every row; the enumerators stop at the first row
-    that fails their predicate.
+    that fails their predicate.  ``values`` and ``e_values`` should be
+    plain dicts: every row reads them through ``map``, where a read-only
+    view costs about a fifth more per scan, so the scan entry points
+    copy the views once per scan.
     """
     ends = graph.edge_ends
     return (
@@ -210,7 +213,7 @@ def _polarized_margins(
         raise ValueError("polarization lives on a different graph")
     if not pol.compatible_with_degree(d):
         raise ValueError(f"polarization incompatible with degree {d}")
-    return _margins(graph, values, noninvertible, pol.rank, pol.e.as_dict)
+    return _margins(graph, dict(values), noninvertible, pol.rank, dict(pol.e.as_dict))
 
 
 def _canonical_scan(
@@ -218,7 +221,7 @@ def _canonical_scan(
 ) -> SubcurveScan:
     """Degree-bound margins: canonical chi margins divided by the rank 2g - 2."""
     scale = 2 * graph.genus - 2
-    margins = _margins(graph, values, noninvertible, scale, _canonical_e(graph, d))
+    margins = _margins(graph, dict(values), noninvertible, scale, _canonical_e(graph, d))
     return SubcurveScan(tuple((z, Fraction(m, scale)) for z, m in margins))
 
 

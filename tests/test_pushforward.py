@@ -21,6 +21,7 @@ from nodalcalc import (
     same_pushforward,
     sheaf_degree,
     theta_graph,
+    interval_sum_range,
     twist,
 )
 from nodalcalc.verify import exhaustive_instances
@@ -129,6 +130,56 @@ class TestPushforwardModel:
         model = pushforward_model(mod, deg)
         assert model.noninvertible == frozenset()
         assert model.multidegree == deg
+
+
+def boundary_instances():
+    """Every chain sequence in [-2, 2]^k, k <= 3, on one edge; pairs with k <= 2 on theta."""
+    window = range(-2, 3)
+    for graph, plain in ((theta_graph(), {"v": 1, "w": -1}),
+                         (elliptic_bridge(), {"v": 0, "w": 2}),
+                         (loop_vertex(), {"v": 1})):
+        edge = graph.edges[0][0]
+        for k in (1, 2, 3):
+            mod = modify(graph, {edge: k})
+            for seq in product(window, repeat=k):
+                yield mod, theta_deg(mod, {edge: seq}, **plain)
+    for k1, k2 in product((1, 2), repeat=2):
+        mod = modify(theta_graph(), {"e1": k1, "e2": k2})
+        for seq1 in product(window, repeat=k1):
+            for seq2 in product(window, repeat=k2):
+                yield mod, theta_deg(mod, {"e1": seq1, "e2": seq2}, v=0, w=1)
+
+
+def first_inadmissible_chain(mod, deg):
+    for e, degs in chain_degrees(mod, deg):
+        lo, hi = interval_sum_range(degs)
+        if lo < -1 or hi > 1:
+            return e, degs, lo, hi
+    return None
+
+
+class TestBoundary:
+    def test_model_or_error_exactly_at_the_admissibility_boundary(self):
+        refused = accepted = 0
+        for mod, deg in boundary_instances():
+            bad = first_inadmissible_chain(mod, deg)
+            assert (bad is None) == admissibility(mod, deg).admissible
+            if bad is not None:
+                e, degs, lo, hi = bad
+                with pytest.raises(NotAdmissibleError) as exc:
+                    pushforward_model(mod, deg)
+                assert str(exc.value) == (
+                    f"chain over {e!r} has a contiguous run of degree "
+                    f"{lo if lo < -1 else hi}: {list(degs)}"
+                )
+                refused += 1
+                continue
+            model = pushforward_model(mod, deg)
+            assert model.degree == deg.total
+            for w in connected_subcurves(mod.target):
+                assert sheaf_degree(model, w) == pushforward_degree_oracle(mod, deg, w)
+            accepted += 1
+        assert refused and accepted
 
 
 class TestOracle:

@@ -1,5 +1,8 @@
 """Multidegrees, twisters, sheaf models, and chain cohomology."""
 
+import copy
+import pickle
+import random
 from itertools import product
 
 import pytest
@@ -18,6 +21,7 @@ from nodalcalc import (
     theta_graph,
     twist,
 )
+from nodalcalc.verify import random_graph
 
 
 def loop_vertex():
@@ -53,6 +57,99 @@ class TestMultidegree:
             omega = omega_multidegree(g)
             for v in g.vertex_ids:
                 assert omega[v] == g.omega_degree(v) == 2 * g.genus_of(v) - 2 + g.valence(v)
+
+
+K4 = DualGraph(
+    tuple((v, 0) for v in "abcd"),
+    tuple((a + b, (a, b)) for a, b in ("ab", "ac", "ad", "bc", "bd", "cd")),
+)
+
+
+def canonical_form_graphs():
+    rng = random.Random(606)
+    return [theta_graph(), elliptic_bridge(), K4] + [random_graph(rng, 6, 3) for _ in range(20)]
+
+
+def full_normalization(pairs):
+    """The value normalization every non-canonical input goes through."""
+    return tuple(sorted((str(k), int(v)) for k, v in pairs))
+
+
+class TestCanonicalForm:
+    """The canonical-form fast path against the full normalization."""
+
+    def test_every_spelling_builds_the_same_multidegree(self):
+        rng = random.Random(7)
+        for graph in canonical_form_graphs():
+            canonical = tuple((v, rng.randint(-3, 3)) for v in graph.vertex_ids)
+            shuffled = list(canonical)
+            rng.shuffle(shuffled)
+            spellings = [canonical, tuple(shuffled), dict(shuffled),
+                         [list(pair) for pair in shuffled], tuple(list(p) for p in canonical)]
+            built = [Multidegree(graph, spelling) for spelling in spellings]
+            assert built[0].values is canonical
+            for deg in built:
+                assert deg == built[0] and hash(deg) == hash(built[0])
+                assert type(deg.values) is tuple
+                assert all(type(pair) is tuple for pair in deg.values)
+                assert deg.values == full_normalization(canonical)
+                assert deg.as_dict == dict(canonical)
+
+    def test_bools_and_floats_normalize_as_before(self):
+        for graph in canonical_form_graphs():
+            ids = graph.vertex_ids
+            for fill in (True, False, 1.0, 2.7, -1.5):
+                pairs = tuple((v, fill if i % 2 == 0 else i) for i, v in enumerate(ids))
+                deg = Multidegree(graph, pairs)
+                assert deg.values == full_normalization(pairs)
+                assert all(type(d) is int for _, d in deg.values)
+                assert all(type(d) is int for d in deg.as_dict.values())
+
+    def test_bad_assignments_keep_their_messages(self):
+        for graph in canonical_form_graphs():
+            ids = graph.vertex_ids
+            canonical = tuple((v, 0) for v in ids)
+            cases = [
+                (canonical + ((ids[-1], 0),), "repeated vertex id in value assignment"),
+                (canonical + (("zz", 1),), "values given for unknown vertices: ['zz']"),
+                (canonical[:-1], f"values missing for vertices: {[ids[-1]]}"),
+            ]
+            for values, message in cases:
+                for spelling in (values, tuple(reversed(values)), list(values)):
+                    with pytest.raises(ValueError) as exc:
+                        Multidegree(graph, spelling)
+                    assert str(exc.value) == message
+
+
+class TestReadOnlyViews:
+    def test_derived_views_refuse_writes(self):
+        graph = theta_graph()
+        deg = Multidegree(graph, (("v", 0), ("w", 2)))
+        tw = Twister(graph, (("v", 1),))
+        mod = modify(graph, {"e1": 1})
+        views = [deg.as_dict, tw.as_dict, tw.degree_changes, graph.genus_map,
+                 graph.edge_ends, graph.incidence, mod.chains, mod.lengths, mod.vertex_map]
+        for view in views:
+            with pytest.raises(TypeError):
+                view["v"] = 99
+        assert deg.as_dict == {"v": 0, "w": 2} and deg["v"] == 0
+        assert deg.degree_on(["v"]) == 0
+        assert tw.degree_changes == {"v": -3, "w": 3}
+        assert twist(Multidegree(graph, (("v", 1), ("w", 1))), tw).total == 2
+        assert mod.lengths == {"e1": 1}
+
+    def test_pickle_and_deepcopy_rebuild_the_views(self):
+        graph = theta_graph()
+        deg = Multidegree(graph, (("v", 0), ("w", 2)))
+        objects = [graph, deg, Twister(graph, (("v", 1),)), modify(graph, {"e1": 2}),
+                   SheafModel(graph, frozenset({"e1"}), deg)]
+        for obj in objects:
+            for clone in (pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj)):
+                assert clone == obj and hash(clone) == hash(obj)
+        clone = pickle.loads(pickle.dumps(deg))
+        assert clone.as_dict == {"v": 0, "w": 2}
+        with pytest.raises(TypeError):
+            clone.as_dict["v"] = 1
 
 
 class TestTwister:
