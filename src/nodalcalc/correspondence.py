@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graphs import DualGraph, classify, exceptional_vertices
-from .modifications import Modification, is_small, modify
+from .modifications import Modification, is_small, small_modification
 from .pushforward import pushforward_model
 from .sheaves import Multidegree, SheafModel
 from .stability import enumerate_balanced, enumerate_semistable_models
@@ -47,14 +47,16 @@ def phi_inverse(graph: DualGraph, model: SheafModel) -> tuple[Modification, Mult
 
     Subdivides each non-invertible edge once and puts degree 1 on the
     new vertices; the total degree of the bundle equals the degree of
-    the model.
+    the model.  The modification is the shared one ``small_modification``
+    builds for the non-invertible set.
     """
     if model.graph != graph:
         raise ValueError("sheaf model does not live on the given graph")
-    mod = modify(graph, {e: 1 for e in sorted(model.noninvertible)})
-    values = list(model.multidegree.values)
-    values += [(c, 1) for c in sorted(mod.chain_vertices)]
-    deg = Multidegree(mod.source, tuple(values))
+    mod = small_modification(graph, model.noninvertible)
+    chain, values = mod.chain_vertices, model.multidegree.as_dict
+    deg = Multidegree(mod.source, tuple(
+        (v, 1 if v in chain else values[v]) for v in mod.source.vertex_ids
+    ))
     if deg.total != model.degree:
         raise AssertionError("lifted bundle changed the total degree")
     return mod, deg

@@ -140,7 +140,8 @@ class DualGraph:
         return len(self.incidence[v])
 
     def loops_at(self, v: str) -> int:
-        return sum(1 for e, (a, b) in self.edges if a == v and b == v)
+        """Number of loops at ``v``; each appears twice in ``incidence[v]``."""
+        return sum(other == v for _, other in self.incidence[v]) // 2
 
     def omega_degree(self, v: str) -> int:
         """Multidegree of the dualizing sheaf at ``v``: 2g(v) - 2 + valence."""
@@ -230,8 +231,8 @@ def is_exceptional(graph: DualGraph, v: str) -> bool:
         return False
     return (
         graph.genus_of(v) == 0
-        and graph.loops_at(v) == 0
         and graph.valence(v) <= 2
+        and graph.loops_at(v) == 0
     )
 
 

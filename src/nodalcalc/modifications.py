@@ -16,7 +16,7 @@ reading of the chain is kept.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -201,9 +201,24 @@ def modify(graph: DualGraph, lengths: Mapping[str, int]) -> Modification:
     return Modification(graph, source, tuple(registry))
 
 
+# Distinct (graph, edge set) pairs whose small modifications are kept, as
+# many as the subcurve tables in ``stability``.  A certify pass asks for a
+# few hundred, each of them several times.
+_SMALL_CACHE_SIZE = 512
+
+
 def small_modification(graph: DualGraph, edges: Iterable[str]) -> Modification:
-    """Chain length 1 on every listed edge."""
-    return modify(graph, {e: 1 for e in edges})
+    """Chain length 1 on every listed edge.
+
+    Modifications are immutable, so one is built per graph and edge set
+    and shared by every caller.
+    """
+    return _small_modification(graph, frozenset(edges))
+
+
+@lru_cache(maxsize=_SMALL_CACHE_SIZE)
+def _small_modification(graph: DualGraph, edges: frozenset[str]) -> Modification:
+    return modify(graph, dict.fromkeys(sorted(edges, key=str), 1))
 
 
 def is_small(mod: Modification) -> bool:
@@ -264,10 +279,12 @@ def pullback_multidegree(mod: Modification, deg: Multidegree) -> Multidegree:
     """Pull a multidegree back along the contraction.
 
     Values are copied to the surviving vertices and chain vertices get
-    0, matching the degree of a pulled-back line bundle.
+    0, matching the degree of a pulled-back line bundle.  They are listed
+    in source vertex order, so ``Multidegree`` keeps them as given.
     """
     if deg.graph != mod.target:
         raise ValueError("multidegree does not live on the modification target")
-    values = [(v, deg[v]) for v in mod.target.vertex_ids]
-    values += [(c, 0) for c in mod.chain_vertices]
-    return Multidegree(mod.source, tuple(values))
+    chain, values = mod.chain_vertices, deg.as_dict
+    return Multidegree(mod.source, tuple(
+        (v, 0 if v in chain else values[v]) for v in mod.source.vertex_ids
+    ))

@@ -19,6 +19,32 @@ The enumerators and the check_* verdicts apply it straight to the
 kernel's integer rows and stop at the first failing subcurve, so they
 build no Fraction per candidate or per subcurve row; the degree-bound
 reports build one per row.
+
+The reports and the check_* verdicts read a graph's full subcurve table.
+The balanced enumeration reads, for each small modification, rows lifted
+from the target's table instead (the comparison of the subcurves of a
+modification with those of its target):
+
+    Lemma.  Let Y be a small modification of a stable graph X, and give
+    every chain vertex degree 1.  Lift each row W of X's table to W plus
+    the chain vertex of every modified edge with both ends in W, keeping
+    chi_W, and add one row {c}, chi 1, per chain vertex c.  A degree
+    vector passes these rows in a balanced mode exactly when it passes
+    every connected proper subcurve of Y in that mode.
+
+    Proof.  A chain vertex c has genus 0, two edges and omega_c = 0, so
+    e_c = 0.  Let Z be a connected proper subcurve of Y.  If c is in Z
+    with only one end of its edge, Z - {c} is connected, has the same
+    chi, and its margin is lower by exactly the rank 2g - 2; Z passes
+    whenever Z - {c} does, in both modes.  If both ends of c's edge are
+    in Z but c is not, Z + {c} is connected, d and chi both change by
+    one in opposite directions, so the margin is unchanged; the tie rule
+    (complement exceptional) also reads the same, because c is
+    exceptional.  Applying both moves leaves {c}, a lift of a row of X
+    (chi is unchanged by the lift, which trades one edge for one vertex
+    and two edges), or a set holding every vertex of X.  The last has
+    margin 0, the margin of the whole curve, and a complement of chain
+    vertices only, so it passes in both modes.
 """
 
 from __future__ import annotations
@@ -28,7 +54,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import ceil, floor
-from typing import Callable, Collection, Iterator, Mapping
+from typing import Callable, Collection, Iterable, Iterator, Mapping
 
 from .graphs import (
     DualGraph,
@@ -185,22 +211,24 @@ def _stability_test(
 
 
 def _margins(
-    graph: DualGraph, values: Mapping[str, int], noninvertible: Collection[str],
-    rank: int, e_values: Mapping[str, int],
+    rows: Iterable[tuple[frozenset[str], int]], ends: Mapping[str, tuple[str, str]],
+    values: Mapping[str, int], noninvertible: Collection[str], rank: int,
+    e_values: Mapping[str, int],
 ) -> Iterator[tuple[frozenset[str], int]]:
     """The scan kernel: chi_twisted(d_Z, chi_Z, e_Z, rank), lazily, row by row.
 
-    Reports materialise every row; the enumerators stop at the first row
-    that fails their predicate.  ``values`` and ``e_values`` should be
-    plain dicts: every row reads them through ``map``, where a read-only
-    view costs about a fifth more per scan, so the scan entry points
-    copy the views once per scan.
+    ``rows`` are (members, chi) pairs: a graph's ``_subcurve_table``, or
+    the rows ``_lifted_rows`` derives from a target's table, and ``ends``
+    are the edge ends of that graph.  Reports materialise every row; the
+    enumerators stop at the first row that fails their predicate.
+    ``values`` and ``e_values`` should be plain dicts: every row reads
+    them through ``map``, where a read-only view costs about a fifth more
+    per scan, so the scan entry points copy the views once per scan.
     """
-    ends = graph.edge_ends
     return (
         (z, chi_twisted(_restricted_degree(values, ends, noninvertible, z), chi,
                         sum(map(e_values.__getitem__, z)), rank))
-        for z, chi in _subcurve_table(graph)
+        for z, chi in rows
     )
 
 
@@ -213,7 +241,8 @@ def _polarized_margins(
         raise ValueError("polarization lives on a different graph")
     if not pol.compatible_with_degree(d):
         raise ValueError(f"polarization incompatible with degree {d}")
-    return _margins(graph, dict(values), noninvertible, pol.rank, dict(pol.e.as_dict))
+    return _margins(_subcurve_table(graph), graph.edge_ends, dict(values), noninvertible,
+                    pol.rank, dict(pol.e.as_dict))
 
 
 def _canonical_scan(
@@ -221,7 +250,8 @@ def _canonical_scan(
 ) -> SubcurveScan:
     """Degree-bound margins: canonical chi margins divided by the rank 2g - 2."""
     scale = 2 * graph.genus - 2
-    margins = _margins(graph, dict(values), noninvertible, scale, _canonical_e(graph, d))
+    margins = _margins(_subcurve_table(graph), graph.edge_ends, dict(values), noninvertible,
+                       scale, _canonical_e(graph, d))
     return SubcurveScan(tuple((z, Fraction(m, scale)) for z, m in margins))
 
 
@@ -391,6 +421,7 @@ def enumerate_semistable_models(
         raise ValueError("enumeration requires genus at least 2")
     vids = list(graph.vertex_ids)
     ends = graph.edge_ends
+    table = _subcurve_table(graph)
     scale = 2 * graph.genus - 2
     e_values = _canonical_e(graph, d)
     window_lows = []
@@ -409,11 +440,29 @@ def enumerate_semistable_models(
         highs = [budget - (sum(lows) - lo) for lo in lows]
         for vec in _bounded_vectors(lows, highs, budget):
             values = dict(zip(vids, vec))
-            if all(ok(z, m) for z, m in _margins(graph, values, subset, scale, e_values)):
+            if all(ok(z, m) for z, m in _margins(table, ends, values, subset, scale, e_values)):
                 out.append(SheafModel(
                     graph, frozenset(subset), Multidegree(graph, tuple(values.items()))
                 ))
     return out
+
+
+def _lifted_rows(mod: Modification) -> list[tuple[frozenset[str], int]]:
+    """The rows of a small modification's source that decide its balanced scans.
+
+    Each row W of the target's table, with the chain vertex of every
+    modified edge that has both ends in W, keeping W's chi; then one row
+    {c}, chi 1, per chain vertex c.  The module docstring proves that
+    these rows give the full table's verdict in both balanced modes.
+    """
+    ends = mod.target.edge_ends
+    chains = [(ends[e], c) for e, (c,) in mod.chain_registry]
+    rows = []
+    for w, chi in _subcurve_table(mod.target):
+        inside = [c for (a, b), c in chains if a in w and b in w]
+        rows.append((w.union(inside) if inside else w, chi))
+    rows.extend((frozenset((c,)), 1) for _, c in chains)
+    return rows
 
 
 def enumerate_balanced(
@@ -425,6 +474,17 @@ def enumerate_balanced(
     subdivided once, chain vertices carry degree 1, and the remaining
     degrees range over the balanced window.  Same deterministic order
     and the same early exit as the sheaf enumeration.
+
+    Each source is scanned on the rows lifted from the target's table
+    (``_lifted_rows``), at most |target rows| + |E| of them, and no
+    source table is built.  A chain vertex c has degree 1 and omega_c = 0.
+    A row holding c and only one end of c's edge has margin exactly
+    rank 2g - 2 above the row without c, so it is strictly implied.  A
+    row holding both ends but not c has the margin of the row with c,
+    and the stably balanced tie rule reads the same on both, since c is
+    exceptional.  These two moves take every connected proper subcurve
+    to {c}, to a lifted target row, or to a set covering every target
+    vertex, which has margin 0 and passes in both modes.
     """
     if mode not in ("balanced", "stably_balanced"):
         raise ValueError(f"unknown balanced mode {mode!r}")
@@ -440,9 +500,10 @@ def enumerate_balanced(
         if classify(source) not in ("stable", "quasistable"):
             raise ValueError("balanced multidegrees live on quasistable graphs")
         ok = _balanced_test(mode, source)
+        rows = _lifted_rows(mod)
         e_values = _canonical_e(source, d)
-        chain_vs = sorted(mod.chain_vertices)
-        plain = [v for v in source.vertex_ids if v not in mod.chain_vertices]
+        chain_vs = mod.chain_vertices
+        plain = graph.vertex_ids  # the source's other vertices, in the same order
         budget = d - len(chain_vs)
         lows, highs = [], []
         for v in plain:
@@ -455,6 +516,9 @@ def enumerate_balanced(
         # degree-1 rule holds by construction
         for vec in _bounded_vectors(lows, highs, budget):
             values = dict(zip(plain, vec)) | dict.fromkeys(chain_vs, 1)
-            if all(ok(z, m) for z, m in _margins(source, values, (), scale, e_values)):
-                out.append((mod, Multidegree(source, tuple(values.items()))))
+            if all(ok(z, m) for z, m in _margins(rows, source.edge_ends, values, (), scale,
+                                                   e_values)):
+                out.append((mod, Multidegree(source, tuple(
+                    (v, values[v]) for v in source.vertex_ids
+                ))))
     return out

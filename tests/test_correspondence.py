@@ -1,5 +1,7 @@
 """The bundle/sheaf-model correspondence and its certification."""
 
+from itertools import combinations
+
 import pytest
 
 from nodalcalc import (
@@ -16,10 +18,17 @@ from nodalcalc import (
     small_modification,
     theta_graph,
 )
+from nodalcalc import correspondence
 
 
 def loop_vertex():
     return DualGraph((("v", 1),), (("l", ("v", "v")),))
+
+
+K4 = DualGraph(
+    tuple((v, 0) for v in "abcd"),
+    tuple((a + b, (a, b)) for a, b in combinations("abcd", 2)),
+)
 
 
 class TestPhi:
@@ -105,6 +114,25 @@ class TestPhiInverse:
             assert mod2 == mod
             assert deg2 == deg
 
+    def test_equals_modify_built_lift(self):
+        for graph, d in ((theta_graph(), 2), (loop_vertex(), 3), (K4, 3), (K4, 4)):
+            for model in enumerate_semistable_models(graph, d):
+                mod, bundle = phi_inverse(graph, model)
+                want = modify(graph, {e: 1 for e in model.noninvertible})
+                values = dict(model.multidegree.as_dict) | dict.fromkeys(want.chain_vertices, 1)
+                assert mod == want
+                assert bundle == Multidegree(want.source, values)
+                assert hash(bundle) == hash(Multidegree(want.source, values))
+
+    def test_built_in_canonical_order(self, canonical_checks):
+        models = enumerate_semistable_models(K4, 3)
+        canonical_checks.clear()
+        pairs = enumerate_balanced(K4, 3)
+        assert len(canonical_checks) == len(pairs) == 128
+        for model in models:
+            phi_inverse(K4, model)
+        assert len(canonical_checks) == 2 * len(models) and all(canonical_checks)
+
 
 class TestCertify:
     def test_theta_degree_two(self):
@@ -132,6 +160,20 @@ class TestCertify:
     def test_negative_degree(self):
         report = certify_bijection(theta_graph(), -1)
         assert report.bijection
+
+    def test_round_trip_check_catches_a_lossy_lift(self, monkeypatch):
+        real = correspondence.phi_inverse
+
+        def lossy(graph, model):
+            mod, deg = real(graph, model)
+            if model.noninvertible:
+                mod = small_modification(graph, sorted(model.noninvertible)[1:])
+            return mod, deg
+
+        monkeypatch.setattr(correspondence, "phi_inverse", lossy)
+        report = certify_bijection(theta_graph(), 2)
+        assert not report.bijection
+        assert any(m.startswith("round trip failed") for m in report.mismatches)
 
     def test_json_payload(self):
         data = certify_bijection(elliptic_bridge(), 2).to_json_dict()

@@ -296,6 +296,57 @@ class TestClassification:
         assert exceptional_vertices(y) == ("e1#1", "e2#1")
 
 
+class TestLoopsFromIncidence:
+    """``loops_at`` and ``valence`` read ``incidence``; oracle: scans of every edge."""
+
+    @staticmethod
+    def cases():
+        rng = random.Random(2014)
+        found = [
+            loop_vertex(), theta_graph(), elliptic_bridge(), square_cycle(),
+            DualGraph((("v", 0),), (("l1", ("v", "v")), ("l2", ("v", "v")))),
+            DualGraph((("v", 0), ("w", 2)), (("e", ("v", "w")),)),
+            DualGraph((("u", 0), ("v", 0), ("w", 1)),
+                      (("l", ("v", "v")), ("m", ("v", "v")), ("a", ("u", "v")),
+                       ("b", ("u", "v")), ("c", ("v", "w")), ("d", ("w", "w")))),
+        ]
+        for _ in range(20):
+            g = random_graph(rng, 5, 3)
+            found += [g, random_modification(rng, g, 2).source]
+        return found
+
+    @staticmethod
+    def edge_scan_classify(g):
+        def loops(v):
+            return sum(1 for _, (a, b) in g.edges if a == v and b == v)
+
+        def valence(v):
+            return sum((a == v) + (b == v) for _, (a, b) in g.edges)
+
+        exc = {v for v in g.vertex_ids if len(g.vertices) > 1 and g.genus_of(v) == 0
+               and loops(v) == 0 and valence(v) <= 2}
+        if not exc:
+            return "stable"
+        if any(valence(v) <= 1 for v in exc):
+            return "none"
+        if any(a in exc and b in exc for _, (a, b) in g.edges):
+            return "semistable"
+        return "quasistable"
+
+    def test_loops_and_valence_match_edge_scans(self):
+        for g in self.cases():
+            for v in g.vertex_ids:
+                assert g.loops_at(v) == sum(1 for _, (a, b) in g.edges if a == v and b == v)
+                assert g.valence(v) == sum((a == v) + (b == v) for _, (a, b) in g.edges)
+
+    def test_classify_matches_edge_scans(self):
+        kinds = set()
+        for g in self.cases():
+            kinds.add(classify(g))
+            assert classify(g) == self.edge_scan_classify(g), g
+        assert kinds == {"stable", "quasistable", "semistable", "none"}
+
+
 class TestExceptionalChains:
     def test_theta_has_none(self):
         assert maximal_exceptional_chains(theta_graph()) == ()

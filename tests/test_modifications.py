@@ -1,5 +1,8 @@
 """Chain insertion, contraction to the stable model, and pullbacks."""
 
+import random
+from itertools import combinations
+
 import pytest
 
 from nodalcalc import (
@@ -16,10 +19,18 @@ from nodalcalc import (
     stable_model,
     theta_graph,
 )
+from nodalcalc import modifications
+from nodalcalc.verify import random_graph, random_modification, random_multidegree
 
 
 def loop_vertex():
     return DualGraph((("v", 1),), (("l", ("v", "v")),))
+
+
+K4 = DualGraph(
+    tuple((v, 0) for v in "abcd"),
+    tuple((a + b, (a, b)) for a, b in combinations("abcd", 2)),
+)
 
 
 class TestModify:
@@ -93,6 +104,33 @@ class TestIsSmall:
     def test_small_modification_helper(self):
         mod = small_modification(theta_graph(), ["e2", "e1"])
         assert mod.lengths == {"e1": 1, "e2": 1}
+
+
+class TestSmallModificationCache:
+    """One shared modification per graph and edge set; oracle: ``modify``."""
+
+    def test_every_spelling_matches_modify(self):
+        for graph in (theta_graph(), elliptic_bridge(), loop_vertex(), K4):
+            ids = sorted(graph.edge_ends)
+            for r in range(len(ids) + 1):
+                for subset in combinations(ids, r):
+                    want = modify(graph, {e: 1 for e in subset})
+                    first = small_modification(graph, list(subset))
+                    assert first == want
+                    for spelling in (list(reversed(subset)), list(subset) * 2,
+                                     (e for e in subset), frozenset(subset)):
+                        assert small_modification(graph, spelling) is first
+
+    def test_unknown_edge_raises_and_is_not_cached(self):
+        cache = modifications._small_modification
+        before = cache.cache_info().currsize
+        for edges in (["zz"], ["e1", "zz"]):
+            with pytest.raises(ValueError, match="unknown edge id 'zz'"):
+                small_modification(theta_graph(), edges)
+        assert cache.cache_info().currsize == before
+
+    def test_cache_is_bounded(self):
+        assert modifications._small_modification.cache_info().maxsize == 512
 
 
 class TestStableModel:
@@ -175,6 +213,26 @@ class TestPullback:
         deg = Multidegree(elliptic_bridge(), (("v", 0), ("w", 0)))
         with pytest.raises(ValueError):
             pullback_multidegree(mod, deg)
+
+    def test_matches_plain_then_chain_construction(self):
+        rng = random.Random(1405)
+        for _ in range(40):
+            graph = random_graph(rng, 5, 3)
+            mod = random_modification(rng, graph, 3)
+            deg = random_multidegree(rng, graph, 3)
+            values = [(v, deg[v]) for v in graph.vertex_ids]
+            values += [(c, 0) for c in mod.chain_vertices]
+            want = Multidegree(mod.source, tuple(values))
+            pulled = pullback_multidegree(mod, deg)
+            assert pulled == want
+            assert hash(pulled) == hash(want)
+
+    def test_built_in_canonical_order(self, canonical_checks):
+        mod = modify(K4, {"ab": 2, "cd": 1})
+        deg = omega_multidegree(K4)
+        canonical_checks.clear()
+        pullback_multidegree(mod, deg)
+        assert canonical_checks == [True]
 
 
 class TestModificationValidation:

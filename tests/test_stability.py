@@ -35,6 +35,7 @@ from nodalcalc import (
     small_modification,
     theta_graph,
 )
+from nodalcalc.stability import _balanced_test, _lifted_rows, _margins, _subcurve_table
 from nodalcalc.verify import random_stable_graph
 
 K4 = DualGraph(
@@ -469,6 +470,83 @@ class TestEnumeration:
                 assert enumerate_semistable_models(graph, d, *key) == expected, (graph, d, key)
             for mode, expected in pairs.items():
                 assert enumerate_balanced(graph, d, mode) == expected, (graph, d, mode)
+
+
+class TestLiftedRows:
+    """Rows lifted from the target decide a small modification's balanced scans.
+
+    Oracles: the source's own table, and the full-table report path.
+    """
+
+    @staticmethod
+    def cases():
+        cases = [(g, d) for g in (theta_graph(), elliptic_bridge(), K4) for d in range(2, 6)]
+        rng = random.Random(1994)
+        for _ in range(10):
+            graph = random_stable_graph(rng, 4, 3)
+            cases += [(graph, d) for d in range(graph.genus - 1, graph.genus + 2)]
+        return cases
+
+    @staticmethod
+    def modifications(graph):
+        ids = sorted(graph.edge_ends)
+        for r in range(len(ids) + 1):
+            for subset in combinations(ids, r):
+                yield small_modification(graph, subset)
+
+    @staticmethod
+    def box(mod, d):
+        # plain vertices over the balanced window's lower bounds, chain vertices at 1
+        source, chain = mod.source, sorted(mod.chain_vertices)
+        plain = [v for v in source.vertex_ids if v not in mod.chain_vertices]
+        scale = 2 * source.genus - 2
+        budget = d - len(chain)
+        lows = [ceil(Fraction(d * source.omega_degree(v), scale)
+                     - Fraction(boundary_count(source, (v,)), 2)) for v in plain]
+        ranges = [range(lo, budget - (sum(lows) - lo) + 1) for lo in lows]
+        for vec in product(*ranges):
+            if sum(vec) == budget:
+                yield Multidegree(source, tuple(zip(plain, vec)) + tuple((c, 1) for c in chain))
+
+    def test_rows_are_the_reduced_source_rows(self):
+        # a source row is reduced when each chain vertex in it has both ends
+        # in it (or is the whole row), and each chain vertex whose ends are
+        # both in it is in it
+        graphs = {g for g, _ in self.cases()}
+        for graph in graphs:
+            for mod in self.modifications(graph):
+                full = dict(_subcurve_table(mod.source))
+                ends = mod.target.edge_ends
+                chains = [(ends[e], c) for e, (c,) in mod.chain_registry]
+                reduced = {
+                    z for z in full
+                    if all((a in z and b in z) == (c in z) or z == {c} for (a, b), c in chains)
+                }
+                rows = _lifted_rows(mod)
+                assert len({z for z, _ in rows}) == len(rows)
+                assert {z for z, _ in rows} == reduced, (graph, mod.modified_edges)
+                for z, chi in rows:
+                    assert z in full and full[z] == chi, (graph, mod.modified_edges, z)
+
+    def test_lifted_verdicts_match_the_full_table(self):
+        checked = 0
+        for graph, d in self.cases():
+            scale = 2 * graph.genus - 2
+            for mod in self.modifications(graph):
+                source = mod.source
+                rows = _lifted_rows(mod)
+                e_values = {v: (graph.genus - 1 - d) * source.omega_degree(v)
+                            for v in source.vertex_ids}
+                for deg in self.box(mod, d):
+                    report = balanced_report(deg)
+                    for mode in ("balanced", "stably_balanced"):
+                        ok = _balanced_test(mode, source)
+                        margins = _margins(rows, source.edge_ends, dict(deg.as_dict), (),
+                                           scale, e_values)
+                        lifted = all(ok(z, m) for z, m in margins)
+                        assert lifted == report.verdict(mode), (graph, d, mode, deg.as_dict)
+                        checked += 1
+        assert checked > 5000
 
 
 class TestSingleVertexEnumeration:
