@@ -11,6 +11,7 @@ contractions, stability scans) work purely at this level.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import lru_cache
 from types import MappingProxyType
 from typing import Iterable, Iterator
 
@@ -261,6 +262,18 @@ def classify(graph: DualGraph) -> str:
         if a in exc_set and b in exc_set:
             return "semistable"
     return "quasistable"
+
+
+# Distinct graphs whose classification is kept, as many as the subcurve
+# tables in ``stability``: a certify pass meets each small modification's
+# source once per enumerated subset and once per balanced bundle.
+_CLASSIFIED_CACHE_SIZE = 512
+
+
+@lru_cache(maxsize=_CLASSIFIED_CACHE_SIZE)
+def _classified(graph: DualGraph) -> tuple[str, tuple[str, ...]]:
+    """``classify(graph)`` and ``exceptional_vertices(graph)``, once per graph."""
+    return classify(graph), exceptional_vertices(graph)
 
 
 # -- connected subcurve enumeration ---------------------------------------

@@ -1,50 +1,56 @@
 """Stability of sheaf models and balanced multidegrees.
 
-Semistability of a torsion-free sheaf with respect to a polarization is
-a family of inequalities, one per connected proper subcurve: the Euler
-characteristic of the restriction twisted by the polarizing sheaf must
-be nonnegative.  For the canonical polarization this reduces to a
-rational inequality bounding the degree on each subcurve from below by
-its share of the dualizing degree minus half its boundary.  The same
-lower bound on an honest line bundle, together with degree 1 on every
-exceptional vertex, is the balanced condition.
+Semistability of a torsion-free sheaf with respect to a polarization
+asks, on each connected proper subcurve Z, for a nonnegative Euler
+characteristic m(Z) = rank (d_Z + chi_Z) + e_Z of the twisted
+restriction.  As omega_Z = k_Z - 2 chi_Z, under the canonical
+polarization m(Z) is 2g - 2 times the degree-bound margin d_Z - d omega_Z
+/ (2g - 2) + k_Z / 2; that bound on a line bundle, with degree 1 on every
+exceptional vertex, is the balanced condition.  One kernel yields the
+integer margins; each verdict mode is one exact predicate on them.  The
+reports read a graph's full subcurve table; the check_* verdicts and
+both enumerators read one two-sided window per cut (Caporaso's basic
+inequality) and stop at the first failing window.
 
-One scan kernel serves all four scans.  Since omega_Z = k_Z - 2 chi_Z,
-under the canonical polarization the chi-margin rank (d_Z + chi_Z) + e_Z
-is exactly (2g - 2) times the degree-bound margin d_Z - d omega_Z /
-(2g - 2) + k_Z / 2.  The kernel yields integer margins lazily, and each
-verdict mode is one exact predicate on a (subcurve, margin) row, which
-holds for a chi margin exactly when it holds for the degree-bound margin.
-The enumerators and the check_* verdicts apply it straight to the
-kernel's integer rows and stop at the first failing subcurve, so they
-build no Fraction per candidate or per subcurve row; the degree-bound
-reports build one per row.
+    Lemma.  Let N be a model's non-invertible set, the polarization
+    compatible with its degree, and for a vertex set S let d_S count the
+    nodes of N inside S and chi_S = sum(1 - g_v) - #edges inside S.
+    (a) m(Z) + m(Z^c) = rank |dZ - N|.  (b) If Z is connected and Z^c
+    has components C_1..C_k, each cut (C_i, C_i^c) has both sides
+    connected and m(Z) = m(C_1^c) + .. + m(C_k^c).  (c) So a mode holds
+    on every connected proper subcurve exactly when, for one side Z of
+    each cut with both sides connected, 0 <= m(Z) <= rank |dZ - N|:
+    non-strictly (semistable), strictly (stable), or for quasistable at
+    p with equality low only if p is not in Z and high only if p is in Z.
 
-The reports and the check_* verdicts read a graph's full subcurve table.
-The balanced enumeration reads, for each small modification, rows lifted
-from the target's table instead (the comparison of the subcurves of a
-modification with those of its target):
+    Proof.  (a) m(A + B) = m(A) + m(B) - rank |E(A, B) - N| for disjoint
+    A and B, and m of the whole curve is 0.  (b) Each C_i meets Z, so
+    C_i^c = Z + (the other C_j) is connected.  m(Z^c) = sum m(C_i) and dZ
+    is the disjoint union of the dC_i, so summing (a) over the C_i gives
+    rank |dZ - N| - m(Z^c) = m(Z).  (c) By (a) the high side on Z is the
+    row Z^c with its own tie rule.  By (b) a row with a disconnected
+    complement is a sum of k >= 2 passing margins: >= 0, > 0 if they
+    are, and in quasistable at p it is 0 only if every m(C_i^c) is,
+    which needs p in every C_i.
 
-    Lemma.  Let Y be a small modification of a stable graph X, and give
-    every chain vertex degree 1.  Lift each row W of X's table to W plus
-    the chain vertex of every modified edge with both ends in W, keeping
-    chi_W, and add one row {c}, chi 1, per chain vertex c.  A degree
-    vector passes these rows in a balanced mode exactly when it passes
-    every connected proper subcurve of Y in that mode.
+    Lemma.  Let Y be a small modification of a stable graph X with
+    modified set N, with degree 1 on every chain vertex.  Lift each cut
+    row W of X to W+, adding the chain vertex of every modified edge
+    with both ends in W, keeping chi_W, with upper end rank (|dW| - the
+    modified edges crossing W).  Y is balanced (stably balanced) exactly
+    when every W+ passes its window non-strictly (strictly).
 
     Proof.  A chain vertex c has genus 0, two edges and omega_c = 0, so
     e_c = 0.  Let Z be a connected proper subcurve of Y.  If c is in Z
-    with only one end of its edge, Z - {c} is connected, has the same
-    chi, and its margin is lower by exactly the rank 2g - 2; Z passes
-    whenever Z - {c} does, in both modes.  If both ends of c's edge are
-    in Z but c is not, Z + {c} is connected, d and chi both change by
-    one in opposite directions, so the margin is unchanged; the tie rule
-    (complement exceptional) also reads the same, because c is
-    exceptional.  Applying both moves leaves {c}, a lift of a row of X
-    (chi is unchanged by the lift, which trades one edge for one vertex
-    and two edges), or a set holding every vertex of X.  The last has
-    margin 0, the margin of the whole curve, and a complement of chain
-    vertices only, so it passes in both modes.
+    with one end of its edge, Z - {c} is connected with the same chi and
+    a margin lower by rank.  If both ends are in Z but not c, Z + {c} is
+    connected with the same margin and tie rule (the complement
+    exceptional).  These moves take Z to {c}, of margin 2 rank; to a set
+    holding X, of margin 0 with an exceptional complement; or to the
+    lift W+ of a connected proper W, whose complement is not
+    exceptional.  The lift keeps chi and omega, so m(W+) is the margin
+    on W of the model on X with the same degrees and non-invertible set
+    N, and the first lemma applies.
 """
 
 from __future__ import annotations
@@ -53,19 +59,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import ceil, floor
-from typing import Callable, Collection, Iterable, Iterator, Mapping
+from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
-from .graphs import (
-    DualGraph,
-    _json_int,
-    boundary_count,
-    classify,
-    connected_subcurves,
-    exceptional_vertices,
-)
+from .graphs import (DualGraph, _classified, _json_int, classify, connected_subcurves,
+                     exceptional_vertices)
 from .modifications import Modification, pullback_multidegree, small_modification
-from .sheaves import Multidegree, SheafModel, _restricted_degree
+from .sheaves import Multidegree, SheafModel
 
 
 def chi_twisted(deg_z: int, chi_oz: int, deg_z_e: int, rank: int) -> int:
@@ -165,6 +164,23 @@ def _subcurve_table(graph: DualGraph) -> tuple[tuple[frozenset[str], int], ...]:
     return tuple(rows)
 
 
+@lru_cache(maxsize=_TABLE_CACHE_SIZE)
+def _cut_table(graph: DualGraph) -> tuple[tuple[frozenset[str], int, int], ...]:
+    """(members, chi, k = |dZ| = omega_Z + 2 chi_Z) per cut with both sides connected.
+
+    The side kept has fewer vertices, or on a tie holds the first vertex.
+    """
+    rows = _subcurve_table(graph)
+    sides = {z for z, _ in rows}
+    whole, first = frozenset(graph.vertex_ids), graph.vertex_ids[0]
+    omega = {v: graph.omega_degree(v) for v in whole}
+    return tuple(
+        (z, chi, sum(map(omega.__getitem__, z)) + 2 * chi) for z, chi in rows
+        if whole - z in sides
+        and (2 * len(z) < len(whole) or 2 * len(z) == len(whole) and first in z)
+    )
+
+
 @dataclass(frozen=True)
 class SubcurveScan:
     """Margins of a per-subcurve inequality, exact, one entry per subcurve."""
@@ -191,58 +207,72 @@ class SubcurveScan:
 
 
 def _stability_test(
-    mode: str, base_vertex: str | None, graph: DualGraph | None = None,
-) -> Callable[[frozenset[str], int | Fraction], bool]:
+    mode: str, base_vertex: str | None, graph: DualGraph | None = None, window: bool = False,
+) -> Callable[..., bool]:
     """The per-row predicate of a stability mode; the mode is checked here.
 
     Given the graph, a quasistable base vertex must be one of its vertices.
+    A ``window`` predicate reads cut rows (z, m, hi), as in the module lemma.
     """
     if mode == "semistable":
-        return lambda z, m: m >= 0
+        return (lambda z, m, hi: 0 <= m <= hi) if window else (lambda z, m: m >= 0)
     if mode == "stable":
-        return lambda z, m: m > 0
+        return (lambda z, m, hi: 0 < m < hi) if window else (lambda z, m: m > 0)
     if mode == "quasistable":
         if base_vertex is None:
             raise ValueError("quasistable verdict needs a base vertex")
         if graph is not None and base_vertex not in graph.vertex_ids:
             raise ValueError(f"base vertex {base_vertex!r} is not a vertex of the graph")
-        return lambda z, m: m > 0 or (m == 0 and base_vertex not in z)
+        p = base_vertex
+        if window:
+            return lambda z, m, hi: ((m > 0 or m == 0 and p not in z)
+                                     and (m < hi or m == hi and p in z))
+        return lambda z, m: m > 0 or (m == 0 and p not in z)
     raise ValueError(f"unknown stability mode {mode!r}")
 
 
 def _margins(
-    rows: Iterable[tuple[frozenset[str], int]], ends: Mapping[str, tuple[str, str]],
-    values: Mapping[str, int], noninvertible: Collection[str], rank: int,
-    e_values: Mapping[str, int],
-) -> Iterator[tuple[frozenset[str], int]]:
+    rows: Sequence[tuple], ends: Mapping[str, tuple[str, str]], values: Mapping[str, int],
+    noninvertible: Collection[str], rank: int, e_values: Mapping[str, int],
+) -> Iterator[tuple]:
     """The scan kernel: chi_twisted(d_Z, chi_Z, e_Z, rank), lazily, row by row.
 
-    ``rows`` are (members, chi) pairs: a graph's ``_subcurve_table``, or
-    the rows ``_lifted_rows`` derives from a target's table, and ``ends``
-    are the edge ends of that graph.  Reports materialise every row; the
-    enumerators stop at the first row that fails their predicate.
-    ``values`` and ``e_values`` should be plain dicts: every row reads
-    them through ``map``, where a read-only view costs about a fifth more
-    per scan, so the scan entry points copy the views once per scan.
+    Table rows (members, chi) give (members, margin).  Cut rows (members,
+    chi, k), never mixed with table rows, also give the window's upper end
+    rank (k - |dZ & N|), counted in the loop over N that counts the nodes
+    inside Z.  ``values`` and ``e_values`` should be plain dicts: a
+    read-only view costs about a fifth more per scan, so the scan entry
+    points copy views once per scan.
     """
-    return (
-        (z, chi_twisted(_restricted_degree(values, ends, noninvertible, z), chi,
-                        sum(map(e_values.__getitem__, z)), rank))
-        for z, chi in rows
-    )
+    nodes = [ends[e] for e in noninvertible]
+    cut = len(rows[0]) > 2 if rows else False
+    for row in rows:
+        z = row[0]
+        inside = crossing = 0
+        for a, b in nodes:
+            if a in z:
+                if b in z:
+                    inside += 1
+                else:
+                    crossing += 1
+            elif b in z:
+                crossing += 1
+        m = chi_twisted(sum(map(values.__getitem__, z)) + inside, row[1],
+                        sum(map(e_values.__getitem__, z)), rank)
+        yield (z, m, rank * (row[2] - crossing)) if cut else (z, m)
 
 
 def _polarized_margins(
     pol: Polarization, graph: DualGraph, d: int, values: Mapping[str, int],
-    noninvertible: Collection[str],
-) -> Iterator[tuple[frozenset[str], int]]:
-    """The kernel's rows under ``pol``, which must live on ``graph`` and suit degree d."""
+    noninvertible: Collection[str], table: Callable = _subcurve_table,
+) -> Iterator[tuple]:
+    """The kernel on ``table(graph)`` under ``pol``, which must live there and suit degree d."""
     if pol.graph != graph:
         raise ValueError("polarization lives on a different graph")
     if not pol.compatible_with_degree(d):
         raise ValueError(f"polarization incompatible with degree {d}")
-    return _margins(_subcurve_table(graph), graph.edge_ends, dict(values), noninvertible,
-                    pol.rank, dict(pol.e.as_dict))
+    return _margins(table(graph), graph.edge_ends, dict(values), noninvertible, pol.rank,
+                    dict(pol.e.as_dict))
 
 
 def _canonical_scan(
@@ -271,22 +301,21 @@ def check_sheaf_stability(
     model: SheafModel, pol: Polarization, mode: str = "semistable",
     base_vertex: str | None = None,
 ) -> bool:
-    """Verdict of sheaf_stability_report, stopping at the first failing subcurve."""
-    ok = _stability_test(mode, base_vertex, model.graph)
-    margins = _polarized_margins(
-        pol, model.graph, model.degree, model.multidegree.as_dict, model.noninvertible,
-    )
-    return all(ok(z, m) for z, m in margins)
+    """Verdict of sheaf_stability_report, on the cut windows, stopping at the first failure."""
+    ok = _stability_test(mode, base_vertex, model.graph, window=True)
+    margins = _polarized_margins(pol, model.graph, model.degree, model.multidegree.as_dict,
+                                 model.noninvertible, _cut_table)
+    return all(ok(z, m, hi) for z, m, hi in margins)
 
 
 def check_bundle_stability(
     deg: Multidegree, pol: Polarization, mode: str = "semistable",
     base_vertex: str | None = None,
 ) -> bool:
-    """Verdict of bundle_stability_report, stopping at the first failing subcurve."""
-    ok = _stability_test(mode, base_vertex, deg.graph)
-    margins = _polarized_margins(pol, deg.graph, deg.total, deg.as_dict, ())
-    return all(ok(z, m) for z, m in margins)
+    """Verdict of bundle_stability_report, on the cut windows, stopping at the first failure."""
+    ok = _stability_test(mode, base_vertex, deg.graph, window=True)
+    margins = _polarized_margins(pol, deg.graph, deg.total, deg.as_dict, (), _cut_table)
+    return all(ok(z, m, hi) for z, m, hi in margins)
 
 
 def check_ssI2(model: SheafModel, d: int) -> SubcurveScan:
@@ -361,8 +390,15 @@ def check_balanced(deg: Multidegree, mode: str = "balanced") -> bool:
 # -- enumeration ------------------------------------------------------------
 
 
+# Refuse graphs with more edge subsets than this rather than exhaust memory.
+_MAX_EDGE_SUBSETS = 1 << 20
+
+
 def _edge_subsets(graph: DualGraph) -> list[tuple[str, ...]]:
     ids = [e for e, _ in graph.edges]
+    if 1 << len(ids) > _MAX_EDGE_SUBSETS:
+        raise ValueError(f"graph has {len(ids)} edges, more than {_MAX_EDGE_SUBSETS} edge "
+                         "subsets; too many to enumerate")
     subsets: list[tuple[str, ...]] = []
     for r in range(len(ids) + 1):
         subsets.extend(combinations(ids, r))
@@ -394,13 +430,53 @@ def _bounded_vectors(lows: list[int], highs: list[int], total: int) -> Iterator[
     yield from rec(0, total)
 
 
-def _degree_window(graph: DualGraph, d: int, v: str) -> tuple[Fraction, Fraction]:
-    """Center and halfwidth of the balanced window at a single vertex."""
-    scale = 2 * graph.genus - 2
-    center = Fraction(d * graph.omega_degree(v), scale)
-    if len(graph.vertex_ids) == 1:
-        return center, Fraction(0)
-    return center, Fraction(boundary_count(graph, (v,)), 2)
+def _degree_window(graph: DualGraph, d: int, v: str, low: int, high: int) -> tuple[int, int]:
+    """Integer bounds on d_v for margins >= low on {v} and >= high on its complement.
+
+    Canonically, m({v}) = rank d_v + c, c = (g - 1) k_v - d omega_v, with
+    k_v = valence(v) - 2 loops_at(v): at 0, 0, ceil and floor of d omega_v /
+    (2g - 2) -/+ k_v / 2."""
+    rank = 2 * graph.genus - 2
+    k = graph.valence(v) - 2 * graph.loops_at(v)
+    c = (graph.genus - 1) * k - d * graph.omega_degree(v)
+    return -((c - low) // rank), (rank * k - c - high) // rank
+
+
+def _boxes(graph: DualGraph, d: int, ok: Callable) -> Iterator[tuple[tuple[str, ...], Iterator]]:
+    """(N, candidate vectors over graph.vertex_ids) per edge subset N, if any.
+
+    The vectors sum to d - |N| and pass the window predicate ``ok`` on each
+    {v} under N (both ends drop by the loops of N at v, the upper one also
+    by its other edges in N), so no scan reads a row {v}.  By (a) and (b) of
+    the first lemma no model is lost where the complement of {v} is split.
+    """
+    vids, ends = graph.vertex_ids, graph.edge_ends
+    proper = len(vids) > 1  # a lone vertex is the whole curve, not a row
+    windows = [_degree_window(graph, d, v, proper and not ok(frozenset((v,)), 0, 1),
+                              proper and not ok(frozenset((v,)), 1, 1)) for v in vids]
+    for subset in _edge_subsets(graph):
+        loops, leaving = dict.fromkeys(vids, 0), dict.fromkeys(vids, 0)
+        for e in subset:
+            a, b = ends[e]
+            if a == b:
+                loops[a] += 1
+            else:
+                leaving[a] += 1
+                leaving[b] += 1
+        budget = d - len(subset)
+        lows = [lo - loops[v] for v, (lo, _) in zip(vids, windows)]
+        highs = [hi - loops[v] - leaving[v] for v, (_, hi) in zip(vids, windows)]
+        if sum(lows) <= budget <= sum(highs) and all(map(int.__le__, lows, highs)):
+            spare = budget - sum(lows)
+            highs = [min(hi, lo + spare) for lo, hi in zip(lows, highs)]
+            yield subset, _bounded_vectors(lows, highs, budget)
+
+
+def _check_enumerable(graph: DualGraph) -> None:
+    if classify(graph) != "stable":
+        raise ValueError("enumeration requires a stable graph")
+    if graph.genus < 2:
+        raise ValueError("enumeration requires genus at least 2")
 
 
 def enumerate_semistable_models(
@@ -411,57 +487,38 @@ def enumerate_semistable_models(
     The graph must be stable of genus at least 2.  Enumeration order is
     deterministic: non-invertible sets in lexicographic order of their
     sorted edge ids, then multidegrees in lexicographic order over the
-    sorted vertices.  A candidate is rejected at its first failing
-    subcurve, on integer chi margins.
+    sorted vertices.  A candidate is rejected at its first failing cut
+    window, on integer chi margins; the box decides the rows {v}.
     """
-    ok = _stability_test(mode, base_vertex, graph)
-    if classify(graph) != "stable":
-        raise ValueError("enumeration requires a stable graph")
-    if graph.genus < 2:
-        raise ValueError("enumeration requires genus at least 2")
-    vids = list(graph.vertex_ids)
-    ends = graph.edge_ends
-    table = _subcurve_table(graph)
+    ok = _stability_test(mode, base_vertex, graph, window=True)
+    _check_enumerable(graph)
+    vids, ends = graph.vertex_ids, graph.edge_ends
+    cuts = [row for row in _cut_table(graph) if len(row[0]) > 1]
     scale = 2 * graph.genus - 2
     e_values = _canonical_e(graph, d)
-    window_lows = []
-    for v in vids:
-        center, half = _degree_window(graph, d, v)
-        window_lows.append(ceil(center - half))
     out = []
-    for subset in _edge_subsets(graph):
-        budget = d - len(subset)
-        loops_in = {v: 0 for v in vids}
-        for e in subset:
-            a, b = ends[e]
-            if a == b:
-                loops_in[a] += 1
-        lows = [lo - loops_in[v] for v, lo in zip(vids, window_lows)]
-        highs = [budget - (sum(lows) - lo) for lo in lows]
-        for vec in _bounded_vectors(lows, highs, budget):
+    for subset, vectors in _boxes(graph, d, ok):
+        for vec in vectors:
             values = dict(zip(vids, vec))
-            if all(ok(z, m) for z, m in _margins(table, ends, values, subset, scale, e_values)):
+            if all(ok(z, m, hi) for z, m, hi in _margins(cuts, ends, values, subset, scale,
+                                                         e_values)):
                 out.append(SheafModel(
                     graph, frozenset(subset), Multidegree(graph, tuple(values.items()))
                 ))
     return out
 
 
-def _lifted_rows(mod: Modification) -> list[tuple[frozenset[str], int]]:
-    """The rows of a small modification's source that decide its balanced scans.
-
-    Each row W of the target's table, with the chain vertex of every
-    modified edge that has both ends in W, keeping W's chi; then one row
-    {c}, chi 1, per chain vertex c.  The module docstring proves that
-    these rows give the full table's verdict in both balanced modes.
-    """
+def _lifted_rows(mod: Modification, cuts: Iterable[tuple]) -> list[tuple]:
+    """Cut rows (W, chi, k) of a small modification's target, lifted to its source:
+    W plus the chain vertex of each modified edge inside it, chi, and k less
+    the modified edges crossing W (the second lemma of the module)."""
     ends = mod.target.edge_ends
     chains = [(ends[e], c) for e, (c,) in mod.chain_registry]
     rows = []
-    for w, chi in _subcurve_table(mod.target):
+    for w, chi, k in cuts:
         inside = [c for (a, b), c in chains if a in w and b in w]
-        rows.append((w.union(inside) if inside else w, chi))
-    rows.extend((frozenset((c,)), 1) for _, c in chains)
+        crossing = sum((a in w) != (b in w) for (a, b), _ in chains)
+        rows.append((w.union(inside) if inside else w, chi, k - crossing))
     return rows
 
 
@@ -471,53 +528,31 @@ def enumerate_balanced(
     """All balanced line bundles on small modifications of a stable graph.
 
     Yields (modification, multidegree) pairs: every subset of edges is
-    subdivided once, chain vertices carry degree 1, and the remaining
-    degrees range over the balanced window.  Same deterministic order
-    and the same early exit as the sheaf enumeration.
-
-    Each source is scanned on the rows lifted from the target's table
-    (``_lifted_rows``), at most |target rows| + |E| of them, and no
-    source table is built.  A chain vertex c has degree 1 and omega_c = 0.
-    A row holding c and only one end of c's edge has margin exactly
-    rank 2g - 2 above the row without c, so it is strictly implied.  A
-    row holding both ends but not c has the margin of the row with c,
-    and the stably balanced tie rule reads the same on both, since c is
-    exceptional.  These two moves take every connected proper subcurve
-    to {c}, to a lifted target row, or to a set covering every target
-    vertex, which has margin 0 and passes in both modes.
+    subdivided once, chain vertices carry degree 1, and the rest range over
+    the sheaf enumeration's box, the windows of the lifted rows {v}.  Same
+    order and early exit, on the other windows of ``_lifted_rows``; no
+    source table is built, nor a modification for an empty box.
     """
     if mode not in ("balanced", "stably_balanced"):
         raise ValueError(f"unknown balanced mode {mode!r}")
-    if classify(graph) != "stable":
-        raise ValueError("enumeration requires a stable graph")
-    if graph.genus < 2:
-        raise ValueError("enumeration requires genus at least 2")
+    ok = _stability_test("semistable" if mode == "balanced" else "stable", None, window=True)
+    _check_enumerable(graph)
+    cuts = [row for row in _cut_table(graph) if len(row[0]) > 1]
     scale = 2 * graph.genus - 2
+    plain = graph.vertex_ids  # the sources' other vertices, in the same order
     out = []
-    for subset in _edge_subsets(graph):
+    for subset, vectors in _boxes(graph, d, ok):
         mod = small_modification(graph, subset)
         source = mod.source
-        if classify(source) not in ("stable", "quasistable"):
+        if _classified(source)[0] not in ("stable", "quasistable"):
             raise ValueError("balanced multidegrees live on quasistable graphs")
-        ok = _balanced_test(mode, source)
-        rows = _lifted_rows(mod)
+        rows = _lifted_rows(mod, cuts)
         e_values = _canonical_e(source, d)
-        chain_vs = mod.chain_vertices
-        plain = graph.vertex_ids  # the source's other vertices, in the same order
-        budget = d - len(chain_vs)
-        lows, highs = [], []
-        for v in plain:
-            center, half = _degree_window(source, d, v)
-            lows.append(ceil(center - half))
-            highs.append(floor(center + half))
-        cap = [budget - (sum(lows) - lo) for lo in lows]
-        highs = [min(h, c) for h, c in zip(highs, cap)]
-        # the exceptional vertices are exactly the chain vertices, so the
-        # degree-1 rule holds by construction
-        for vec in _bounded_vectors(lows, highs, budget):
+        chain_vs = mod.chain_vertices  # the exceptional vertices, so degree 1 holds
+        for vec in vectors:
             values = dict(zip(plain, vec)) | dict.fromkeys(chain_vs, 1)
-            if all(ok(z, m) for z, m in _margins(rows, source.edge_ends, values, (), scale,
-                                                   e_values)):
+            if all(ok(z, m, hi) for z, m, hi in _margins(rows, source.edge_ends, values, (),
+                                                         scale, e_values)):
                 out.append((mod, Multidegree(source, tuple(
                     (v, values[v]) for v in source.vertex_ids
                 ))))

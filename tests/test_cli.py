@@ -478,6 +478,18 @@ class TestUsageErrors:
         assert "more than 10 connected subcurves" in err
 
 
+    @pytest.mark.parametrize("command", ["enumerate", "certify"])
+    def test_too_many_edge_subsets(self, tmp_path, capsys, command):
+        dense = {
+            "vertices": [{"id": "v", "genus": 0}, {"id": "w", "genus": 0}],
+            "edges": [{"id": f"e{i:02d}", "ends": ["v", "w"]} for i in range(21)],
+        }
+        curve = write(tmp_path, "dense.json", dense)
+        code, out, err = run(capsys, [command, curve, "--degree", "20"])
+        assert code == 2
+        assert out == ""
+        assert "edge subsets; too many to enumerate" in err
+
 def test_parser_reused_without_leaking_state(tmp_path, capsys, monkeypatch):
     built = []
     real_init = argparse.ArgumentParser.__init__

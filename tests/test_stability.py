@@ -4,7 +4,7 @@ import functools
 import random
 from fractions import Fraction
 from itertools import combinations, product
-from math import ceil
+from math import ceil, floor
 
 import pytest
 
@@ -35,7 +35,9 @@ from nodalcalc import (
     small_modification,
     theta_graph,
 )
-from nodalcalc.stability import _balanced_test, _lifted_rows, _margins, _subcurve_table
+from nodalcalc.stability import (
+    _cut_table, _lifted_rows, _margins, _stability_test, _subcurve_table,
+)
 from nodalcalc.verify import random_stable_graph
 
 K4 = DualGraph(
@@ -414,6 +416,26 @@ class TestEnumeration:
         with pytest.raises(ValueError, match="unknown balanced mode"):
             enumerate_balanced(y, 2, "unbalanced")
 
+    def test_too_many_edge_subsets(self, monkeypatch):
+        # 2^21 non-invertible sets, refused before any subset is built
+        dense = DualGraph((("v", 0), ("w", 0)),
+                          tuple((f"e{i:02d}", ("v", "w")) for i in range(21)))
+
+        def no_subsets(*args):
+            raise AssertionError("an edge subset was built")
+
+        monkeypatch.setattr("nodalcalc.stability.combinations", no_subsets)
+        for enumerate_ in (enumerate_semistable_models, enumerate_balanced):
+            with pytest.raises(ValueError, match="21 edges, more than 1048576 edge subsets"):
+                enumerate_(dense, dense.genus)
+        monkeypatch.undo()
+        # the bound is on subsets: 2^3 of theta's pass a bound of 8, 2^4 do not
+        monkeypatch.setattr("nodalcalc.stability._MAX_EDGE_SUBSETS", 8)
+        assert len(enumerate_semistable_models(theta_graph(), 2)) == 12
+        four = DualGraph((("v", 0), ("w", 0)), tuple((f"e{i}", ("v", "w")) for i in range(4)))
+        with pytest.raises(ValueError, match="too many to enumerate"):
+            enumerate_balanced(four, 3)
+
     def test_enumerations_match_report_path(self):
         # Oracle for the enumerators' early exit on integer margins: every
         # candidate of a box built here from the one-vertex degree bound
@@ -472,15 +494,21 @@ class TestEnumeration:
                 assert enumerate_balanced(graph, d, mode) == expected, (graph, d, mode)
 
 
-class TestLiftedRows:
-    """Rows lifted from the target decide a small modification's balanced scans.
+# A stable graph with a cut vertex: the complement of {c} is {a, b}, not connected
+CUT_VERTEX = DualGraph((("a", 1), ("b", 1), ("c", 0)),
+                       (("ca", ("c", "a")), ("cb", ("c", "b")), ("cc", ("c", "c"))))
 
-    Oracles: the source's own table, and the full-table report path.
+
+class TestLiftedRows:
+    """Cut rows lifted from the target decide a small modification's balanced scans.
+
+    Oracles: the source's own table and margins, and the full-table report path.
     """
 
     @staticmethod
     def cases():
-        cases = [(g, d) for g in (theta_graph(), elliptic_bridge(), K4) for d in range(2, 6)]
+        cases = [(g, d) for g in (theta_graph(), elliptic_bridge(), K4, CUT_VERTEX)
+                 for d in range(g.genus - 1, 6)]
         rng = random.Random(1994)
         for _ in range(10):
             graph = random_stable_graph(rng, 4, 3)
@@ -509,44 +537,164 @@ class TestLiftedRows:
                 yield Multidegree(source, tuple(zip(plain, vec)) + tuple((c, 1) for c in chain))
 
     def test_rows_are_the_reduced_source_rows(self):
-        # a source row is reduced when each chain vertex in it has both ends
-        # in it (or is the whole row), and each chain vertex whose ends are
-        # both in it is in it
+        # A source row is reduced when each chain vertex is in it exactly when
+        # both ends of its edge are.  The lifted rows are one side of each
+        # pair (z, reduced complement of z) of reduced rows, with the source's
+        # chi, and rank k is the margin of z plus that of the other side.  The
+        # reduced complement drops the chain vertices of edges crossing z.
         graphs = {g for g, _ in self.cases()}
         for graph in graphs:
             for mod in self.modifications(graph):
-                full = dict(_subcurve_table(mod.source))
+                source = mod.source
+                full = dict(_subcurve_table(source))
                 ends = mod.target.edge_ends
                 chains = [(ends[e], c) for e, (c,) in mod.chain_registry]
-                reduced = {
-                    z for z in full
-                    if all((a in z and b in z) == (c in z) or z == {c} for (a, b), c in chains)
-                }
-                rows = _lifted_rows(mod)
-                assert len({z for z, _ in rows}) == len(rows)
-                assert {z for z, _ in rows} == reduced, (graph, mod.modified_edges)
-                for z, chi in rows:
-                    assert z in full and full[z] == chi, (graph, mod.modified_edges, z)
+
+                def reduce(z):
+                    return frozenset(v for v in z if all(
+                        v != c or (a in z and b in z) for (a, b), c in chains))
+
+                whole = frozenset(source.vertex_ids)
+                reduced = {z for z in full
+                           if all((a in z and b in z) == (c in z) for (a, b), c in chains)
+                           and reduce(whole - z) in full}
+                rows = _lifted_rows(mod, _cut_table(mod.target))
+                sides = [(z, reduce(whole - z)) for z, _, _ in rows]
+                covered = [z for pair in sides for z in pair]
+                assert len(set(covered)) == len(covered) == len(reduced)
+                assert set(covered) == reduced, (graph, mod.modified_edges)
+                d = graph.genus
+                pol = canonical_polarization(source, d)
+                deg = Multidegree(source, {v: 1 if v in mod.chain_vertices else 0
+                                           for v in source.vertex_ids} | {
+                    graph.vertex_ids[0]: d - sum(1 for v in source.vertex_ids
+                                                 if v in mod.chain_vertices)})
+                margin = dict(bundle_stability_report(deg, pol).entries)
+                for (z, chi, k), (_, other) in zip(rows, sides):
+                    assert full[z] == chi, (graph, mod.modified_edges, z)
+                    assert pol.rank * k == margin[z] + margin[other], (graph, z)
 
     def test_lifted_verdicts_match_the_full_table(self):
-        checked = 0
+        checked, outcomes = 0, set()
         for graph, d in self.cases():
             scale = 2 * graph.genus - 2
             for mod in self.modifications(graph):
                 source = mod.source
-                rows = _lifted_rows(mod)
+                rows = _lifted_rows(mod, _cut_table(mod.target))
                 e_values = {v: (graph.genus - 1 - d) * source.omega_degree(v)
                             for v in source.vertex_ids}
                 for deg in self.box(mod, d):
                     report = balanced_report(deg)
-                    for mode in ("balanced", "stably_balanced"):
-                        ok = _balanced_test(mode, source)
+                    for mode, sheaf_mode in (("balanced", "semistable"),
+                                             ("stably_balanced", "stable")):
+                        ok = _stability_test(sheaf_mode, None, window=True)
                         margins = _margins(rows, source.edge_ends, dict(deg.as_dict), (),
                                            scale, e_values)
-                        lifted = all(ok(z, m) for z, m in margins)
+                        lifted = all(ok(*row) for row in margins)
                         assert lifted == report.verdict(mode), (graph, d, mode, deg.as_dict)
+                        outcomes.add((mode, lifted))
                         checked += 1
         assert checked > 5000
+        assert len(outcomes) == 4
+
+
+class TestCutWindows:
+    """check_* read one two-sided window per cut; the reports read every subcurve.
+
+    Oracle: the full-table report's verdict, in every mode and at every
+    quasistable base vertex, on every candidate of boxes that reach one
+    past each single-vertex bound.
+    """
+
+    @staticmethod
+    def graphs():
+        rng = random.Random(2014)
+        draws = [random_stable_graph(rng, 4, 3) for _ in range(12)]
+        return [theta_graph(), elliptic_bridge(), K4, CUT_VERTEX] + draws
+
+    @staticmethod
+    def window_box(graph, vertices, d, budget, loops):
+        """Degree vectors over ``vertices`` summing to budget, one past each end
+        of every single-vertex degree bound less the loops of N there, so the
+        box holds failing candidates."""
+        scale = 2 * graph.genus - 2
+        ranges = []
+        for v in vertices:
+            center = Fraction(d * graph.omega_degree(v), scale)
+            half = Fraction(boundary_count(graph, (v,)), 2)
+            shift = loops.get(v, 0)
+            ranges.append(range(ceil(center - half) - shift - 1, floor(center + half) - shift + 2))
+        return [vec for vec in product(*ranges) if sum(vec) == budget]
+
+    @staticmethod
+    def modes(graph):
+        return [("semistable", None), ("stable", None)] + [
+            ("quasistable", p) for p in graph.vertex_ids]
+
+    def test_graphs_have_cuts_with_disconnected_complements(self):
+        def disconnected(graph):
+            whole = frozenset(graph.vertex_ids)
+            return sum(whole - z not in dict(_subcurve_table(graph))
+                       for z, _ in _subcurve_table(graph))
+        assert disconnected(CUT_VERTEX) == 1
+        assert sum(map(disconnected, self.graphs())) >= 10
+
+    def test_sheaf_windows_match_the_report(self):
+        checked, outcomes = 0, set()
+        for graph in self.graphs():
+            vids = graph.vertex_ids
+            ids = sorted(graph.edge_ends)
+            subsets = [c for r in range(len(ids) + 1) for c in combinations(ids, r)]
+            for d in range(graph.genus - 2, graph.genus + 2):
+                pol = canonical_polarization(graph, d)
+                for subset in subsets:
+                    loops = {}
+                    for e in subset:
+                        a, b = graph.edge_ends[e]
+                        if a == b:
+                            loops[a] = loops.get(a, 0) + 1
+                    for vec in self.window_box(graph, vids, d, d - len(subset), loops):
+                        model = SheafModel(graph, frozenset(subset),
+                                           Multidegree(graph, tuple(zip(vids, vec))))
+                        report = sheaf_stability_report(model, pol)
+                        for mode in self.modes(graph):
+                            verdict = check_sheaf_stability(model, pol, *mode)
+                            assert verdict == report.verdict(*mode), (graph, d, mode, model)
+                            outcomes.add((mode[0], verdict))
+                            checked += 1
+        assert checked > 20000
+        assert len(outcomes) == 6
+
+    def test_bundle_windows_match_the_report(self):
+        # modification sources, with chains that leave disconnected
+        # complements everywhere, under pulled-back and random compatible
+        # polarizations
+        rng = random.Random(1994)
+        checked, outcomes = 0, set()
+        for graph in self.graphs():
+            for _ in range(6):
+                lengths = {e: rng.randint(1, 3) for e in graph.edge_ends if rng.random() < 0.5}
+                mod = modify(graph, lengths)
+                src = mod.source
+                for d in range(graph.genus - 2, graph.genus + 2):
+                    rank = rng.randint(1, 3)
+                    e = {v: rng.randint(-3, 3) for v in src.vertex_ids}
+                    e[src.vertex_ids[0]] -= rank * (d + 1 - graph.genus) + sum(e.values())
+                    pols = [canonical_polarization(graph, d).pullback(mod),
+                            Polarization(rank, Multidegree(src, e))]
+                    for _ in range(10):
+                        vals = {v: rng.randint(-1, 2) for v in src.vertex_ids}
+                        vals[src.vertex_ids[-1]] += d - sum(vals.values())
+                        deg = Multidegree(src, vals)
+                        for pol in pols:
+                            report = bundle_stability_report(deg, pol)
+                            for mode in self.modes(src):
+                                verdict = check_bundle_stability(deg, pol, *mode)
+                                assert verdict == report.verdict(*mode), (src, mode, deg)
+                                outcomes.add((mode[0], verdict))
+                                checked += 1
+        assert checked > 20000
+        assert len(outcomes) == 6
 
 
 class TestSingleVertexEnumeration:
@@ -562,3 +710,12 @@ class TestSingleVertexEnumeration:
             (sorted(m.noninvertible), m.multidegree["v"]) for m in models
         )
         assert degrees == [([], 2), (["l"], 1)]
+
+    def test_every_mode_agrees_without_proper_subcurves(self):
+        # a lone vertex is the whole curve: no row, so no tie rule applies
+        for g, d in ((DualGraph((("v", 2),), ()), 3),
+                     (DualGraph((("v", 1),), (("l", ("v", "v")),)), 2)):
+            models = enumerate_semistable_models(g, d)
+            assert models
+            assert enumerate_semistable_models(g, d, "stable") == models
+            assert enumerate_semistable_models(g, d, "quasistable", "v") == models
