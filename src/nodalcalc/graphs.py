@@ -359,11 +359,12 @@ def maximal_exceptional_chains(graph: DualGraph) -> tuple[ExceptionalChain, ...]
     ExceptionalCycleError when the entire graph is one exceptional
     cycle, since then there is nothing to attach the chains to.
     """
-    if classify(graph) == "none":
+    kind, exceptional = _classified(graph)
+    if kind == "none":
         raise ValueError("graph has an exceptional vertex meeting fewer than two nodes")
-    exc = set(exceptional_vertices(graph))
-    if not exc:
+    if not exceptional:
         return ()
+    exc = set(exceptional)
     if len(exc) == len(graph.vertices):
         raise ExceptionalCycleError("entire graph is a cycle of exceptional vertices")
 

@@ -19,12 +19,13 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from types import MappingProxyType
 from typing import Iterable, Mapping
+from weakref import WeakValueDictionary
 
 from .graphs import (
     DualGraph,
+    _classified,
     _json_int,
     _reduce_to_fields,
-    classify,
     maximal_exceptional_chains,
 )
 from .sheaves import Multidegree
@@ -206,14 +207,24 @@ def modify(graph: DualGraph, lengths: Mapping[str, int]) -> Modification:
 # few hundred, each of them several times.
 _SMALL_CACHE_SIZE = 512
 
+# Every small modification still referenced anywhere, kept or not by the
+# bounded cache.  A certify pass on K5 walks 1,024 edge sets before its round
+# trip asks again for the modification of each balanced pair, which the
+# pair itself still holds.
+_live_small: WeakValueDictionary = WeakValueDictionary()
+
 
 def small_modification(graph: DualGraph, edges: Iterable[str]) -> Modification:
     """Chain length 1 on every listed edge.
 
     Modifications are immutable, so one is built per graph and edge set
-    and shared by every caller.
+    and shared by every caller while any of them holds it.
     """
-    return _small_modification(graph, frozenset(edges))
+    key = (graph, frozenset(edges))
+    mod = _live_small.get(key)
+    if mod is None:
+        mod = _live_small[key] = _small_modification(*key)
+    return mod
 
 
 @lru_cache(maxsize=_SMALL_CACHE_SIZE)
@@ -238,23 +249,21 @@ def contracted_edge_id(chain: Iterable[str], taken: Iterable[str] = ()) -> str:
     return base
 
 
-def stable_model(graph: DualGraph) -> Modification:
-    """Contract every maximal exceptional chain, yielding the stable target.
+def _series_reduction(
+    graph: DualGraph,
+) -> tuple[DualGraph, tuple[tuple[str, tuple[str, ...]], ...]]:
+    """The graph with each maximal exceptional chain contracted to one edge.
 
-    The graph must be semistable (every exceptional vertex meets the
-    rest in exactly two nodes) and of genus at least 2.  The returned
-    modification has the given graph as its source; non-exceptional
-    vertices and untouched edges keep their ids, while each contracted
-    chain becomes a fresh edge named after its vertices.
+    Returns the contracted graph and the registry of its contracted edges,
+    each with its chain read from the smaller end of the edge; the graph
+    itself and an empty registry when there is no chain.  Non-exceptional
+    vertices and the edges between them keep their ids, and each chain
+    becomes an edge named by ``contracted_edge_id``.  Nothing is checked
+    beyond what ``maximal_exceptional_chains`` and ``DualGraph`` check.
     """
-    if classify(graph) == "none":
-        raise ValueError("input graph is not semistable")
-    if graph.genus < 2:
-        raise ValueError("stable model requires genus at least 2")
     chains = maximal_exceptional_chains(graph)
     if not chains:
-        return Modification(graph, graph, ())
-
+        return graph, ()
     chain_vertices = {v for c in chains for v in c.vertices}
     vertices = tuple((v, g) for v, g in graph.vertices if v not in chain_vertices)
     kept = []
@@ -269,10 +278,28 @@ def stable_model(graph: DualGraph) -> Modification:
         taken.add(eid)
         new_edges.append((eid, (c.left, c.right)))
         registry.append((eid, c.vertices))
-    target = DualGraph(vertices, tuple(kept + new_edges))
-    if classify(target) != "stable":
+    return DualGraph(vertices, tuple(kept + new_edges)), tuple(registry)
+
+
+def stable_model(graph: DualGraph) -> Modification:
+    """Contract every maximal exceptional chain, yielding the stable target.
+
+    The graph must be semistable (every exceptional vertex meets the
+    rest in exactly two nodes) and of genus at least 2.  The returned
+    modification has the given graph as its source; non-exceptional
+    vertices and untouched edges keep their ids, while each contracted
+    chain becomes a fresh edge named after its vertices.
+    """
+    if _classified(graph)[0] == "none":
+        raise ValueError("input graph is not semistable")
+    if graph.genus < 2:
+        raise ValueError("stable model requires genus at least 2")
+    target, registry = _series_reduction(graph)
+    if not registry:
+        return Modification(graph, graph, ())
+    if _classified(target)[0] != "stable":
         raise AssertionError("contraction left an exceptional vertex")
-    return Modification(target, graph, tuple(registry))
+    return Modification(target, graph, registry)
 
 
 def pullback_multidegree(mod: Modification, deg: Multidegree) -> Multidegree:

@@ -10,7 +10,9 @@ exceptional vertex, is the balanced condition.  One kernel yields the
 integer margins; each verdict mode is one exact predicate on them.  The
 reports read a graph's full subcurve table; the check_* verdicts and
 both enumerators read one two-sided window per cut (Caporaso's basic
-inequality) and stop at the first failing window.
+inequality) and stop at the first failing window.  A graph with
+exceptional chains reads its cuts off the graph with each chain
+contracted to one edge, so its subcurves are never enumerated.
 
     Lemma.  Let N be a model's non-invertible set, the polarization
     compatible with its degree, and for a vertex set S let d_S count the
@@ -51,6 +53,32 @@ inequality) and stop at the first failing window.
     exceptional.  The lift keeps chi and omega, so m(W+) is the margin
     on W of the model on X with the same degrees and non-invertible set
     N, and the first lemma applies.
+
+    Lemma (bonds).  Let G have exceptional vertices, none meeting fewer
+    than two nodes and not all of them, and let R be G with each maximal
+    exceptional chain contracted to one edge.  The cuts of G with both
+    sides connected are, once each: (i) for a cut (W, W^c) of R with both
+    sides connected and one of the m + 1 edges of each chain crossing it,
+    the side made of W, the chains with both ends in W, and the part of
+    each crossing chain between its end in W and the chosen edge, with
+    the chi and k of W in R; (ii) each interval of a chain whose edge is
+    not a bridge of R, with chi 1 and k 2.  A bridge of R is the one edge
+    crossing a cut with k = 1.
+
+    Proof.  Let (Z, Z^c) be such a cut of G and W the vertices of R in Z.
+    If W and V(R) - W are both nonempty, a path inside Z between vertices
+    of W that enters a chain leaves it at its other end, so W, and
+    likewise V(R) - W, is connected in R.  A part of Z^c inside a chain
+    with both ends in W would be a component of Z^c apart from V(R) - W,
+    so such chains lie in Z; on a crossing chain, Z holds a part hanging
+    off its end in W, or a component of Z or Z^c would be cut off.  So
+    exactly one edge of each crossing chain crosses, the parts add as
+    many vertices of genus 0 as edges, and chi and k are those of W;
+    conversely each such set has both sides connected.  Otherwise one
+    side, say Z, misses V(R) and is connected, so it is an interval of
+    one chain, chi 1 and k 2, and Z^c is connected exactly when R less
+    the chain's edge is.  The two cases are disjoint, and a cut of R
+    crossed by a chain of m vertices gives m + 1 distinct sides.
 """
 
 from __future__ import annotations
@@ -58,12 +86,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 from .graphs import (DualGraph, _classified, _json_int, classify, connected_subcurves,
                      exceptional_vertices)
-from .modifications import Modification, pullback_multidegree, small_modification
+from .modifications import (Modification, _series_reduction, pullback_multidegree,
+                            small_modification)
 from .sheaves import Multidegree, SheafModel
 
 
@@ -168,8 +197,17 @@ def _subcurve_table(graph: DualGraph) -> tuple[tuple[frozenset[str], int], ...]:
 def _cut_table(graph: DualGraph) -> tuple[tuple[frozenset[str], int, int], ...]:
     """(members, chi, k = |dZ| = omega_Z + 2 chi_Z) per cut with both sides connected.
 
-    The side kept has fewer vertices, or on a tie holds the first vertex.
+    One side per cut is kept; every window predicate is symmetric under
+    Z <-> Z^c, by (a) of the first lemma.  A graph with exceptional chains,
+    unless its class is "none" or it is one exceptional cycle, reads its
+    cuts off its series reduction, each maximal chain contracted to one
+    edge (the bond lemma of the module), and builds no subcurve table;
+    every other graph keeps, from its subcurve table, the side with fewer
+    vertices, or on a tie the side holding the first vertex.
     """
+    kind, exceptional = _classified(graph)
+    if exceptional and kind != "none" and len(exceptional) < len(graph.vertex_ids):
+        return _series_cuts(*_series_reduction(graph))
     rows = _subcurve_table(graph)
     sides = {z for z, _ in rows}
     whole, first = frozenset(graph.vertex_ids), graph.vertex_ids[0]
@@ -179,6 +217,45 @@ def _cut_table(graph: DualGraph) -> tuple[tuple[frozenset[str], int, int], ...]:
         if whole - z in sides
         and (2 * len(z) < len(whole) or 2 * len(z) == len(whole) and first in z)
     )
+
+
+def _series_cuts(
+    reduced: DualGraph, registry: Iterable[tuple[str, tuple[str, ...]]],
+) -> tuple[tuple[frozenset[str], int, int], ...]:
+    """Cut rows of a graph from those of its series reduction.
+
+    Each cut (W, chi, k) of the reduction keeps W, the chains with both
+    ends in W and, for every chain crossing it, each of its m + 1 parts
+    hanging off the end in W.  Each interval of a chain whose edge is not
+    a bridge (crosses no cut with k = 1) is a row with chi 1 and k 2.
+    """
+    ends = reduced.edge_ends
+    chains = [(ends[e], c) for e, c in registry]
+    bridges = set()
+    rows = []
+    for w, chi, k in _cut_table(reduced):
+        inside, parts, crossing = [], [], []
+        for i, ((a, b), c) in enumerate(chains):
+            if (a in w) == (b in w):
+                if a in w:
+                    inside.extend(c)
+                continue
+            crossing.append(i)
+            # the chain reads from a to b: W holds a prefix from a or a suffix to b
+            parts.append([c[:j] for j in range(len(c) + 1)] if a in w
+                         else [c[j:] for j in range(len(c), -1, -1)])
+        if k == 1:
+            bridges.update(crossing)
+        base = w.union(inside) if inside else w
+        if parts:
+            rows.extend((base.union(*pick), chi, k) for pick in product(*parts))
+        else:
+            rows.append((base, chi, k))
+    for i, (_, c) in enumerate(chains):
+        if i not in bridges:
+            rows.extend((frozenset(c[lo:hi]), 1, 2)
+                        for lo in range(len(c)) for hi in range(lo + 1, len(c) + 1))
+    return tuple(rows)
 
 
 @dataclass(frozen=True)

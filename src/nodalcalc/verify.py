@@ -43,8 +43,10 @@ from .sheaves import (
     twist,
 )
 from .stability import (
+    _cut_table,
+    _polarized_margins,
+    _stability_test,
     balanced_report,
-    bundle_stability_report,
     canonical_polarization,
     sheaf_stability_report,
 )
@@ -388,31 +390,37 @@ def check_famchain2_instance(mod: Modification, deg: Multidegree) -> list[dict]:
 
     Bundle stability on the source against the pulled-back canonical
     polarization must match admissibility plus model stability on the
-    target, in all three modes.  Non-admissible bundles must fail.
+    target, in all three modes.  Non-admissible bundles must fail.  Each
+    side's cut windows are computed once and read in every mode.
     """
     failures = []
     d = deg.total
     pol = canonical_polarization(mod.target, d)
-    source_scan = bundle_stability_report(deg, pol.pullback(mod))
+    source_rows = list(_polarized_margins(pol.pullback(mod), mod.source, d, deg.as_dict, (),
+                                          _cut_table))
     flags = admissibility(mod, deg)
+    target_rows = []
     if flags.admissible:
-        target_scan = sheaf_stability_report(pushforward_model(mod, deg), pol)
-        semi = target_scan.verdict("semistable")
-        stab = target_scan.verdict("stable")
-    else:
-        semi = stab = False
-    if source_scan.verdict("semistable") != (flags.admissible and semi):
+        model = pushforward_model(mod, deg)
+        target_rows = list(_polarized_margins(pol, mod.target, model.degree,
+                                              model.multidegree.as_dict, model.noninvertible,
+                                              _cut_table))
+
+    def holds(rows, mode, base_vertex=None):
+        ok = _stability_test(mode, base_vertex, window=True)
+        return all(ok(z, m, hi) for z, m, hi in rows)
+
+    semi = flags.admissible and holds(target_rows, "semistable")
+    stab = flags.admissible and holds(target_rows, "stable")
+    if holds(source_rows, "semistable") != semi:
         failures.append(_repro("semistable equivalence failed",
                                graph=mod.target, mod=mod, deg=deg))
-    if source_scan.verdict("stable") != (flags.invertible and stab):
+    if holds(source_rows, "stable") != (flags.invertible and stab):
         failures.append(_repro("stable equivalence failed",
                                graph=mod.target, mod=mod, deg=deg))
     for p in mod.target.vertex_ids:
-        left = source_scan.verdict("quasistable", p)
-        if flags.admissible:
-            right = flags.negatively and target_scan.verdict("quasistable", p)
-        else:
-            right = False
+        left = holds(source_rows, "quasistable", p)
+        right = flags.admissible and flags.negatively and holds(target_rows, "quasistable", p)
         if left != right:
             failures.append(_repro(f"quasistable equivalence failed at base {p!r}",
                                    graph=mod.target, mod=mod, deg=deg))

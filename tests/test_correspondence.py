@@ -1,6 +1,8 @@
 """The bundle/sheaf-model correspondence and its certification."""
 
+from functools import lru_cache
 from itertools import combinations
+from weakref import WeakValueDictionary
 
 import pytest
 
@@ -18,7 +20,8 @@ from nodalcalc import (
     small_modification,
     theta_graph,
 )
-from nodalcalc import correspondence
+from nodalcalc import correspondence, modifications
+from nodalcalc.stability import _boxes, _stability_test
 
 
 def loop_vertex():
@@ -174,6 +177,31 @@ class TestCertify:
         report = certify_bijection(theta_graph(), 2)
         assert not report.bijection
         assert any(m.startswith("round trip failed") for m in report.mismatches)
+
+    def test_round_trip_reuses_each_enumerated_modification(self, monkeypatch):
+        # A bounded cache of 4 is far below K4's 64 edge sets, as 512 is below
+        # K5's 1,024, so the round trip asks for modifications long evicted
+        # from it; each balanced pair still holds its own.
+        built = []
+
+        def counting(graph, lengths):
+            built.append(frozenset(lengths))
+            return modify(graph, lengths)
+
+        monkeypatch.setattr(modifications, "modify", counting)
+        monkeypatch.setattr(modifications, "_live_small", WeakValueDictionary())
+        monkeypatch.setattr(modifications, "_small_modification", lru_cache(maxsize=4)(
+            modifications._small_modification.__wrapped__))
+        for d in range(2, 6):
+            for mode, sheaf_mode in (("balanced", "semistable"), ("stably_balanced", "stable")):
+                ok = _stability_test(sheaf_mode, None, window=True)
+                nonempty = [frozenset(subset) for subset, _ in _boxes(K4, d, ok)]
+                built.clear()
+                report = certify_bijection(K4, d, mode)
+                assert report.bijection and report.balanced_count
+                assert sorted(built, key=sorted) == sorted(nonempty, key=sorted), (d, mode)
+                assert all(phi_inverse(K4, phi(mod, deg)[1])[0] is mod
+                           for mod, deg in enumerate_balanced(K4, d, mode))
 
     def test_json_payload(self):
         data = certify_bijection(elliptic_bridge(), 2).to_json_dict()

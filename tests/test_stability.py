@@ -35,8 +35,9 @@ from nodalcalc import (
     small_modification,
     theta_graph,
 )
+from nodalcalc.modifications import _series_reduction
 from nodalcalc.stability import (
-    _cut_table, _lifted_rows, _margins, _stability_test, _subcurve_table,
+    _cut_table, _lifted_rows, _margins, _series_cuts, _stability_test, _subcurve_table,
 )
 from nodalcalc.verify import random_stable_graph
 
@@ -719,3 +720,111 @@ class TestSingleVertexEnumeration:
             assert models
             assert enumerate_semistable_models(g, d, "stable") == models
             assert enumerate_semistable_models(g, d, "quasistable", "v") == models
+
+
+class TestSeriesCuts:
+    """Cut tables of graphs with exceptional chains, read off their series reduction.
+
+    Oracles: the cuts of the full subcurve table, with chi from that table
+    and k from ``boundary_count``, and the full-table report's verdicts.
+    """
+
+    @staticmethod
+    def loop_targets():
+        # one-vertex targets: a genus-1 vertex with a loop, a rational vertex with two
+        return [DualGraph((("v", 1),), (("l", ("v", "v")),)),
+                DualGraph((("v", 0),), (("l1", ("v", "v")), ("l2", ("v", "v"))))]
+
+    @classmethod
+    def sources(cls, longest=4):
+        """Modifications with chains of length 1..longest on every edge set of
+        theta, the elliptic bridge, CUT_VERTEX (two bridges and a loop) and the
+        one-vertex targets; on K4 with one length per edge set, up to 8 chain
+        vertices; and on 40 seeded random stable graphs."""
+        mods = []
+        for graph in [theta_graph(), elliptic_bridge(), CUT_VERTEX] + cls.loop_targets():
+            ids = sorted(graph.edge_ends)
+            for lengths in product(range(longest + 1), repeat=len(ids)):
+                mods.append(modify(graph, {e: k for e, k in zip(ids, lengths) if k}))
+        ids = sorted(K4.edge_ends)
+        for r in range(1, len(ids) + 1):
+            for subset in combinations(ids, r):
+                mods += [modify(K4, dict.fromkeys(subset, k))
+                         for k in range(1, longest + 1) if k * r <= 8]
+        rng = random.Random(2609)
+        for _ in range(40):
+            graph = random_stable_graph(rng, 5, 4)
+            mods.append(modify(graph, {e: rng.randint(1, longest)
+                                       for e in graph.edge_ends if rng.random() < 0.5}))
+        return [mod.source for mod in mods if mod.chain_registry]
+
+    @staticmethod
+    def assert_cuts_match_the_full_table(graph):
+        full = dict(_subcurve_table(graph))
+        whole = frozenset(graph.vertex_ids)
+        want = {frozenset((z, whole - z)) for z in full if whole - z in full}
+        rows = _cut_table(graph)
+        got = [frozenset((z, whole - z)) for z, _, _ in rows]
+        assert len(got) == len(set(got)), graph
+        assert set(got) == want, graph
+        for z, chi, k in rows:
+            assert (chi, k) == (full[z], boundary_count(graph, z)), (graph, z)
+
+    def test_derived_tables_match_the_full_table(self):
+        sources = self.sources()
+        assert len(sources) > 450
+        for source in sources:
+            assert _cut_table(source) == _series_cuts(*_series_reduction(source))
+            self.assert_cuts_match_the_full_table(source)
+
+    def test_intervals_and_bridges(self):
+        # the elliptic bridge's edge is a bridge: its chain has no interval row,
+        # while each of theta's chains contributes its m (m + 1) / 2 intervals
+        bridge = modify(elliptic_bridge(), {"e1": 3}).source
+        assert all(len(z & {"v", "w"}) == 1 for z, _, _ in _cut_table(bridge))
+        assert len(_cut_table(bridge)) == 4
+        theta = modify(theta_graph(), {"e1": 3}).source
+        intervals = [row for row in _cut_table(theta) if not row[0] & {"v", "w"}]
+        assert sorted(intervals, key=lambda row: sorted(row[0])) == [
+            (frozenset(c), 1, 2) for c in (["e1#1"], ["e1#1", "e1#2"],
+                                           ["e1#1", "e1#2", "e1#3"], ["e1#2"],
+                                           ["e1#2", "e1#3"], ["e1#3"])]
+
+    def test_fallback_graphs_keep_the_smaller_side(self):
+        # class "none" (a rational tail) and one exceptional cycle, which has
+        # no series reduction, plus stable graphs: the full-table rows
+        tail = DualGraph((("a", 2), ("t", 0)), (("at", ("a", "t")),))
+        cycle = DualGraph(tuple((v, 0) for v in "abc"),
+                          (("ab", ("a", "b")), ("bc", ("b", "c")), ("ca", ("c", "a"))))
+        for graph in (tail, cycle, theta_graph(), K4, CUT_VERTEX):
+            self.assert_cuts_match_the_full_table(graph)
+            n, first = len(graph.vertex_ids), graph.vertex_ids[0]
+            assert all(2 * len(z) < n or 2 * len(z) == n and first in z
+                       for z, _, _ in _cut_table(graph)), graph
+
+    def test_bundle_verdicts_match_the_report(self):
+        # every mode and every base vertex, chain vertices included, under the
+        # pulled-back canonical polarization and a random compatible one
+        rng = random.Random(1994)
+        checked, outcomes = 0, set()
+        for src in self.sources(longest=2):
+            if src.genus < 2 or rng.random() < 0.5:
+                continue
+            d = rng.randint(src.genus - 2, src.genus + 1)
+            rank = rng.randint(1, 3)
+            e = {v: rng.randint(-3, 3) for v in src.vertex_ids}
+            e[src.vertex_ids[0]] -= rank * (d + 1 - src.genus) + sum(e.values())
+            pols = [canonical_polarization(src, d), Polarization(rank, Multidegree(src, e))]
+            for _ in range(3):
+                vals = {v: rng.randint(-1, 2) for v in src.vertex_ids}
+                vals[src.vertex_ids[-1]] += d - sum(vals.values())
+                deg = Multidegree(src, vals)
+                for pol in pols:
+                    report = bundle_stability_report(deg, pol)
+                    for mode in TestCutWindows.modes(src):
+                        verdict = check_bundle_stability(deg, pol, *mode)
+                        assert verdict == report.verdict(*mode), (src, mode, deg)
+                        outcomes.add((mode[0], verdict))
+                        checked += 1
+        assert checked > 5000
+        assert len(outcomes) == 6
