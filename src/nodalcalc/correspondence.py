@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import DualGraph, _classified
+from .graphs import DualGraph, classify, exceptional_vertices
 from .modifications import Modification, is_small, small_modification
 from .pushforward import pushforward_model
 from .sheaves import Multidegree, SheafModel
@@ -29,12 +29,11 @@ def phi(mod: Modification, deg: Multidegree) -> tuple[DualGraph, SheafModel]:
     """
     if deg.graph != mod.source:
         raise ValueError("multidegree does not live on the modification source")
-    kind, exceptional = _classified(mod.source)
-    if kind not in ("stable", "quasistable"):
+    if classify(mod.source) not in ("stable", "quasistable"):
         raise ValueError("source of the modification is not quasistable")
     if not is_small(mod):
         raise ValueError("modification is not small")
-    off = [v for v in exceptional if deg[v] != 1]
+    off = [v for v in exceptional_vertices(mod.source) if deg[v] != 1]
     if off:
         raise ValueError(f"degree must be 1 on exceptional vertices, violated at {off}")
     model = pushforward_model(mod, deg)

@@ -11,7 +11,7 @@ contractions, stability scans) work purely at this level.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from functools import lru_cache
+from functools import wraps
 from types import MappingProxyType
 from typing import Iterable, Iterator
 
@@ -30,6 +30,27 @@ def _reduce_to_fields(obj):
     the fields through the constructor, which recomputes the views.
     """
     return type(obj), tuple(getattr(obj, f.name) for f in fields(obj))
+
+
+def _per_graph(build):
+    """Decorate ``build(graph)`` to run once per graph object, its value kept on the graph.
+
+    The value is stored in the graph's instance ``__dict__`` under a private
+    key when first asked for, so it lives exactly as long as the graph, and a
+    graph that never asks holds nothing.  Equal graphs built separately each
+    compute their own.  Equality, hashing, ``repr``, pickling and copying read
+    the fields only.  Every caller shares the value, so it must be immutable.
+    """
+    key = f"_{build.__module__}.{build.__qualname__}"  # never an attribute name
+
+    @wraps(build)
+    def memo(graph):
+        found = vars(graph)
+        if key not in found:
+            found[key] = build(graph)
+        return found[key]
+
+    return memo
 
 
 class ExceptionalCycleError(ValueError):
@@ -237,10 +258,12 @@ def is_exceptional(graph: DualGraph, v: str) -> bool:
     )
 
 
+@_per_graph
 def exceptional_vertices(graph: DualGraph) -> tuple[str, ...]:
     return tuple(v for v in graph.vertex_ids if is_exceptional(graph, v))
 
 
+@_per_graph
 def classify(graph: DualGraph) -> str:
     """Strongest of stable / quasistable / semistable that applies.
 
@@ -262,18 +285,6 @@ def classify(graph: DualGraph) -> str:
         if a in exc_set and b in exc_set:
             return "semistable"
     return "quasistable"
-
-
-# Distinct graphs whose classification is kept, as many as the subcurve
-# tables in ``stability``: a certify pass meets each small modification's
-# source once per enumerated subset and once per balanced bundle.
-_CLASSIFIED_CACHE_SIZE = 512
-
-
-@lru_cache(maxsize=_CLASSIFIED_CACHE_SIZE)
-def _classified(graph: DualGraph) -> tuple[str, tuple[str, ...]]:
-    """``classify(graph)`` and ``exceptional_vertices(graph)``, once per graph."""
-    return classify(graph), exceptional_vertices(graph)
 
 
 # -- connected subcurve enumeration ---------------------------------------
@@ -359,12 +370,11 @@ def maximal_exceptional_chains(graph: DualGraph) -> tuple[ExceptionalChain, ...]
     ExceptionalCycleError when the entire graph is one exceptional
     cycle, since then there is nothing to attach the chains to.
     """
-    kind, exceptional = _classified(graph)
-    if kind == "none":
+    if classify(graph) == "none":
         raise ValueError("graph has an exceptional vertex meeting fewer than two nodes")
-    if not exceptional:
+    exc = set(exceptional_vertices(graph))
+    if not exc:
         return ()
-    exc = set(exceptional)
     if len(exc) == len(graph.vertices):
         raise ExceptionalCycleError("entire graph is a cycle of exceptional vertices")
 

@@ -280,6 +280,9 @@ def chain_h(degrees: Iterable[int], puncture_ends: bool = False) -> ChainCohomol
     coefficients of a binary form (none when d < 0); matching conditions
     at the nodes cut out the global sections, whose dimension h0 is
     computed by exact rank.  h1 follows from the Euler characteristic.
+    The conditions read each form only at its two marked points, the
+    first and last coefficients, so only those columns are ranked; every
+    other coefficient is free and adds one to h0.
 
     With ``puncture_ends`` the bundle is twisted down by one smooth
     point on each of the two extreme components (two distinct points on
@@ -291,18 +294,19 @@ def chain_h(degrees: Iterable[int], puncture_ends: bool = False) -> ChainCohomol
     n = len(degs)
 
     offset: dict[int, int] = {}
-    ncols = 0
+    ncols = 0  # marked-point columns: one for a degree-0 form, else two
     for i, d in enumerate(degs):
         if d >= 0:
             offset[i] = ncols
-            ncols += d + 1
+            ncols += min(d, 1) + 1
+    free = sum(d - 1 for d in degs if d >= 1)
 
     def value_row(i: int, at_far_end: bool) -> list[int]:
         # Linear functional giving the section's value at one of the two
         # marked points of component i (zero functional when d_i < 0).
         row = [0] * ncols
         if i in offset:
-            row[offset[i] + (degs[i] if at_far_end else 0)] = 1
+            row[offset[i] + (min(degs[i], 1) if at_far_end else 0)] = 1
         return row
 
     rows = []
@@ -320,7 +324,7 @@ def chain_h(degrees: Iterable[int], puncture_ends: bool = False) -> ChainCohomol
             rows.append(value_row(0, at_far_end=False))
             rows.append(value_row(n - 1, at_far_end=True))
 
-    h0 = ncols - _rank(rows)
+    h0 = ncols + free - _rank(rows)
     chi = sum(degs) + 1 - (2 if puncture_ends else 0)
     return ChainCohomology(h0, h0 - chi)
 

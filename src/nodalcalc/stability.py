@@ -85,11 +85,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations, product
+from math import prod
 from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
-from .graphs import (DualGraph, _classified, _json_int, classify, connected_subcurves,
+from . import graphs
+from .graphs import (DualGraph, _json_int, _per_graph, classify, connected_subcurves,
                      exceptional_vertices)
 from .modifications import (Modification, _series_reduction, pullback_multidegree,
                             small_modification)
@@ -158,13 +159,7 @@ def _canonical_e(graph: DualGraph, d: int) -> dict[str, int]:
 # -- subcurve scans ---------------------------------------------------------
 
 
-# Distinct graphs whose tables are kept.  The cache is keyed by graph, so a
-# long run over fresh random modifications would otherwise grow it without
-# end; a certify or random-family pass reuses fewer than 400 tables.
-_TABLE_CACHE_SIZE = 512
-
-
-@lru_cache(maxsize=_TABLE_CACHE_SIZE)
+@_per_graph
 def _subcurve_table(graph: DualGraph) -> tuple[tuple[frozenset[str], int], ...]:
     """(members, chi) per connected proper subcurve.
 
@@ -193,7 +188,7 @@ def _subcurve_table(graph: DualGraph) -> tuple[tuple[frozenset[str], int], ...]:
     return tuple(rows)
 
 
-@lru_cache(maxsize=_TABLE_CACHE_SIZE)
+@_per_graph
 def _cut_table(graph: DualGraph) -> tuple[tuple[frozenset[str], int, int], ...]:
     """(members, chi, k = |dZ| = omega_Z + 2 chi_Z) per cut with both sides connected.
 
@@ -205,8 +200,8 @@ def _cut_table(graph: DualGraph) -> tuple[tuple[frozenset[str], int, int], ...]:
     every other graph keeps, from its subcurve table, the side with fewer
     vertices, or on a tie the side holding the first vertex.
     """
-    kind, exceptional = _classified(graph)
-    if exceptional and kind != "none" and len(exceptional) < len(graph.vertex_ids):
+    exceptional = exceptional_vertices(graph)
+    if exceptional and classify(graph) != "none" and len(exceptional) < len(graph.vertex_ids):
         return _series_cuts(*_series_reduction(graph))
     rows = _subcurve_table(graph)
     sides = {z for z, _ in rows}
@@ -228,11 +223,13 @@ def _series_cuts(
     ends in W and, for every chain crossing it, each of its m + 1 parts
     hanging off the end in W.  Each interval of a chain whose edge is not
     a bridge (crosses no cut with k = 1) is a row with chi 1 and k 2.
+    The rows are counted first: more than ``graphs._MAX_SUBCURVES`` raise
+    ValueError before any is built.
     """
     ends = reduced.edge_ends
     chains = [(ends[e], c) for e, c in registry]
     bridges = set()
-    rows = []
+    cuts = []
     for w, chi, k in _cut_table(reduced):
         inside, parts, crossing = [], [], []
         for i, ((a, b), c) in enumerate(chains):
@@ -246,15 +243,22 @@ def _series_cuts(
                          else [c[j:] for j in range(len(c), -1, -1)])
         if k == 1:
             bridges.update(crossing)
-        base = w.union(inside) if inside else w
+        cuts.append((w.union(inside) if inside else w, chi, k, parts))
+    intervals = [c for i, (_, c) in enumerate(chains) if i not in bridges]
+    count = (sum(prod(map(len, parts)) for *_, parts in cuts)
+             + sum(len(c) * (len(c) + 1) // 2 for c in intervals))
+    if count > graphs._MAX_SUBCURVES:
+        raise ValueError(f"graph has {count} cuts with both sides connected, more than "
+                         f"{graphs._MAX_SUBCURVES}; too many to enumerate")
+    rows = []
+    for base, chi, k, parts in cuts:
         if parts:
             rows.extend((base.union(*pick), chi, k) for pick in product(*parts))
         else:
             rows.append((base, chi, k))
-    for i, (_, c) in enumerate(chains):
-        if i not in bridges:
-            rows.extend((frozenset(c[lo:hi]), 1, 2)
-                        for lo in range(len(c)) for hi in range(lo + 1, len(c) + 1))
+    for c in intervals:
+        rows.extend((frozenset(c[lo:hi]), 1, 2)
+                    for lo in range(len(c)) for hi in range(lo + 1, len(c) + 1))
     return tuple(rows)
 
 
@@ -621,7 +625,7 @@ def enumerate_balanced(
     for subset, vectors in _boxes(graph, d, ok):
         mod = small_modification(graph, subset)
         source = mod.source
-        if _classified(source)[0] not in ("stable", "quasistable"):
+        if classify(source) not in ("stable", "quasistable"):
             raise ValueError("balanced multidegrees live on quasistable graphs")
         rows = _lifted_rows(mod, cuts)
         e_values = _canonical_e(source, d)

@@ -464,7 +464,6 @@ class TestUsageErrors:
 
     def test_too_many_subcurves(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(graphs, "_MAX_SUBCURVES", 10)
-        stability._subcurve_table.cache_clear()  # a cached K5 table would skip the enumeration
         k5 = {
             "vertices": [{"id": v, "genus": 0} for v in "abcde"],
             "edges": [{"id": a + b, "ends": [a, b]} for a, b in combinations("abcde", 2)],

@@ -1,6 +1,10 @@
 """Dual graph construction, measurements, classification, chains."""
 
+import copy
+import gc
+import pickle
 import random
+import weakref
 from itertools import combinations
 
 import pytest
@@ -18,12 +22,13 @@ from nodalcalc import (
     maximal_exceptional_chains,
     modify,
     omega_multidegree,
+    stable_model,
     theta_graph,
     elliptic_bridge,
 )
-from nodalcalc import graphs
+from nodalcalc import graphs, stability
 from nodalcalc.graphs import internal_edge_count
-from nodalcalc.stability import _subcurve_table
+from nodalcalc.stability import _cut_table, _subcurve_table
 from nodalcalc.verify import random_graph, random_modification
 
 
@@ -389,3 +394,81 @@ class TestExceptionalChains:
         g = DualGraph((("v", 0), ("w", 2)), (("e", ("v", "w")),))
         with pytest.raises(ValueError):
             maximal_exceptional_chains(g)
+
+
+class TestPerGraphMemo:
+    """Classification and tables are computed once per graph object and live on it."""
+
+    @staticmethod
+    def count_enumerations(monkeypatch):
+        calls = []
+        enumerate_ = stability.connected_subcurves
+
+        def counted(graph, *args, **kwargs):
+            calls.append(graph)
+            return enumerate_(graph, *args, **kwargs)
+
+        monkeypatch.setattr(stability, "connected_subcurves", counted)
+        return calls
+
+    def test_cut_table_enumerates_once_per_graph(self, monkeypatch):
+        calls = self.count_enumerations(monkeypatch)
+        # a stable graph enumerates itself; a chain-modified one its series reduction
+        for graph in (complete_graph(4), modify(complete_graph(4), {"e01": 2}).source):
+            first = _cut_table(graph)
+            assert len(calls) == 1
+            assert _cut_table(graph) is first
+            assert len(calls) == 1
+            calls.clear()
+
+    def test_is_exceptional_once_per_vertex(self, monkeypatch):
+        seen = []  # (graph, vertex), holding each graph so no id is reused
+        test = graphs.is_exceptional
+
+        def counted(graph, v):
+            seen.append((graph, v))
+            return test(graph, v)
+
+        monkeypatch.setattr(graphs, "is_exceptional", counted)
+        source = modify(theta_graph(), {"e1": 2, "e2": 1}).source
+        for _ in range(2):
+            assert classify(source) == "semistable"
+            assert exceptional_vertices(source) == ("e1#1", "e1#2", "e2#1")
+            assert len(maximal_exceptional_chains(source)) == 2
+            mod = stable_model(source)
+            _cut_table(source)
+        asked = [(id(g), v) for g, v in seen]
+        assert len(asked) == len(set(asked))
+        assert sorted(v for g, v in seen if g is source) == list(source.vertex_ids)
+        assert sum(g is mod.target for g, _ in seen) == len(mod.target.vertices)
+
+    def test_equal_graphs_do_not_share(self, monkeypatch):
+        calls = self.count_enumerations(monkeypatch)
+        first, second = complete_graph(4), complete_graph(4)
+        assert first == second and hash(first) == hash(second)
+        assert _cut_table(first) == _cut_table(second)
+        assert len(calls) == 2 and calls[0] is first and calls[1] is second
+
+    def test_graph_is_collected(self):
+        graph = modify(complete_graph(4), {"e01": 1}).source
+        classify(graph)
+        _cut_table(graph)
+        _subcurve_table(graph)
+        ref = weakref.ref(graph)
+        del graph
+        gc.collect()
+        assert ref() is None
+
+    def test_copies_see_fields_only(self):
+        graph = modify(theta_graph(), {"e1": 2}).source
+        pickled = pickle.dumps(graph)
+        shown = repr(graph)
+        classify(graph)
+        _cut_table(graph)
+        _subcurve_table(graph)
+        assert pickle.dumps(graph) == pickled
+        assert repr(graph) == shown
+        for twin in (pickle.loads(pickle.dumps(graph)), copy.deepcopy(graph), copy.copy(graph)):
+            assert twin == graph and hash(twin) == hash(graph)
+            assert repr(twin) == shown
+            assert _cut_table(twin) == _cut_table(graph)

@@ -3,6 +3,7 @@
 import copy
 import pickle
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -264,6 +265,41 @@ class TestChainCohomology:
                 assert res.h0 - res.h1 == total + 1
                 punct = chain_h(degs, puncture_ends=True)
                 assert punct.h0 - punct.h1 == total - 1
+
+    def test_huge_degree(self):
+        # only the marked-point coefficients enter the rank
+        assert chain_h((10**8, 0), puncture_ends=True) == (10**8 - 1, 0)
+
+    def test_matches_dense_rank(self):
+        # oracle: the matching conditions on every coefficient of every form
+        def dense_h0(degs, punctured):
+            offsets = [sum(max(d + 1, 0) for d in degs[:i]) for i in range(len(degs))]
+            width = sum(max(d + 1, 0) for d in degs)
+
+            def at(i, far):
+                row = [Fraction(0)] * width
+                if degs[i] >= 0:
+                    row[offsets[i] + (degs[i] if far else 0)] = Fraction(1)
+                return row
+
+            rows = [[x - y for x, y in zip(at(i, True), at(i + 1, False))]
+                    for i in range(len(degs) - 1)]
+            if punctured:
+                rows += [at(0, False), at(len(degs) - 1, True)]
+            rank = 0
+            for col in range(width):
+                pivot = next((r for r in rows if r[col]), None)
+                if pivot is None:
+                    continue
+                rows.remove(pivot)
+                rows = [[x - r[col] / pivot[col] * y for x, y in zip(r, pivot)] for r in rows]
+                rank += 1
+            return width - rank
+
+        for n in (1, 2, 3, 4):
+            for degs in product(range(-2, 5), repeat=n):
+                for punctured in (False, True):
+                    assert chain_h(degs, punctured).h0 == dense_h0(degs, punctured), degs
 
     def test_vanishing_criteria(self):
         # h1 = 0 iff all interval sums >= -1; punctured h0 = 0 iff all <= 1

@@ -828,3 +828,41 @@ class TestSeriesCuts:
                         checked += 1
         assert checked > 5000
         assert len(outcomes) == 6
+
+
+class TestSeriesCutBound:
+    """Derived cut tables are counted before any row is built."""
+
+    @staticmethod
+    def k5_subdivided(length):
+        k5 = DualGraph(tuple((v, 0) for v in "abcde"),
+                       tuple((a + b, (a, b)) for a, b in combinations("abcde", 2)))
+        return modify(k5, dict.fromkeys(k5.edge_ends, length))
+
+    def test_long_chains_on_k5_refused(self, monkeypatch):
+        # 10 (7^6) + 5 (7^4) rows from the 15 cuts of K5, plus 10 chains of 21
+        # intervals: 1,188,705 rows, refused before any is built
+        def no_rows(*args):
+            raise AssertionError("a cut row was built")
+
+        monkeypatch.setattr("nodalcalc.stability.product", no_rows)
+        mod = self.k5_subdivided(6)
+        pol = canonical_polarization(mod.target, 4).pullback(mod)
+        deg = Multidegree(mod.source, dict.fromkeys(mod.source.vertex_ids, 0) | {"a": 4})
+        with pytest.raises(ValueError, match="1188705 cuts .* more than 1048576; too many"):
+            check_bundle_stability(deg, pol)
+
+    def test_bound_counts_every_row(self, monkeypatch):
+        # the count is exact: a bound of the row count passes, one less does not
+        sources = [lambda: self.k5_subdivided(1).source,
+                   lambda: modify(K4, {"ab": 2, "cd": 3}).source,
+                   lambda: modify(elliptic_bridge(), {"e1": 3}).source,
+                   lambda: modify(CUT_VERTEX, {"ca": 2, "cc": 2}).source]
+        for build in sources:
+            rows = len(_cut_table(build()))
+            monkeypatch.setattr("nodalcalc.graphs._MAX_SUBCURVES", rows)
+            assert len(_cut_table(build())) == rows
+            monkeypatch.setattr("nodalcalc.graphs._MAX_SUBCURVES", rows - 1)
+            with pytest.raises(ValueError, match=f"{rows} cuts .* too many to enumerate"):
+                _cut_table(build())
+            monkeypatch.undo()
