@@ -87,6 +87,11 @@ class CorrespondenceReport:
 _SHEAF_MODE = {"balanced": "semistable", "stably_balanced": "stable"}
 
 
+def _model_order(model: SheafModel) -> tuple:
+    """Sort key fixing the order of mismatches, whatever the hash seed."""
+    return sorted(model.noninvertible), model.multidegree.values
+
+
 def certify_bijection(graph: DualGraph, d: int, mode: str = "balanced") -> CorrespondenceReport:
     """Enumerate both sides at degree d and verify the two-sided inverse.
 
@@ -116,9 +121,9 @@ def certify_bijection(graph: DualGraph, d: int, mode: str = "balanced") -> Corre
         mismatches.append("pushforward is not injective on balanced bundles")
     image_set = set(images)
     model_set = set(models)
-    for missing in sorted(model_set - image_set, key=lambda m: sorted(m.noninvertible)):
+    for missing in sorted(model_set - image_set, key=_model_order):
         mismatches.append(f"semistable model not reached: {missing.to_json_dict()}")
-    for extra in sorted(image_set - model_set, key=lambda m: sorted(m.noninvertible)):
+    for extra in sorted(image_set - model_set, key=_model_order):
         mismatches.append(f"pushforward image not semistable: {extra.to_json_dict()}")
 
     return CorrespondenceReport(

@@ -12,7 +12,9 @@ reports read a graph's full subcurve table; the check_* verdicts and
 both enumerators read one two-sided window per cut (Caporaso's basic
 inequality) and stop at the first failing window.  A graph with
 exceptional chains reads its cuts off the graph with each chain
-contracted to one edge, so its subcurves are never enumerated.
+contracted to one edge, one chain row per cut, so its subcurves are
+never enumerated; each verdict decides a chain row on at most four of
+its sides, chosen from per-chain prefix extremes.
 
     Lemma.  Let N be a model's non-invertible set, the polarization
     compatible with its degree, and for a vertex set S let d_S count the
@@ -54,16 +56,20 @@ contracted to one edge, so its subcurves are never enumerated.
     on W of the model on X with the same degrees and non-invertible set
     N, and the first lemma applies.
 
-    Lemma (bonds).  Let G have exceptional vertices, none meeting fewer
-    than two nodes and not all of them, and let R be G with each maximal
-    exceptional chain contracted to one edge.  The cuts of G with both
-    sides connected are, once each: (i) for a cut (W, W^c) of R with both
-    sides connected and one of the m + 1 edges of each chain crossing it,
-    the side made of W, the chains with both ends in W, and the part of
-    each crossing chain between its end in W and the chosen edge, with
-    the chi and k of W in R; (ii) each interval of a chain whose edge is
-    not a bridge of R, with chi 1 and k 2.  A bridge of R is the one edge
-    crossing a cut with k = 1.
+    Lemma (bonds).  Let G be a subdivision of a graph R: some edges of R
+    replaced by chains of genus-0 vertices, each joined to its two
+    neighbours on the path only.  The cuts of G with both sides connected
+    are, once each: (i) for a cut (W, W^c) of R with both sides connected
+    and one of the m + 1 edges of each chain crossing it, the side made of
+    W, the chains with both ends in W, and the part of each crossing chain
+    between its end in W and the chosen edge, with the chi and k of W in
+    R; (ii) each interval of a chain whose edge is not a bridge of R, with
+    chi 1 and k 2.  A bridge of R is the one edge crossing a cut with
+    k = 1.  A graph whose exceptional vertices all meet two nodes, and are
+    not all of its vertices, is such a subdivision of its series
+    reduction, each maximal exceptional chain contracted to one edge; a
+    modification's source is one of its target along the registered
+    chains.
 
     Proof.  Let (Z, Z^c) be such a cut of G and W the vertices of R in Z.
     If W and V(R) - W are both nonempty, a path inside Z between vertices
@@ -79,14 +85,42 @@ contracted to one edge, so its subcurves are never enumerated.
     one chain, chi 1 and k 2, and Z^c is connected exactly when R less
     the chain's edge is.  The two cases are disjoint, and a cut of R
     crossed by a chain of m vertices gives m + 1 distinct sides.
+
+    So the cut table of G holds one chain row per cut of R, standing for
+    all the sides of (i), and the interval rows of (ii).
+
+    Lemma (chain windows).  Fix a model on G (degrees d, non-invertible
+    set N) and a polarization (rank, e).  Read each chain crossing a cut
+    (W, chi, k) of R from its end in W as c_1..c_m, with f_j the edge
+    from c_j to c_(j+1), c_0 and c_(m+1) being the ends.  The side taking
+    c_1..c_j of every such chain has margin M = M_0 + sum P(j) and slack
+    S = rank (k - |dZ & N|) - M = S_0 + sum Q(j), summed over the chains,
+    where P(j) is the sum over t <= j of rank (d(c_t) + [f_(t-1) in N]) +
+    e(c_t) and Q(j) = -P(j) - rank [f_j in N].  Each window is M >= a and
+    S >= b with a = b = 0 (semistable), a = b = 1 (stable), or a = [p in
+    Z] and b = [p not in Z] (quasistable at p), and whether p is in Z
+    depends on at most one chain.  So every side of the row passes
+    exactly when, within each class of p's membership, the side of least
+    M and the side of least S pass: at most four sides, taken from the
+    least prefix sums of P and Q on each chain, on p's chain restricted
+    to the parts that hold p or to those that do not.
+
+    Proof.  Adding c_1..c_j to a side adds j vertices of genus 0 and the
+    j edges f_0..f_(j-1), so chi is unchanged, d_Z and e_Z grow by the
+    terms of P(j), and the one crossing edge of the chain moves from f_0
+    to f_j; M_0 and S_0 do not depend on the parts.  Margins are
+    integers, so M > 0 is M >= 1 and M < rank (k - |dZ & N|) is S >= 1,
+    which gives a and b in each mode.  Within a class, a and b are fixed
+    and the parts range independently, so the least M is the sum of the
+    per-chain least P, reached by one side, and likewise for S; the class
+    passes exactly when those two sides pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
-from math import prod
+from itertools import combinations
 from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 from . import graphs
@@ -147,7 +181,8 @@ def canonical_polarization(graph: DualGraph, d: int) -> Polarization:
     """
     if graph.genus < 2:
         raise ValueError("canonical polarization requires genus at least 2")
-    return Polarization(2 * graph.genus - 2, Multidegree(graph, _canonical_e(graph, d)))
+    e = _canonical_e(graph, d)  # in vertex order, so Multidegree keeps the items as given
+    return Polarization(2 * graph.genus - 2, Multidegree(graph, tuple(e.items())))
 
 
 def _canonical_e(graph: DualGraph, d: int) -> dict[str, int]:
@@ -189,15 +224,15 @@ def _subcurve_table(graph: DualGraph) -> tuple[tuple[frozenset[str], int], ...]:
 
 
 @_per_graph
-def _cut_table(graph: DualGraph) -> tuple[tuple[frozenset[str], int, int], ...]:
+def _cut_table(graph: DualGraph) -> tuple[tuple, ...]:
     """(members, chi, k = |dZ| = omega_Z + 2 chi_Z) per cut with both sides connected.
 
     One side per cut is kept; every window predicate is symmetric under
     Z <-> Z^c, by (a) of the first lemma.  A graph with exceptional chains,
     unless its class is "none" or it is one exceptional cycle, reads its
-    cuts off its series reduction, each maximal chain contracted to one
-    edge (the bond lemma of the module), and builds no subcurve table;
-    every other graph keeps, from its subcurve table, the side with fewer
+    cuts off its series reduction (the bond lemma of the module): chain
+    rows and interval rows, see ``_series_cuts``, and no subcurve table.
+    Every other graph keeps, from its subcurve table, the side with fewer
     vertices, or on a tie the side holding the first vertex.
     """
     exceptional = exceptional_vertices(graph)
@@ -215,51 +250,110 @@ def _cut_table(graph: DualGraph) -> tuple[tuple[frozenset[str], int, int], ...]:
 
 
 def _series_cuts(
-    reduced: DualGraph, registry: Iterable[tuple[str, tuple[str, ...]]],
-) -> tuple[tuple[frozenset[str], int, int], ...]:
-    """Cut rows of a graph from those of its series reduction.
+    base: DualGraph, registry: Iterable[tuple[str, tuple[str, ...]]],
+) -> tuple[tuple, ...]:
+    """Cut rows of the subdivision of ``base`` along the chains of ``registry``.
 
-    Each cut (W, chi, k) of the reduction keeps W, the chains with both
-    ends in W and, for every chain crossing it, each of its m + 1 parts
-    hanging off the end in W.  Each interval of a chain whose edge is not
-    a bridge (crosses no cut with k = 1) is a row with chi 1 and k 2.
-    The rows are counted first: more than ``graphs._MAX_SUBCURVES`` raise
-    ValueError before any is built.
+    The cut table of ``base`` has no chain rows, and each chain reads from
+    the first end of its edge.  Each cut (W, chi, k) of ``base`` gives one
+    chain row (W+, chi, k, arms): W+ is W with the chains having both ends
+    in W, and each arm is the path of a chain crossing it, from its end in
+    W through c_1..c_m to its other end (the bond lemma).  Then each
+    interval of a chain whose edge is not a bridge (crosses no cut with
+    k = 1) is a row (interval, 1, 2).  The rows are counted before the
+    intervals are built: more than ``graphs._MAX_SUBCURVES`` raise ValueError.
     """
-    ends = reduced.edge_ends
-    chains = [(ends[e], c) for e, c in registry]
+    ends = base.edge_ends
+    chains = []
+    for e, c in registry:
+        a, b = ends[e]
+        chains.append((a, b, c, (a,) + c + (b,), (b,) + c[::-1] + (a,)))
     bridges = set()
-    cuts = []
-    for w, chi, k in _cut_table(reduced):
-        inside, parts, crossing = [], [], []
-        for i, ((a, b), c) in enumerate(chains):
+    rows: list[tuple] = []
+    for w, chi, k in _cut_table(base):
+        inside, arms = [], []
+        for i, (a, b, c, forward, backward) in enumerate(chains):
             if (a in w) == (b in w):
                 if a in w:
                     inside.extend(c)
                 continue
-            crossing.append(i)
-            # the chain reads from a to b: W holds a prefix from a or a suffix to b
-            parts.append([c[:j] for j in range(len(c) + 1)] if a in w
-                         else [c[j:] for j in range(len(c), -1, -1)])
-        if k == 1:
-            bridges.update(crossing)
-        cuts.append((w.union(inside) if inside else w, chi, k, parts))
-    intervals = [c for i, (_, c) in enumerate(chains) if i not in bridges]
-    count = (sum(prod(map(len, parts)) for *_, parts in cuts)
-             + sum(len(c) * (len(c) + 1) // 2 for c in intervals))
+            arms.append(forward if a in w else backward)
+            if k == 1:
+                bridges.add(i)
+        rows.append((w.union(inside) if inside else w, chi, k, tuple(arms)))
+    intervals = [c for i, (_, _, c, _, _) in enumerate(chains) if i not in bridges]
+    count = len(rows) + sum(len(c) * (len(c) + 1) // 2 for c in intervals)
     if count > graphs._MAX_SUBCURVES:
-        raise ValueError(f"graph has {count} cuts with both sides connected, more than "
+        raise ValueError(f"graph has {count} cut rows, more than "
                          f"{graphs._MAX_SUBCURVES}; too many to enumerate")
-    rows = []
-    for base, chi, k, parts in cuts:
-        if parts:
-            rows.extend((base.union(*pick), chi, k) for pick in product(*parts))
-        else:
-            rows.append((base, chi, k))
     for c in intervals:
         rows.extend((frozenset(c[lo:hi]), 1, 2)
                     for lo in range(len(c)) for hi in range(lo + 1, len(c) + 1))
     return tuple(rows)
+
+
+def _least(sums: list[int], lo: int = 0, hi: int | None = None) -> int:
+    """The first index in range(lo, hi) of a least entry."""
+    return sums.index(min(sums[lo:hi]), lo)
+
+
+def _chain_sides(
+    rows: Sequence[tuple], ends: Mapping[str, tuple[str, str]], values: Mapping[str, int],
+    noninvertible: Collection[str], rank: int, e_values: Mapping[str, int],
+    base_vertex: str | None = None,
+) -> Sequence[tuple]:
+    """Cut rows (Z, chi, k) that decide the windows of ``rows`` under one model.
+
+    Each chain row (W+, chi, k, arms) becomes its side of least margin and
+    its side of least slack, one pair per class of membership of
+    ``base_vertex`` when that lies on an arm (the chain-window lemma of the
+    module); the interval rows after them are kept, and a table without
+    chain rows is returned as it is.  Without a base vertex the sides
+    decide every mode at any base vertex off the arms.  A crossing chain
+    has one edge between two consecutive vertices of its path, so N is
+    read as pairs of ends.
+    """
+    if not rows or len(rows[0]) == 3:
+        return rows
+    nodes = {pair for e in noninvertible for pair in (ends[e], ends[e][::-1])}
+    extremes: dict[tuple[str, ...], tuple] = {}  # per arm: a chain may cross many cuts
+
+    def prefix_sums(path: tuple[str, ...]) -> tuple:
+        inner = path[1:-1]
+        crossing = ([rank if pair in nodes else 0 for pair in zip(path, path[1:])] if nodes
+                    else [0] * (len(path) - 1))
+        margin, prefix = 0, [0]
+        for c, f in zip(inner, crossing):
+            margin += rank * values[c] + e_values[c] + f
+            prefix.append(margin)
+        slack = [-m - f for m, f in zip(prefix, crossing)]
+        return inner, prefix, slack, inner[:_least(prefix)], inner[:_least(slack)]
+
+    sides: list[tuple] = []
+    for n, row in enumerate(rows):
+        if len(row) == 3:
+            sides.extend(rows[n:])
+            break
+        w, chi, k, arms = row
+        low_m, low_s, split = [], [], None
+        for path in arms:
+            if path not in extremes:
+                extremes[path] = prefix_sums(path)
+            inner, prefix, slack, least_m, least_s = extremes[path]
+            if base_vertex in inner:
+                split = (len(low_m), inner, prefix, slack, inner.index(base_vertex) + 1)
+            low_m.append(least_m)
+            low_s.append(least_s)
+        picks = [low_m, low_s]
+        if split is not None:
+            i, inner, prefix, slack, q = split
+            picks = [low[:i] + [inner[:_least(sums, lo, hi)]] + low[i + 1:]
+                     for lo, hi in ((0, q), (q, None))
+                     for low, sums in ((low_m, prefix), (low_s, slack))]
+        for j, parts in enumerate(picks):
+            if parts not in picks[:j]:
+                sides.append((w.union(*parts), chi, k))
+    return sides
 
 
 @dataclass(frozen=True)
@@ -345,15 +439,23 @@ def _margins(
 
 def _polarized_margins(
     pol: Polarization, graph: DualGraph, d: int, values: Mapping[str, int],
-    noninvertible: Collection[str], table: Callable = _subcurve_table,
+    noninvertible: Collection[str], cuts: Sequence[tuple] | None = None,
+    base_vertex: str | None = None,
 ) -> Iterator[tuple]:
-    """The kernel on ``table(graph)`` under ``pol``, which must live there and suit degree d."""
+    """The kernel under ``pol``, which must live on ``graph`` and suit degree d.
+
+    It reads the graph's subcurve table, or the cut rows ``cuts`` with each
+    chain row narrowed to the sides that decide it at ``base_vertex``.
+    """
     if pol.graph != graph:
         raise ValueError("polarization lives on a different graph")
     if not pol.compatible_with_degree(d):
         raise ValueError(f"polarization incompatible with degree {d}")
-    return _margins(table(graph), graph.edge_ends, dict(values), noninvertible, pol.rank,
-                    dict(pol.e.as_dict))
+    values, e_values = dict(values), dict(pol.e.as_dict)
+    rows = (_subcurve_table(graph) if cuts is None
+            else _chain_sides(cuts, graph.edge_ends, values, noninvertible, pol.rank, e_values,
+                              base_vertex))
+    return _margins(rows, graph.edge_ends, values, noninvertible, pol.rank, e_values)
 
 
 def _canonical_scan(
@@ -385,7 +487,7 @@ def check_sheaf_stability(
     """Verdict of sheaf_stability_report, on the cut windows, stopping at the first failure."""
     ok = _stability_test(mode, base_vertex, model.graph, window=True)
     margins = _polarized_margins(pol, model.graph, model.degree, model.multidegree.as_dict,
-                                 model.noninvertible, _cut_table)
+                                 model.noninvertible, _cut_table(model.graph), base_vertex)
     return all(ok(z, m, hi) for z, m, hi in margins)
 
 
@@ -395,7 +497,8 @@ def check_bundle_stability(
 ) -> bool:
     """Verdict of bundle_stability_report, on the cut windows, stopping at the first failure."""
     ok = _stability_test(mode, base_vertex, deg.graph, window=True)
-    margins = _polarized_margins(pol, deg.graph, deg.total, deg.as_dict, (), _cut_table)
+    margins = _polarized_margins(pol, deg.graph, deg.total, deg.as_dict, (),
+                                 _cut_table(deg.graph), base_vertex)
     return all(ok(z, m, hi) for z, m, hi in margins)
 
 

@@ -14,8 +14,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product
-from typing import Callable, Iterator
+from itertools import combinations, product, tee
+from typing import Callable, Collection, Iterator
 
 from .catalog import elliptic_bridge, theta_graph
 from .graphs import DualGraph, connected_subcurves, exceptional_vertices
@@ -43,8 +43,10 @@ from .sheaves import (
     twist,
 )
 from .stability import (
+    _chain_sides,
     _cut_table,
-    _polarized_margins,
+    _margins,
+    _series_cuts,
     _stability_test,
     balanced_report,
     canonical_polarization,
@@ -385,42 +387,82 @@ def _suite_compadm(cfg: VerifyConfig, rng: random.Random) -> SuiteResult:
     return SuiteResult(cases, failures)
 
 
+def _window_rows(graph: DualGraph, values: dict[str, int], noninvertible: Collection[str],
+                 rank: int, e_values: dict[str, int], cuts: tuple) -> Callable[..., Iterator]:
+    """The window rows of one model at a base vertex, for every mode.
+
+    The chain sides are chosen once with no base vertex, which serves every
+    base vertex off the chains of ``cuts``, and again for a base vertex on
+    one of them (the chain-window lemma of ``stability``).  Margins are
+    computed as the verdicts read them and replayed for the next mode, so
+    a window that fails early spares the rows after it.
+    """
+    ends = graph.edge_ends
+
+    def rows(base_vertex: str | None = None) -> Iterator:
+        sides = _chain_sides(cuts, ends, values, noninvertible, rank, e_values, base_vertex)
+        return _margins(sides, ends, values, noninvertible, rank, e_values)
+
+    on_chains = {v for row in cuts if len(row) > 3 for path in row[3] for v in path[1:-1]}
+    shared = rows()
+
+    def at(base_vertex: str | None = None) -> Iterator:
+        nonlocal shared
+        if base_vertex in on_chains:
+            return rows(base_vertex)
+        shared, replay = tee(shared)
+        return replay
+
+    return at
+
+
 def check_famchain2_instance(mod: Modification, deg: Multidegree) -> list[dict]:
     """The three stability equivalences across one modification.
 
     Bundle stability on the source against the pulled-back canonical
     polarization must match admissibility plus model stability on the
-    target, in all three modes.  Non-admissible bundles must fail.  Each
-    side's cut windows are computed once and read in every mode.
+    target, in all three modes.  Non-admissible bundles must fail.  Both
+    sides read the target's cut table: the source is the subdivision of
+    the target along the registered chains, so by the bond lemma of
+    ``stability`` its cuts are the target's with chain rows.  A target
+    whose own table has chain rows leaves the source its own table.  Each
+    side's chain sides are chosen once and its windows read, as far as a
+    verdict needs them, in every mode: every base vertex is a target
+    vertex, on no registered chain.
     """
     failures = []
     d = deg.total
     pol = canonical_polarization(mod.target, d)
-    source_rows = list(_polarized_margins(pol.pullback(mod), mod.source, d, deg.as_dict, (),
-                                          _cut_table))
+    e_values = dict(pol.e.as_dict)
+    target_cuts = _cut_table(mod.target)
+    if all(len(row) == 3 for row in target_cuts):
+        source_cuts = _series_cuts(mod.target, mod.chain_registry)
+    else:
+        source_cuts = _cut_table(mod.source)
+    # the pulled-back polarization: the same rank, and e is 0 on the chains
+    source = _window_rows(mod.source, dict(deg.as_dict), (), pol.rank,
+                          dict.fromkeys(mod.chain_vertices, 0) | e_values, source_cuts)
     flags = admissibility(mod, deg)
-    target_rows = []
-    if flags.admissible:
+    if flags.admissible:  # else every target verdict below is short-circuited
         model = pushforward_model(mod, deg)
-        target_rows = list(_polarized_margins(pol, mod.target, model.degree,
-                                              model.multidegree.as_dict, model.noninvertible,
-                                              _cut_table))
+        target = _window_rows(mod.target, dict(model.multidegree.as_dict), model.noninvertible,
+                              pol.rank, e_values, target_cuts)
 
     def holds(rows, mode, base_vertex=None):
         ok = _stability_test(mode, base_vertex, window=True)
         return all(ok(z, m, hi) for z, m, hi in rows)
 
-    semi = flags.admissible and holds(target_rows, "semistable")
-    stab = flags.admissible and holds(target_rows, "stable")
-    if holds(source_rows, "semistable") != semi:
+    semi = flags.admissible and holds(target(), "semistable")
+    stab = flags.admissible and holds(target(), "stable")
+    if holds(source(), "semistable") != semi:
         failures.append(_repro("semistable equivalence failed",
                                graph=mod.target, mod=mod, deg=deg))
-    if holds(source_rows, "stable") != (flags.invertible and stab):
+    if holds(source(), "stable") != (flags.invertible and stab):
         failures.append(_repro("stable equivalence failed",
                                graph=mod.target, mod=mod, deg=deg))
     for p in mod.target.vertex_ids:
-        left = holds(source_rows, "quasistable", p)
-        right = flags.admissible and flags.negatively and holds(target_rows, "quasistable", p)
+        left = holds(source(p), "quasistable", p)
+        right = flags.admissible and flags.negatively and holds(target(p), "quasistable", p)
         if left != right:
             failures.append(_repro(f"quasistable equivalence failed at base {p!r}",
                                    graph=mod.target, mod=mod, deg=deg))

@@ -1,7 +1,11 @@
 """The bundle/sheaf-model correspondence and its certification."""
 
+import os
+import subprocess
+import sys
 from functools import lru_cache
 from itertools import combinations
+from pathlib import Path
 from weakref import WeakValueDictionary
 
 import pytest
@@ -163,6 +167,23 @@ class TestCertify:
     def test_negative_degree(self):
         report = certify_bijection(theta_graph(), -1)
         assert report.bijection
+
+    def test_mismatch_order_ignores_the_hash_seed(self):
+        # with no models enumerated, all 12 images of theta at d = 2 are
+        # mismatches, three of them with N empty; one order under any hash seed
+        script = ("from nodalcalc import correspondence, theta_graph\n"
+                  "correspondence.enumerate_semistable_models = lambda *args: []\n"
+                  "for line in correspondence.certify_bijection(theta_graph(), 2).mismatches:\n"
+                  "    print(line)\n")
+        src = str(Path(correspondence.__file__).resolve().parents[1])
+        outputs = []
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                                 text=True, timeout=60, check=True)
+            outputs.append(run.stdout)
+        assert outputs[0] == outputs[1]
+        assert outputs[0].count("pushforward image not semistable") == 12
 
     def test_round_trip_check_catches_a_lossy_lift(self, monkeypatch):
         real = correspondence.phi_inverse

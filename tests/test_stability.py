@@ -2,6 +2,8 @@
 
 import functools
 import random
+import time
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 from math import ceil, floor
@@ -13,6 +15,7 @@ from nodalcalc import (
     Multidegree,
     Polarization,
     SheafModel,
+    admissibility,
     balanced_report,
     boundary_count,
     bundle_stability_report,
@@ -30,6 +33,7 @@ from nodalcalc import (
     modify,
     omega_multidegree,
     pullback_multidegree,
+    pushforward_model,
     sheaf_degree,
     sheaf_stability_report,
     small_modification,
@@ -759,11 +763,30 @@ class TestSeriesCuts:
         return [mod.source for mod in mods if mod.chain_registry]
 
     @staticmethod
-    def assert_cuts_match_the_full_table(graph):
+    def expand(graph, rows):
+        """One row (Z, chi, k) per side of each chain row, one part per arm for
+        every pick; checks that each arm is a path of the graph whose one edge
+        after the part crosses Z, with one edge between consecutive vertices."""
+        for row in rows:
+            if len(row) == 3:
+                yield row
+                continue
+            w, chi, k, arms = row
+            for path in arms:
+                for a, b in zip(path, path[1:]):
+                    assert [o for _, o in graph.incidence[a]].count(b) == 1, (graph, path)
+            for pick in product(*(range(len(path) - 1) for path in arms)):
+                z = w.union(*(path[1:j + 1] for path, j in zip(arms, pick)))
+                for path, j in zip(arms, pick):
+                    assert set(path[:j + 1]) <= z and not z & set(path[j + 1:]), (graph, z)
+                yield z, chi, k
+
+    @classmethod
+    def assert_cuts_match_the_full_table(cls, graph, table=None):
         full = dict(_subcurve_table(graph))
         whole = frozenset(graph.vertex_ids)
         want = {frozenset((z, whole - z)) for z in full if whole - z in full}
-        rows = _cut_table(graph)
+        rows = list(cls.expand(graph, _cut_table(graph) if table is None else table))
         got = [frozenset((z, whole - z)) for z, _, _ in rows]
         assert len(got) == len(set(got)), graph
         assert set(got) == want, graph
@@ -771,18 +794,36 @@ class TestSeriesCuts:
             assert (chi, k) == (full[z], boundary_count(graph, z)), (graph, z)
 
     def test_derived_tables_match_the_full_table(self):
+        # row by row: the chain rows, expanded one side per pick, against the
+        # cuts of the full subcurve table
         sources = self.sources()
         assert len(sources) > 450
         for source in sources:
             assert _cut_table(source) == _series_cuts(*_series_reduction(source))
             self.assert_cuts_match_the_full_table(source)
 
+    def test_modification_sources_read_their_targets(self):
+        # the bond lemma along a modification's registered chains, over the
+        # target's own cut table, as check_famchain2_instance reads it
+        rng = random.Random(3120)
+        checked = 0
+        for _ in range(60):
+            graph = random_stable_graph(rng, 5, 4)
+            mod = modify(graph, {e: rng.randint(1, 3)
+                                 for e in graph.edge_ends if rng.random() < 0.6})
+            rows = _series_cuts(mod.target, mod.chain_registry)
+            self.assert_cuts_match_the_full_table(mod.source, rows)
+            checked += bool(mod.chain_registry)
+        assert checked > 40
+
     def test_intervals_and_bridges(self):
         # the elliptic bridge's edge is a bridge: its chain has no interval row,
         # while each of theta's chains contributes its m (m + 1) / 2 intervals
         bridge = modify(elliptic_bridge(), {"e1": 3}).source
-        assert all(len(z & {"v", "w"}) == 1 for z, _, _ in _cut_table(bridge))
-        assert len(_cut_table(bridge)) == 4
+        rows = list(self.expand(bridge, _cut_table(bridge)))
+        assert len(_cut_table(bridge)) == 1
+        assert all(len(z & {"v", "w"}) == 1 for z, _, _ in rows)
+        assert len(rows) == 4
         theta = modify(theta_graph(), {"e1": 3}).source
         intervals = [row for row in _cut_table(theta) if not row[0] & {"v", "w"}]
         assert sorted(intervals, key=lambda row: sorted(row[0])) == [
@@ -829,9 +870,52 @@ class TestSeriesCuts:
         assert checked > 5000
         assert len(outcomes) == 6
 
+    @staticmethod
+    def centered(rng, graph, subset, pol, d):
+        """Degrees near the middle of each one-vertex window under N, summing to
+        d - |N|, so many models pass and their verdicts turn on single sides."""
+        ends = [graph.edge_ends[e] for e in subset]
+        values = {}
+        for v in graph.vertex_ids:
+            loops = graph.loops_at(v)
+            crossing = sum((a == v) != (b == v) for a, b in ends)
+            inside = sum(a == v == b for a, b in ends)
+            middle = ((graph.valence(v) - 2 * loops - crossing) / 2
+                      - (1 - graph.genus_of(v) - loops) - pol.e[v] / pol.rank - inside)
+            values[v] = round(middle + rng.uniform(-0.7, 0.7))
+        while (gap := d - len(subset) - sum(values.values())) != 0:
+            values[rng.choice(graph.vertex_ids)] += 1 if gap > 0 else -1
+        return values
+
+    def test_sheaf_verdicts_match_the_report(self):
+        # non-invertible sets holding chain edges, every mode, every base vertex
+        # (chain vertices included), under random compatible polarizations
+        rng = random.Random(2718)
+        checked, outcomes, chain_nodes = 0, Counter(), 0
+        for src in self.sources(longest=2):
+            ids = sorted(src.edge_ends)
+            for _ in range(4):
+                subset = frozenset(e for e in ids if rng.random() < 0.3)
+                chain_nodes += any("#" in e for e in subset)
+                d = rng.randint(src.genus - 2, src.genus + 1)
+                rank = rng.randint(1, 3)
+                e = {v: rng.randint(-3, 3) for v in src.vertex_ids}
+                e[src.vertex_ids[0]] -= rank * (d + 1 - src.genus) + sum(e.values())
+                pol = Polarization(rank, Multidegree(src, e))
+                vals = self.centered(rng, src, subset, pol, d)
+                model = SheafModel(src, subset, Multidegree(src, vals))
+                report = sheaf_stability_report(model, pol)
+                for mode in TestCutWindows.modes(src):
+                    verdict = check_sheaf_stability(model, pol, *mode)
+                    assert verdict == report.verdict(*mode), (src, mode, model)
+                    outcomes[mode[0], verdict] += 1
+                    checked += 1
+        assert checked > 5000 and chain_nodes > 500, (checked, chain_nodes)
+        assert len(outcomes) == 6 and min(outcomes.values()) > 50, outcomes
+
 
 class TestSeriesCutBound:
-    """Derived cut tables are counted before any row is built."""
+    """Chain rows stand for many sides; only the rows built are counted."""
 
     @staticmethod
     def k5_subdivided(length):
@@ -839,30 +923,54 @@ class TestSeriesCutBound:
                        tuple((a + b, (a, b)) for a, b in combinations("abcde", 2)))
         return modify(k5, dict.fromkeys(k5.edge_ends, length))
 
-    def test_long_chains_on_k5_refused(self, monkeypatch):
-        # 10 (7^6) + 5 (7^4) rows from the 15 cuts of K5, plus 10 chains of 21
-        # intervals: 1,188,705 rows, refused before any is built
-        def no_rows(*args):
-            raise AssertionError("a cut row was built")
-
-        monkeypatch.setattr("nodalcalc.stability.product", no_rows)
-        mod = self.k5_subdivided(6)
-        pol = canonical_polarization(mod.target, 4).pullback(mod)
-        deg = Multidegree(mod.source, dict.fromkeys(mod.source.vertex_ids, 0) | {"a": 4})
-        with pytest.raises(ValueError, match="1188705 cuts .* more than 1048576; too many"):
-            check_bundle_stability(deg, pol)
+    def test_long_chains_on_k5_answer_within_a_second(self):
+        # 473,190 and 1,188,705 sides, the second past the 2^20 bound on rows,
+        # decided on 15 chain rows.  Oracle: the famchain equivalence on K5.  An
+        # admissible bundle is semistable exactly when its model is, stable when
+        # also invertible, and quasistable at p when also negatively admissible.
+        outcomes = set()
+        for length in (5, 6):
+            mod = self.k5_subdivided(length)
+            chain = mod.chains["ab"]
+            for plain, bumps in (({"a": 4}, ()), (dict.fromkeys("abcde", 1), ()),
+                                 ({"a": 2, "b": 2, "c": 1, "e": 1}, ()),
+                                 (dict.fromkeys("abcde", 1), ((0, 1), (1, -1))),
+                                 ({"a": 2, "b": 1, "c": 1, "d": 1}, ((2, 1),))):
+                values = dict.fromkeys(mod.source.vertex_ids, 0) | plain
+                values.update((chain[i], x) for i, x in bumps)
+                deg = Multidegree(mod.source, values)
+                d = deg.total
+                model, flags = pushforward_model(mod, deg), admissibility(mod, deg)
+                k5_pol = canonical_polarization(mod.target, d)
+                pol = k5_pol.pullback(mod)
+                for mode, base in (("semistable", None), ("stable", None), ("quasistable", "c")):
+                    start = time.perf_counter()
+                    verdict = check_bundle_stability(deg, pol, mode, base)
+                    assert time.perf_counter() - start < 1, (length, d, mode)
+                    want = check_sheaf_stability(model, k5_pol, mode, base) and {
+                        "semistable": True, "stable": flags.invertible,
+                        "quasistable": flags.negatively}[mode]
+                    assert verdict == want, (length, d, mode, plain, bumps)
+                    outcomes.add((mode, verdict))
+        assert len(outcomes) == 6
 
     def test_bound_counts_every_row(self, monkeypatch):
-        # the count is exact: a bound of the row count passes, one less does not
-        sources = [lambda: self.k5_subdivided(1).source,
-                   lambda: modify(K4, {"ab": 2, "cd": 3}).source,
-                   lambda: modify(elliptic_bridge(), {"e1": 3}).source,
-                   lambda: modify(CUT_VERTEX, {"ca": 2, "cc": 2}).source]
-        for build in sources:
-            rows = len(_cut_table(build()))
-            monkeypatch.setattr("nodalcalc.graphs._MAX_SUBCURVES", rows)
-            assert len(_cut_table(build())) == rows
-            monkeypatch.setattr("nodalcalc.graphs._MAX_SUBCURVES", rows - 1)
-            with pytest.raises(ValueError, match=f"{rows} cuts .* too many to enumerate"):
-                _cut_table(build())
-            monkeypatch.undo()
+        # the count is exact: a bound of the chain and interval rows passes,
+        # one less does not; each target's own table is built before the bound
+        mods = [lambda: self.k5_subdivided(1),
+                lambda: modify(K4, {"ab": 2, "cd": 3}),
+                lambda: modify(elliptic_bridge(), {"e1": 3}),
+                lambda: modify(CUT_VERTEX, {"ca": 2, "cc": 2})]
+        for build in mods:
+            rows = len(_cut_table(build().source))
+            for bound in (rows, rows - 1):
+                mod = build()
+                _cut_table(mod.target)
+                monkeypatch.setattr("nodalcalc.graphs._MAX_SUBCURVES", bound)
+                if bound == rows:
+                    assert len(_series_cuts(mod.target, mod.chain_registry)) == rows
+                else:
+                    with pytest.raises(ValueError, match=f"{rows} cut rows, more than {bound}; "
+                                                         "too many to enumerate"):
+                        _series_cuts(mod.target, mod.chain_registry)
+                monkeypatch.undo()

@@ -1,6 +1,7 @@
 """Generators and suite plumbing behind the verification harness."""
 
 import random
+from itertools import islice
 
 import pytest
 
@@ -8,6 +9,8 @@ from nodalcalc import (
     ALL_SUITES,
     DualGraph,
     VerifyConfig,
+    bundle_stability_report,
+    canonical_polarization,
     classify,
     elliptic_bridge,
     interval_sum_range,
@@ -16,7 +19,9 @@ from nodalcalc import (
     run_verification,
     stable_model,
     theta_graph,
+    verify,
 )
+from nodalcalc.stability import _stability_test
 from nodalcalc.verify import (
     admissible_sequences,
     chain_twister_options,
@@ -161,6 +166,53 @@ class TestInstanceChecks:
         for mod, deg in exhaustive_instances(elliptic_bridge(), max_eta=1, plain_window=1):
             assert check_pushforward_instance(mod, deg) == []
             assert check_famchain2_instance(mod, deg) == []
+
+    def test_source_verdicts_match_the_report(self, monkeypatch):
+        # the source windows check_famchain2_instance reads, against the
+        # full-table report in every mode and at every target vertex.  On the
+        # exhaustive theta and bridge families the chain sides are chosen once,
+        # with no base vertex.  A target with an exceptional vertex has chain
+        # rows of its own, so the source keeps its own table, and the sides are
+        # chosen again at a base vertex on one of its chains.
+        window_rows, chain_sides, seen, chosen = verify._window_rows, verify._chain_sides, [], []
+
+        def spy_rows(graph, *args):
+            seen.append((graph, window_rows(graph, *args)))
+            return seen[-1][1]
+
+        def spy_sides(rows, *args):
+            chosen.append(args[-1])
+            return chain_sides(rows, *args)
+
+        monkeypatch.setattr(verify, "_window_rows", spy_rows)
+        monkeypatch.setattr(verify, "_chain_sides", spy_sides)
+        quasistable_target = modify(theta_graph(), {"e1": 1}).source
+        families = [exhaustive_instances(theta_graph(), max_eta=2, plain_window=1),
+                    exhaustive_instances(elliptic_bridge(), max_eta=2, plain_window=2),
+                    islice(exhaustive_instances(quasistable_target, max_eta=1, plain_window=1),
+                           0, None, 4)]
+        checked, outcomes, chosen_again = 0, set(), 0
+        for mod, deg in (pair for family in families for pair in family):
+            seen.clear()
+            chosen.clear()
+            assert check_famchain2_instance(mod, deg) == []
+            if mod.target is quasistable_target:
+                chosen_again += sum(p is not None for p in chosen)
+            else:
+                assert chosen == [None] * len(seen)
+            [rows_at] = [at for graph, at in seen if graph is mod.source]
+            pol = canonical_polarization(mod.target, deg.total).pullback(mod)
+            report = bundle_stability_report(deg, pol)
+            modes = [("semistable", None), ("stable", None)] + [
+                ("quasistable", p) for p in mod.target.vertex_ids]
+            for mode in modes:
+                ok = _stability_test(*mode, window=True)
+                verdict = all(ok(*row) for row in rows_at(mode[1]))
+                assert verdict == report.verdict(*mode), (mod, deg, mode)
+                outcomes.add((mode[0], verdict))
+                checked += 1
+        assert checked > 5000 and chosen_again > 1000
+        assert len(outcomes) == 6
 
     def test_biss_instances_pass(self):
         # degree 1 on every chain vertex is the check's precondition
