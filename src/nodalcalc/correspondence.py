@@ -5,7 +5,24 @@ stable target gives a semistable sheaf model; conversely a sheaf model
 lifts to the modification that subdivides exactly its non-invertible
 edges once, with degree 1 on the inserted vertices.  These two maps are
 mutually inverse, and ``certify_bijection`` proves it degree by degree
-by enumerating both sides and chasing every element through both maps.
+by chasing every balanced bundle through both maps and matching the
+images against the semistable models, one stratum at a time.
+
+    Lemma (strata).  Let Y_N be the small modification of X along an
+    edge set N and vec a multidegree on the vertices of X.  Then phi
+    maps (Y_N, vec plus 1 on each chain vertex) to the model (N, vec).
+
+    Proof.  Each chain has one vertex, of degree 1, so its only
+    contiguous run sums to 1: the edge becomes non-invertible and no
+    endpoint is corrected, and vertices away from the chains keep their
+    degrees (the rules of ``pushforward_model``).
+
+So the bundles of stratum N, on Y_N, and the models with non-invertible
+set N are drawn from one box of vectors, and matching never crosses
+strata: ``stability._strata`` walks each edge subset once, hands every
+vector of its box to the bundle side and to the model side, and the
+stratum is matched on degree vectors and dropped.  Memory is bounded by
+the largest stratum; a ``SheafModel`` is built only for a mismatch.
 """
 
 from __future__ import annotations
@@ -16,7 +33,7 @@ from .graphs import DualGraph, classify, exceptional_vertices
 from .modifications import Modification, is_small, small_modification
 from .pushforward import pushforward_model
 from .sheaves import Multidegree, SheafModel
-from .stability import enumerate_balanced, enumerate_semistable_models
+from .stability import _model, _stability_test, _strata
 
 
 def phi(mod: Modification, deg: Multidegree) -> tuple[DualGraph, SheafModel]:
@@ -93,44 +110,57 @@ def _model_order(model: SheafModel) -> tuple:
 
 
 def certify_bijection(graph: DualGraph, d: int, mode: str = "balanced") -> CorrespondenceReport:
-    """Enumerate both sides at degree d and verify the two-sided inverse.
+    """Walk both sides at degree d, stratum by stratum, and verify the two-sided inverse.
 
     Checks that the pushforward of every balanced bundle is a distinct
-    enumerated semistable model, that every semistable model is hit,
-    and that lifting the image returns the original pair exactly.
+    semistable model, that every semistable model is hit, and that lifting
+    the image returns the original pair exactly.  Graph and round-trip
+    mismatches are listed in enumeration order, then "not injective" at
+    most once, then the models not reached and the images not semistable,
+    each sorted by non-invertible set and degrees.
     """
     if mode not in _SHEAF_MODE:
         raise ValueError(f"unknown balanced mode {mode!r}")
-    balanced = enumerate_balanced(graph, d, mode)
-    models = enumerate_semistable_models(graph, d, _SHEAF_MODE[mode])
+    ok = _stability_test(_SHEAF_MODE[mode], None, window=True)
     mismatches: list[str] = []
+    missing: list[SheafModel] = []
+    extra: list[SheafModel] = []
+    injective = True
+    balanced_count = semistable_count = 0
+    for subset, mod, models, bundles in _strata(graph, d, ok):
+        balanced_count += len(bundles)
+        semistable_count += len(models)
+        images: dict[tuple[int, ...], SheafModel] = {}
+        for deg in bundles:
+            target, image = phi(mod, deg)
+            if target != graph:
+                mismatches.append(f"pushforward changed the graph for {deg.to_json_dict()}")
+            back_mod, back_deg = phi_inverse(graph, image)
+            if back_mod != mod or back_deg != deg:
+                mismatches.append(f"round trip failed for model {image.to_json_dict()}")
+            # matching on degree vectors is sound only inside the stratum
+            if image.graph != graph or image.noninvertible != mod.modified_edges:
+                raise AssertionError("pushforward left its stratum")
+            vec = tuple(value for _, value in image.multidegree.values)
+            if vec in images:
+                injective = False
+            images[vec] = image
+        reached = set(models)
+        missing.extend(_model(graph, subset, vec) for vec in models if vec not in images)
+        extra.extend(image for vec, image in images.items() if vec not in reached)
 
-    images = []
-    for mod, deg in balanced:
-        target, image = phi(mod, deg)
-        if target != graph:
-            mismatches.append(f"pushforward changed the graph for {deg.to_json_dict()}")
-        images.append(image)
-        back_mod, back_deg = phi_inverse(graph, image)
-        if back_mod != mod or back_deg != deg:
-            mismatches.append(
-                f"round trip failed for model {image.to_json_dict()}"
-            )
-
-    if len(set(images)) != len(images):
+    if not injective:
         mismatches.append("pushforward is not injective on balanced bundles")
-    image_set = set(images)
-    model_set = set(models)
-    for missing in sorted(model_set - image_set, key=_model_order):
-        mismatches.append(f"semistable model not reached: {missing.to_json_dict()}")
-    for extra in sorted(image_set - model_set, key=_model_order):
-        mismatches.append(f"pushforward image not semistable: {extra.to_json_dict()}")
+    for model in sorted(missing, key=_model_order):
+        mismatches.append(f"semistable model not reached: {model.to_json_dict()}")
+    for model in sorted(extra, key=_model_order):
+        mismatches.append(f"pushforward image not semistable: {model.to_json_dict()}")
 
     return CorrespondenceReport(
         degree=d,
         mode=mode,
-        balanced_count=len(balanced),
-        semistable_count=len(models),
-        bijection=not mismatches and len(balanced) == len(models),
+        balanced_count=balanced_count,
+        semistable_count=semistable_count,
+        bijection=not mismatches and balanced_count == semistable_count,
         mismatches=tuple(mismatches),
     )

@@ -211,9 +211,10 @@ def modify(graph: DualGraph, lengths: Mapping[str, int]) -> Modification:
 _SMALL_CACHE_SIZE = 512
 
 # Every small modification still referenced anywhere, kept or not by the
-# bounded cache.  A certify pass on K5 walks 1,024 edge sets before its round
-# trip asks again for the modification of each balanced pair, which the
-# pair itself still holds.
+# bounded cache.  certify_bijection asks for a modification again in its round
+# trip while it walks that modification's stratum, and holds it meanwhile.  A
+# caller of enumerate_balanced gets the pairs of every edge set at once (1,024
+# on K5) and may lift their images long after; each pair holds its own.
 _live_small: WeakValueDictionary = WeakValueDictionary()
 
 

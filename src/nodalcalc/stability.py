@@ -10,7 +10,10 @@ exceptional vertex, is the balanced condition.  One kernel yields the
 integer margins; each verdict mode is one exact predicate on them.  The
 reports read a graph's full subcurve table; the check_* verdicts and
 both enumerators read one two-sided window per cut (Caporaso's basic
-inequality) and stop at the first failing window.  A graph with
+inequality) and stop at the first failing window.  The enumerators are
+one walk of the edge subsets, ``_strata``, that hands each vector of a
+stratum's box to a model side and a bundle side, with the second lemma
+below; certify_bijection takes both sides from one walk.  A graph with
 exceptional chains reads its cuts off the graph with each chain
 contracted to one edge, one chain row per cut, so its subcurves are
 never enumerated; each verdict decides a chain row on at most four of
@@ -663,35 +666,6 @@ def _check_enumerable(graph: DualGraph) -> None:
         raise ValueError("enumeration requires genus at least 2")
 
 
-def enumerate_semistable_models(
-    graph: DualGraph, d: int, mode: str = "semistable", base_vertex: str | None = None,
-) -> list[SheafModel]:
-    """All semistable sheaf models of total degree d, canonical polarization.
-
-    The graph must be stable of genus at least 2.  Enumeration order is
-    deterministic: non-invertible sets in lexicographic order of their
-    sorted edge ids, then multidegrees in lexicographic order over the
-    sorted vertices.  A candidate is rejected at its first failing cut
-    window, on integer chi margins; the box decides the rows {v}.
-    """
-    ok = _stability_test(mode, base_vertex, graph, window=True)
-    _check_enumerable(graph)
-    vids, ends = graph.vertex_ids, graph.edge_ends
-    cuts = [row for row in _cut_table(graph) if len(row[0]) > 1]
-    scale = 2 * graph.genus - 2
-    e_values = _canonical_e(graph, d)
-    out = []
-    for subset, vectors in _boxes(graph, d, ok):
-        for vec in vectors:
-            values = dict(zip(vids, vec))
-            if all(ok(z, m, hi) for z, m, hi in _margins(cuts, ends, values, subset, scale,
-                                                         e_values)):
-                out.append(SheafModel(
-                    graph, frozenset(subset), Multidegree(graph, tuple(values.items()))
-                ))
-    return out
-
-
 def _lifted_rows(mod: Modification, cuts: Iterable[tuple]) -> list[tuple]:
     """Cut rows (W, chi, k) of a small modification's target, lifted to its source:
     W plus the chain vertex of each modified edge inside it, chi, and k less
@@ -704,6 +678,111 @@ def _lifted_rows(mod: Modification, cuts: Iterable[tuple]) -> list[tuple]:
         crossing = sum((a in w) != (b in w) for (a, b), _ in chains)
         rows.append((w.union(inside) if inside else w, chi, k - crossing))
     return rows
+
+
+def _model_side(graph: DualGraph, d: int, ok: Callable) -> Callable:
+    """The model side of ``_strata``: per stratum N, a predicate on box vectors.
+
+    A vector of degrees over graph.vertex_ids passes when every cut window
+    of the graph under N holds, read on integer chi margins up to the first
+    failing window; the box decides the rows {v}.
+    """
+    vids, ends = graph.vertex_ids, graph.edge_ends
+    cuts = [row for row in _cut_table(graph) if len(row[0]) > 1]
+    scale, e_values = 2 * graph.genus - 2, _canonical_e(graph, d)
+
+    def stratum(subset: tuple[str, ...]) -> Callable[[tuple[int, ...]], bool]:
+        return lambda vec: all(ok(z, m, hi) for z, m, hi in _margins(
+            cuts, ends, dict(zip(vids, vec)), subset, scale, e_values))
+
+    return stratum
+
+
+def _bundle_side(graph: DualGraph, d: int, ok: Callable) -> Callable:
+    """The bundle side of ``_strata``: per stratum N, its modification and a lift.
+
+    The modification is small_modification(graph, N); the lift takes a box
+    vector, puts 1 on every chain vertex, and returns the bundle's
+    ``Multidegree`` on the source when every window of ``_lifted_rows``
+    holds, else None.  No source table is built.
+    """
+    cuts = [row for row in _cut_table(graph) if len(row[0]) > 1]
+    scale = 2 * graph.genus - 2
+    vids = graph.vertex_ids  # the sources' other vertices, in the same order
+
+    def stratum(subset: tuple[str, ...]) -> tuple[Modification, Callable]:
+        mod = small_modification(graph, subset)
+        source = mod.source
+        if classify(source) not in ("stable", "quasistable"):
+            raise ValueError("balanced multidegrees live on quasistable graphs")
+        rows, ends, order = _lifted_rows(mod, cuts), source.edge_ends, source.vertex_ids
+        e_values = _canonical_e(source, d)
+        ones = dict.fromkeys(mod.chain_vertices, 1)  # the exceptional vertices
+
+        def lift(vec: tuple[int, ...]) -> Multidegree | None:
+            values = dict(zip(vids, vec)) | ones
+            if all(ok(z, m, hi) for z, m, hi in _margins(rows, ends, values, (), scale,
+                                                         e_values)):
+                return Multidegree(source, tuple((v, values[v]) for v in order))
+            return None
+
+        return mod, lift
+
+    return stratum
+
+
+def _strata(
+    graph: DualGraph, d: int, ok: Callable, models: bool = True, bundles: bool = True,
+) -> Iterator[tuple[tuple[str, ...], Modification | None, list, list]]:
+    """One walk of the edge subsets for both sides of the correspondence.
+
+    Per edge subset N with a nonempty box, in ``_edge_subsets`` order, yields
+    (N, mod, model vectors, bundle multidegrees).  Each vector of the box,
+    in its order, goes to the model side (``_model_side``) when ``models``
+    is set, and to the bundle side (``_bundle_side``, on its modification
+    mod) when ``bundles`` is set; without it mod is None.  The two sides
+    share nothing but the box, and a stratum's lists are the caller's to
+    drop.  The graph must be stable of genus at least 2.
+    """
+    _check_enumerable(graph)
+    model_side = _model_side(graph, d, ok) if models else None
+    bundle_side = _bundle_side(graph, d, ok) if bundles else None
+    for subset, vectors in _boxes(graph, d, ok):
+        accepts = model_side(subset) if model_side else None
+        mod, lift = bundle_side(subset) if bundle_side else (None, None)
+        kept, lifted = [], []
+        for vec in vectors:
+            if accepts is not None and accepts(vec):
+                kept.append(vec)
+            if lift is not None:
+                deg = lift(vec)
+                if deg is not None:
+                    lifted.append(deg)
+        yield subset, mod, kept, lifted
+
+
+def _model(graph: DualGraph, subset: Iterable[str], vec: tuple[int, ...]) -> SheafModel:
+    """The sheaf model with non-invertible set ``subset`` and degrees ``vec`` over
+    graph.vertex_ids, built in canonical form."""
+    deg = Multidegree(graph, tuple(zip(graph.vertex_ids, vec)))
+    return SheafModel(graph, frozenset(subset), deg)
+
+
+def enumerate_semistable_models(
+    graph: DualGraph, d: int, mode: str = "semistable", base_vertex: str | None = None,
+) -> list[SheafModel]:
+    """All semistable sheaf models of total degree d, canonical polarization.
+
+    The graph must be stable of genus at least 2.  Enumeration order is
+    deterministic: non-invertible sets in lexicographic order of their
+    sorted edge ids, then multidegrees in lexicographic order over the
+    sorted vertices.  A candidate is rejected at its first failing cut
+    window, on integer chi margins; the box decides the rows {v}.
+    """
+    ok = _stability_test(mode, base_vertex, graph, window=True)
+    return [_model(graph, subset, vec)
+            for subset, _, vectors, _ in _strata(graph, d, ok, bundles=False)
+            for vec in vectors]
 
 
 def enumerate_balanced(
@@ -720,24 +799,5 @@ def enumerate_balanced(
     if mode not in ("balanced", "stably_balanced"):
         raise ValueError(f"unknown balanced mode {mode!r}")
     ok = _stability_test("semistable" if mode == "balanced" else "stable", None, window=True)
-    _check_enumerable(graph)
-    cuts = [row for row in _cut_table(graph) if len(row[0]) > 1]
-    scale = 2 * graph.genus - 2
-    plain = graph.vertex_ids  # the sources' other vertices, in the same order
-    out = []
-    for subset, vectors in _boxes(graph, d, ok):
-        mod = small_modification(graph, subset)
-        source = mod.source
-        if classify(source) not in ("stable", "quasistable"):
-            raise ValueError("balanced multidegrees live on quasistable graphs")
-        rows = _lifted_rows(mod, cuts)
-        e_values = _canonical_e(source, d)
-        chain_vs = mod.chain_vertices  # the exceptional vertices, so degree 1 holds
-        for vec in vectors:
-            values = dict(zip(plain, vec)) | dict.fromkeys(chain_vs, 1)
-            if all(ok(z, m, hi) for z, m, hi in _margins(rows, source.edge_ends, values, (),
-                                                         scale, e_values)):
-                out.append((mod, Multidegree(source, tuple(
-                    (v, values[v]) for v in source.vertex_ids
-                ))))
-    return out
+    return [(mod, deg) for _, mod, _, degs in _strata(graph, d, ok, models=False)
+            for deg in degs]

@@ -1,6 +1,7 @@
 """The bundle/sheaf-model correspondence and its certification."""
 
 import os
+import random
 import subprocess
 import sys
 from functools import lru_cache
@@ -24,8 +25,9 @@ from nodalcalc import (
     small_modification,
     theta_graph,
 )
-from nodalcalc import correspondence, modifications
+from nodalcalc import correspondence, modifications, stability
 from nodalcalc.stability import _boxes, _stability_test
+from nodalcalc.verify import random_stable_graph
 
 
 def loop_vertex():
@@ -169,10 +171,10 @@ class TestCertify:
         assert report.bijection
 
     def test_mismatch_order_ignores_the_hash_seed(self):
-        # with no models enumerated, all 12 images of theta at d = 2 are
+        # with no model accepted, all 12 images of theta at d = 2 are
         # mismatches, three of them with N empty; one order under any hash seed
-        script = ("from nodalcalc import correspondence, theta_graph\n"
-                  "correspondence.enumerate_semistable_models = lambda *args: []\n"
+        script = ("from nodalcalc import correspondence, stability, theta_graph\n"
+                  "stability._model_side = lambda graph, d, ok: lambda subset: lambda vec: False\n"
                   "for line in correspondence.certify_bijection(theta_graph(), 2).mismatches:\n"
                   "    print(line)\n")
         src = str(Path(correspondence.__file__).resolve().parents[1])
@@ -229,3 +231,185 @@ class TestCertify:
         assert data["bijection"] is True
         assert data["balanced_count"] == 1
         assert data["degree"] == 2
+
+
+def listed_certify(graph, d, mode="balanced"):
+    """The list-based certify: both public enumerators, global image and model sets.
+
+    An independent reference for the stratum-by-stratum ``certify_bijection``;
+    it calls ``phi`` and ``phi_inverse`` through the module, so faults
+    injected there reach both.
+    """
+    balanced = enumerate_balanced(graph, d, mode)
+    models = enumerate_semistable_models(
+        graph, d, {"balanced": "semistable", "stably_balanced": "stable"}[mode])
+    mismatches, images = [], []
+    for mod, deg in balanced:
+        target, image = correspondence.phi(mod, deg)
+        if target != graph:
+            mismatches.append(f"pushforward changed the graph for {deg.to_json_dict()}")
+        images.append(image)
+        back_mod, back_deg = correspondence.phi_inverse(graph, image)
+        if back_mod != mod or back_deg != deg:
+            mismatches.append(f"round trip failed for model {image.to_json_dict()}")
+    if len(set(images)) != len(images):
+        mismatches.append("pushforward is not injective on balanced bundles")
+
+    def order(model):
+        return sorted(model.noninvertible), model.multidegree.values
+
+    for missing in sorted(set(models) - set(images), key=order):
+        mismatches.append(f"semistable model not reached: {missing.to_json_dict()}")
+    for extra in sorted(set(images) - set(models), key=order):
+        mismatches.append(f"pushforward image not semistable: {extra.to_json_dict()}")
+    return {
+        "degree": d,
+        "mode": mode,
+        "balanced_count": len(balanced),
+        "semistable_count": len(models),
+        "bijection": not mismatches and len(balanced) == len(models),
+        "mismatches": mismatches,
+    }
+
+
+MODES = ("balanced", "stably_balanced")
+
+
+def oracle_cases():
+    yield from ((theta_graph(), d, mode) for d in range(-1, 5) for mode in MODES)
+    yield from ((elliptic_bridge(), d, mode) for d in range(0, 4) for mode in MODES)
+    yield from ((K4, d, mode) for d in range(2, 6) for mode in MODES)
+    rng = random.Random(20261018)
+    for i in range(24):
+        graph = random_stable_graph(rng, 5, 4)
+        yield graph, graph.genus - 1 + i % 3, MODES[i % 2]
+
+
+class TestStreamedCertify:
+    """The stratum-by-stratum certify against ``listed_certify``."""
+
+    def test_matches_the_listed_certify(self):
+        reports = []
+        for graph, d, mode in oracle_cases():
+            reports.append(certify_bijection(graph, d, mode).to_json_dict())
+            assert reports[-1] == listed_certify(graph, d, mode), (graph, d, mode)
+        assert len(reports) == 52 and all(r["bijection"] for r in reports)
+        assert sum(r["balanced_count"] for r in reports) == 2117
+
+    def test_walks_each_box_once(self, monkeypatch):
+        walks = []
+        real = stability._boxes
+
+        def counting(graph, d, ok):
+            walks.append(d)
+            return real(graph, d, ok)
+
+        monkeypatch.setattr(stability, "_boxes", counting)
+        for mode in MODES:
+            certify_bijection(K4, 2, mode)
+        assert walks == [2, 2]
+
+    @staticmethod
+    def shifted_phi(monkeypatch):
+        # move one unit of degree between the first two vertices of some
+        # images, so that images collide, leave the models and miss some
+        real = correspondence.phi
+
+        def shifted(mod, deg):
+            target, image = real(mod, deg)
+            values = image.multidegree.as_dict
+            first, second = image.graph.vertex_ids[:2]
+            if values[first] > values[second]:
+                moved = image.multidegree.replace(
+                    **{first: values[first] - 1, second: values[second] + 1})
+                image = SheafModel(image.graph, image.noninvertible, moved)
+            return target, image
+
+        monkeypatch.setattr(correspondence, "phi", shifted)
+
+    @staticmethod
+    def reflected_phi(monkeypatch):
+        # negate the first degree and keep the total on the second, so that
+        # the images leave the models out of their enumeration order
+        real = correspondence.phi
+
+        def reflected(mod, deg):
+            target, image = real(mod, deg)
+            values = image.multidegree.as_dict
+            first, second = image.graph.vertex_ids[:2]
+            moved = image.multidegree.replace(
+                **{first: -values[first], second: values[second] + 2 * values[first]})
+            return target, SheafModel(image.graph, image.noninvertible, moved)
+
+        monkeypatch.setattr(correspondence, "phi", reflected)
+
+    @staticmethod
+    def lossy_lift(monkeypatch):
+        real = correspondence.phi_inverse
+
+        def lossy(graph, model):
+            mod, deg = real(graph, model)
+            if model.noninvertible:
+                mod = small_modification(graph, sorted(model.noninvertible)[1:])
+            return mod, deg
+
+        monkeypatch.setattr(correspondence, "phi_inverse", lossy)
+
+    @staticmethod
+    def moved_target(monkeypatch):
+        real = correspondence.phi
+
+        def moved(mod, deg):
+            target, image = real(mod, deg)
+            return (elliptic_bridge() if len(mod.modified_edges) == 1 else target), image
+
+        monkeypatch.setattr(correspondence, "phi", moved)
+
+    @staticmethod
+    def rejecting_models(monkeypatch, graph, d, mode):
+        # the model side rejects one vector its own enumeration accepts
+        models = enumerate_semistable_models(
+            graph, d, {"balanced": "semistable", "stably_balanced": "stable"}[mode])
+        victim = models[len(models) // 2]
+        victim = victim.noninvertible, tuple(v for _, v in victim.multidegree.values)
+        real = stability._model_side
+
+        def rejecting(graph, d, ok):
+            side = real(graph, d, ok)
+
+            def stratum(subset):
+                accepts = side(subset)
+                return lambda vec: accepts(vec) and (frozenset(subset), vec) != victim
+
+            return stratum
+
+        monkeypatch.setattr(stability, "_model_side", rejecting)
+
+    @pytest.mark.parametrize("fault", ["shifted_phi", "reflected_phi", "lossy_lift",
+                                       "moved_target", "rejecting_models"])
+    def test_matches_the_listed_certify_under_faults(self, monkeypatch, fault):
+        kinds = set()
+        cases = [(theta_graph(), 2, "balanced"), (theta_graph(), 3, "stably_balanced"),
+                 (elliptic_bridge(), 2, "balanced"), (K4, 2, "balanced"),
+                 (K4, 3, "stably_balanced")]
+        for graph, d, mode in cases:
+            with monkeypatch.context() as patch:
+                if fault == "rejecting_models":
+                    self.rejecting_models(patch, graph, d, mode)
+                else:
+                    getattr(self, fault)(patch)
+                report = certify_bijection(graph, d, mode)
+                want = listed_certify(graph, d, mode)
+            assert report.to_json_dict() == want, (fault, graph, d, mode)
+            assert "\n".join(report.mismatches) == "\n".join(want["mismatches"])
+            kinds.update(line.split(":")[0].split(" for ")[0] for line in report.mismatches)
+        want_kinds = {
+            "shifted_phi": {"round trip failed", "pushforward is not injective on balanced bundles",
+                            "semistable model not reached", "pushforward image not semistable"},
+            "reflected_phi": {"round trip failed", "semistable model not reached",
+                              "pushforward image not semistable"},
+            "lossy_lift": {"round trip failed"},
+            "moved_target": {"pushforward changed the graph"},
+            "rejecting_models": {"pushforward image not semistable"},
+        }[fault]
+        assert kinds == want_kinds
