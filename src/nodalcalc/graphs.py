@@ -75,8 +75,10 @@ class DualGraph:
     read-only: ``vertex_ids`` (sorted), ``genus_map``, ``edge_ends``,
     ``genus`` (arithmetic genus: first Betti number plus the vertex
     genera) and ``incidence``, which maps each vertex to its incident
-    ``(edge_id, other_end)`` pairs.  A loop at ``v`` appears twice in
-    the pairs of ``v``, so their number is the valence.
+    ``(edge_id, other_end)`` pairs in edge id order.  A loop at ``v``
+    appears twice in the pairs of ``v``, so their number is the valence.
+    The hash, the dataclass's ``hash((vertices, edges))``, is computed
+    once too.
     """
 
     vertices: tuple[tuple[str, int], ...]
@@ -99,20 +101,24 @@ class DualGraph:
         object.__setattr__(self, "edge_ends", MappingProxyType(dict(edges)))
         b1 = len(edges) - len(verts) + 1
         object.__setattr__(self, "genus", b1 + sum(g for _, g in verts))
+        object.__setattr__(self, "_hash", hash((self.vertices, self.edges)))
         self._validate()
 
     def _validate(self) -> None:
-        """Check the graph and set ``incidence``, once its endpoints are known."""
+        """Check the graph and set ``incidence``, once its endpoints are known.
+
+        The ids are sorted, so a repeated one shrinks its dict view, and the
+        edges reach each vertex in increasing id order.
+        """
         if not self.vertices:
             raise ValueError("graph needs at least one vertex")
         ids = self.vertex_ids
-        if len(set(ids)) != len(ids):
+        if len(self.genus_map) != len(ids):
             raise ValueError("duplicate vertex id")
         for v, g in self.vertices:
             if g < 0:
                 raise ValueError(f"vertex {v!r} has negative genus")
-        eids = [e for e, _ in self.edges]
-        if len(set(eids)) != len(eids):
+        if len(self.edge_ends) != len(self.edges):
             raise ValueError("duplicate edge id")
         inc: dict[str, list[tuple[str, str]]] = {v: [] for v in ids}
         for e, (a, b) in self.edges:
@@ -120,10 +126,13 @@ class DualGraph:
                 raise ValueError(f"edge {e!r} has unknown endpoint")
             inc[a].append((e, b))
             inc[b].append((e, a))
-        incidence = {v: tuple(sorted(pairs)) for v, pairs in inc.items()}
+        incidence = {v: tuple(pairs) for v, pairs in inc.items()}
         object.__setattr__(self, "incidence", MappingProxyType(incidence))
         if len(self._component_ids(set(ids))) > 1:
             raise ValueError("graph not connected")
+
+    def __hash__(self) -> int:
+        return self._hash
 
     __reduce__ = _reduce_to_fields
 

@@ -40,9 +40,11 @@ class Modification:
     exactly the subdivision of the target described by the registry;
     this is checked on construction.
 
-    ``chains`` (edge to chain), ``lengths`` (edge to chain length) and
-    ``chain_vertices`` are computed once, on construction, and are
-    read-only.
+    A registry already in canonical form, a tuple of ``(str, tuple of
+    str)`` pairs with increasing edge ids, is kept as it is; any other is
+    normalized first.  ``chains`` (edge to chain), ``lengths`` (edge to
+    chain length), ``chain_vertices`` and ``modified_edges`` are computed
+    once, on construction, and are read-only.
     """
 
     target: DualGraph
@@ -50,21 +52,21 @@ class Modification:
     chain_registry: tuple[tuple[str, tuple[str, ...]], ...]
 
     def __post_init__(self) -> None:
-        reg = tuple(sorted((str(e), tuple(str(c) for c in chain))
-                           for e, chain in dict(self.chain_registry).items()))
+        reg = self.chain_registry
+        if not _is_canonical_registry(reg):
+            reg = tuple(sorted((str(e), tuple(str(c) for c in chain))
+                               for e, chain in dict(reg).items()))
+        chains = dict(reg)
         object.__setattr__(self, "chain_registry", reg)
-        object.__setattr__(self, "chains", MappingProxyType(dict(reg)))
+        object.__setattr__(self, "chains", MappingProxyType(chains))
         object.__setattr__(self, "lengths", MappingProxyType({e: len(c) for e, c in reg}))
         object.__setattr__(self, "chain_vertices", frozenset(v for _, c in reg for v in c))
+        object.__setattr__(self, "modified_edges", frozenset(chains))
         self._validate()
 
     __reduce__ = _reduce_to_fields
 
     # -- derived views ----------------------------------------------------
-
-    @property
-    def modified_edges(self) -> frozenset[str]:
-        return frozenset(self.chains)
 
     @cached_property
     def vertex_map(self) -> Mapping[str, object]:
@@ -110,8 +112,9 @@ class Modification:
                 inc = source.incidence[v]
                 if len(inc) != 2:
                     raise ValueError(f"chain vertex {v!r} does not have valence 2")
-                expect = sorted((path[i - 1], path[i + 1]))
-                if sorted(other for _, other in inc) != expect:
+                (_, x), (_, y) = inc
+                if not (x == path[i - 1] and y == path[i + 1]
+                        or x == path[i + 1] and y == path[i - 1]):
                     raise ValueError(f"chain over {e!r} is not a path from {a!r} to {b!r}")
                 chain_edge_ids.update(eid for eid, _ in inc)
         untouched = tuple((eid, ends) for eid, ends in source.edges if eid not in chain_edge_ids)
@@ -159,6 +162,22 @@ class Modification:
                 raise ValueError("modification chain data disagrees with modified_edges")
             return mod
         return modify(target, lengths)
+
+
+def _is_canonical_registry(registry) -> bool:
+    """Whether ``registry`` is a tuple of (str, tuple of str) tuples with increasing edge ids."""
+    if type(registry) is not tuple:
+        return False
+    last = None
+    for item in registry:
+        if type(item) is not tuple or len(item) != 2:
+            return False
+        e, chain = item
+        if (type(e) is not str or type(chain) is not tuple or (last is not None and e <= last)
+                or any(type(c) is not str for c in chain)):
+            return False
+        last = e
+    return True
 
 
 def modify(graph: DualGraph, lengths: Mapping[str, int]) -> Modification:

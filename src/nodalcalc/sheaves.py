@@ -19,9 +19,9 @@ every value of type ``int``, is accepted as it is, with one comparison
 of its keys; every other input (a dict, a list of pairs, bools, floats,
 an unsorted or partial tuple) is normalized and checked entry by entry.
 The library builds its own multidegrees in canonical form, so the check
-is cheap where it runs most.  Derived views such as ``as_dict`` and
-``degree_changes`` are computed once, on construction, and are read-only
-mappings.
+is cheap where it runs most.  Derived values such as ``as_dict``,
+``total`` and ``degree_changes`` are computed once, on construction,
+and are read-only.
 """
 
 from __future__ import annotations
@@ -80,7 +80,8 @@ class Multidegree:
     pairs covering every vertex once; it is stored sorted by vertex id.
     Input already in that canonical form, a tuple of ``(str, int)``
     tuples in ``graph.vertex_ids`` order, is kept without rebuilding.
-    ``as_dict`` is a read-only mapping computed once, on construction.
+    ``as_dict``, a read-only mapping, and ``total``, the sum of the
+    degrees, are computed once, on construction.
     """
 
     graph: DualGraph
@@ -88,17 +89,15 @@ class Multidegree:
 
     def __post_init__(self) -> None:
         values = _vertex_values(self.graph, self.values)
+        degrees = dict(values)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "as_dict", MappingProxyType(dict(values)))
+        object.__setattr__(self, "as_dict", MappingProxyType(degrees))
+        object.__setattr__(self, "total", sum(degrees.values()))
 
     __reduce__ = _reduce_to_fields
 
     def __getitem__(self, v: str) -> int:
         return self.as_dict[v]
-
-    @property
-    def total(self) -> int:
-        return sum(d for _, d in self.values)
 
     def degree_on(self, members: Iterable[str]) -> int:
         sub = _check_members(self.graph, members)

@@ -13,11 +13,13 @@ both enumerators read one two-sided window per cut (Caporaso's basic
 inequality) and stop at the first failing window.  The enumerators are
 one walk of the edge subsets, ``_strata``, that hands each vector of a
 stratum's box to a model side and a bundle side, with the second lemma
-below; certify_bijection takes both sides from one walk.  A graph with
-exceptional chains reads its cuts off the graph with each chain
-contracted to one edge, one chain row per cut, so its subcurves are
-never enumerated; each verdict decides a chain row on at most four of
-its sides, chosen from per-chain prefix extremes.
+below; certify_bijection takes both sides from one walk.  Each side
+compiles a stratum's windows once, by the remark after the first lemma,
+and reads each vector off them, one row further only when the rows
+before it pass.  A graph with exceptional chains reads its cuts off the
+graph with each chain contracted to one edge, one chain row per cut, so
+its subcurves are never enumerated; each verdict decides a chain row on
+at most four of its sides, chosen from per-chain prefix extremes.
 
     Lemma.  Let N be a model's non-invertible set, the polarization
     compatible with its degree, and for a vertex set S let d_S count the
@@ -39,6 +41,14 @@ its sides, chosen from per-chain prefix extremes.
     complement is a sum of k >= 2 passing margins: >= 0, > 0 if they
     are, and in quasistable at p it is 0 only if every m(C_i^c) is,
     which needs p in every C_i.
+
+    Remark (affine margins).  With the rows, N and the polarization
+    fixed, m(Z) = rank (d_Z + |N inside Z| + chi_Z) + e_Z is affine in
+    the degrees: m(Z) at d is m(Z) at 0 plus rank times the sum of d
+    over Z, and the upper end rank (k - |dZ & N|) does not involve d.
+    So a stratum's windows are read off one kernel pass at the zero
+    vector (1 on the chain vertices on the bundle side), one row
+    (Z, m(Z) at 0, upper end) each, and a vector only adds its sum.
 
     Lemma.  Let Y be a small modification of a stable graph X with
     modified set N, with degree 1 on every chain vertex.  Lift each cut
@@ -637,22 +647,22 @@ def _boxes(graph: DualGraph, d: int, ok: Callable) -> Iterator[tuple[tuple[str, 
     by its other edges in N), so no scan reads a row {v}.  By (a) and (b) of
     the first lemma no model is lost where the complement of {v} is split.
     """
-    vids, ends = graph.vertex_ids, graph.edge_ends
+    vids = graph.vertex_ids
     proper = len(vids) > 1  # a lone vertex is the whole curve, not a row
     windows = [_degree_window(graph, d, v, proper and not ok(frozenset((v,)), 0, 1),
                               proper and not ok(frozenset((v,)), 1, 1)) for v in vids]
+    place = {v: i for i, v in enumerate(vids)}
+    ends = {e: (place[a], place[b]) for e, (a, b) in graph.edge_ends.items()}
     for subset in _edge_subsets(graph):
-        loops, leaving = dict.fromkeys(vids, 0), dict.fromkeys(vids, 0)
+        lows, highs = [lo for lo, _ in windows], [hi for _, hi in windows]
         for e in subset:
             a, b = ends[e]
+            highs[a] -= 1
             if a == b:
-                loops[a] += 1
+                lows[a] -= 1
             else:
-                leaving[a] += 1
-                leaving[b] += 1
+                highs[b] -= 1
         budget = d - len(subset)
-        lows = [lo - loops[v] for v, (lo, _) in zip(vids, windows)]
-        highs = [hi - loops[v] - leaving[v] for v, (_, hi) in zip(vids, windows)]
         if sum(lows) <= budget <= sum(highs) and all(map(int.__le__, lows, highs)):
             spare = budget - sum(lows)
             highs = [min(hi, lo + spare) for lo, hi in zip(lows, highs)]
@@ -680,20 +690,52 @@ def _lifted_rows(mod: Modification, cuts: Iterable[tuple]) -> list[tuple]:
     return rows
 
 
+def _compiled_windows(
+    kernel: Iterator[tuple], index: Mapping[str, int], rank: int, ok: Callable,
+) -> Callable[[tuple[int, ...]], bool]:
+    """A predicate on box vectors from one stratum's kernel run at the zero vector.
+
+    ``kernel`` yields cut rows (Z, m0, hi) with the box vertices at degree 0,
+    and ``index`` gives each box vertex its position in a vector.  The
+    margins are affine in the degrees (the affine-margin remark of the
+    module), so a vector's margin on Z is m0 + rank sum(vec over Z's box
+    vertices), and hi does not move.  Rows are compiled as the vectors
+    read them: the kernel runs one row further only when every compiled
+    row has passed.
+    """
+    rows: list[tuple] = []
+
+    def accepts(vec: tuple[int, ...]) -> bool:
+        at = vec.__getitem__
+        for z, places, m0, hi in rows:
+            if not ok(z, m0 + rank * sum(map(at, places)), hi):
+                return False
+        for z, m0, hi in kernel:
+            places = tuple(index[v] for v in z if v in index)
+            rows.append((z, places, m0, hi))
+            if not ok(z, m0 + rank * sum(map(at, places)), hi):
+                return False
+        return True
+
+    return accepts
+
+
 def _model_side(graph: DualGraph, d: int, ok: Callable) -> Callable:
     """The model side of ``_strata``: per stratum N, a predicate on box vectors.
 
     A vector of degrees over graph.vertex_ids passes when every cut window
     of the graph under N holds, read on integer chi margins up to the first
-    failing window; the box decides the rows {v}.
+    failing window; the box decides the rows {v}.  The windows are compiled
+    once per stratum from the kernel at the zero vector.
     """
     vids, ends = graph.vertex_ids, graph.edge_ends
     cuts = [row for row in _cut_table(graph) if len(row[0]) > 1]
     scale, e_values = 2 * graph.genus - 2, _canonical_e(graph, d)
+    index, zeros = {v: i for i, v in enumerate(vids)}, dict.fromkeys(vids, 0)
 
     def stratum(subset: tuple[str, ...]) -> Callable[[tuple[int, ...]], bool]:
-        return lambda vec: all(ok(z, m, hi) for z, m, hi in _margins(
-            cuts, ends, dict(zip(vids, vec)), subset, scale, e_values))
+        kernel = _margins(cuts, ends, zeros, subset, scale, e_values)
+        return _compiled_windows(kernel, index, scale, ok)
 
     return stratum
 
@@ -704,26 +746,31 @@ def _bundle_side(graph: DualGraph, d: int, ok: Callable) -> Callable:
     The modification is small_modification(graph, N); the lift takes a box
     vector, puts 1 on every chain vertex, and returns the bundle's
     ``Multidegree`` on the source when every window of ``_lifted_rows``
-    holds, else None.  No source table is built.
+    holds, else None.  No source table is built.  The windows are compiled
+    once per stratum from the kernel at the vector that is 0 on the box
+    vertices and 1 on the chain vertices.
     """
     cuts = [row for row in _cut_table(graph) if len(row[0]) > 1]
     scale = 2 * graph.genus - 2
     vids = graph.vertex_ids  # the sources' other vertices, in the same order
+    index, zeros = {v: i for i, v in enumerate(vids)}, dict.fromkeys(vids, 0)
 
     def stratum(subset: tuple[str, ...]) -> tuple[Modification, Callable]:
         mod = small_modification(graph, subset)
         source = mod.source
         if classify(source) not in ("stable", "quasistable"):
             raise ValueError("balanced multidegrees live on quasistable graphs")
-        rows, ends, order = _lifted_rows(mod, cuts), source.edge_ends, source.vertex_ids
-        e_values = _canonical_e(source, d)
         ones = dict.fromkeys(mod.chain_vertices, 1)  # the exceptional vertices
+        kernel = _margins(_lifted_rows(mod, cuts), source.edge_ends, zeros | ones, (), scale,
+                          _canonical_e(source, d))
+        accepts = _compiled_windows(kernel, index, scale, ok)
+        # each source vertex's place in a box vector, or None for a chain vertex
+        slots = tuple((v, index.get(v)) for v in source.vertex_ids)
 
         def lift(vec: tuple[int, ...]) -> Multidegree | None:
-            values = dict(zip(vids, vec)) | ones
-            if all(ok(z, m, hi) for z, m, hi in _margins(rows, ends, values, (), scale,
-                                                         e_values)):
-                return Multidegree(source, tuple((v, values[v]) for v in order))
+            if accepts(vec):
+                return Multidegree(source, tuple((v, 1 if i is None else vec[i])
+                                                 for v, i in slots))
             return None
 
         return mod, lift

@@ -1,6 +1,9 @@
 """Chain insertion, contraction to the stable model, and pullbacks."""
 
+import copy
+import pickle
 import random
+from dataclasses import FrozenInstanceError
 from itertools import combinations
 
 import pytest
@@ -263,6 +266,83 @@ class TestModificationValidation:
         )
         with pytest.raises(ValueError):
             Modification(theta_graph(), pruned, mod.chain_registry)
+
+
+class TestStoredFacts:
+    """Facts derived on construction: ``Multidegree.total``, ``Modification.modified_edges``
+    and the hash of a ``DualGraph``; oracle: recomputing each from the fields."""
+
+    @staticmethod
+    def random_objects():
+        rng = random.Random(1813)
+        for _ in range(60):
+            mod = random_modification(rng, random_graph(rng, 6, 3), 3)
+            yield mod, random_multidegree(rng, mod.source, 4)
+
+    @staticmethod
+    def facts(mod, deg):
+        return (deg.total, mod.modified_edges, hash(mod.source), hash(mod.target))
+
+    def test_facts_equal_their_recomputations(self):
+        for mod, deg in self.random_objects():
+            assert deg.total == sum(value for _, value in deg.values)
+            assert mod.modified_edges == frozenset(e for e, _ in mod.chain_registry)
+            for graph in (mod.source, mod.target):
+                assert hash(graph) == hash((graph.vertices, graph.edges))
+                pairs = {v: [] for v in graph.vertex_ids}
+                for e, (a, b) in graph.edges:
+                    pairs[a].append((e, b))
+                    pairs[b].append((e, a))
+                assert graph.incidence == {v: tuple(sorted(p)) for v, p in pairs.items()}
+
+    def test_facts_are_read_only(self):
+        mod, deg = next(self.random_objects())
+        for obj, name in ((deg, "total"), (mod, "modified_edges"), (mod.source, "_hash")):
+            with pytest.raises(FrozenInstanceError):
+                setattr(obj, name, 0)
+        assert self.facts(mod, deg) == self.facts(*next(self.random_objects()))
+
+    def test_facts_survive_pickle_and_copies(self):
+        for mod, deg in self.random_objects():
+            for clone in (lambda x: pickle.loads(pickle.dumps(x)), copy.copy, copy.deepcopy):
+                twins = clone(mod), clone(deg)
+                assert twins == (mod, deg)
+                assert self.facts(*twins) == self.facts(mod, deg)
+
+    def test_equal_objects_built_separately(self):
+        rng = random.Random(7)
+        for mod, deg in self.random_objects():
+            for graph in (mod.source, mod.target):
+                vertices, edges = list(graph.vertices), [(e, (b, a)) for e, (a, b) in graph.edges]
+                rng.shuffle(vertices)
+                rng.shuffle(edges)
+                twin = DualGraph(tuple(vertices), tuple(edges))
+                assert twin == graph and twin is not graph and hash(twin) == hash(graph)
+            registry = [[e, list(chain)] for e, chain in reversed(mod.chain_registry)]
+            twin = Modification(DualGraph(mod.target.vertices, mod.target.edges),
+                                DualGraph(mod.source.vertices, mod.source.edges), registry)
+            assert twin == mod and twin.modified_edges == mod.modified_edges
+            assert Multidegree(twin.source, dict(deg.values)) == deg
+
+    def test_canonical_registry_is_kept(self):
+        for mod, _ in self.random_objects():
+            again = Modification(mod.target, mod.source, mod.chain_registry)
+            assert again.chain_registry is mod.chain_registry
+        mod = modify(K4, {"cd": 2, "ab": 1})
+        for spelling in ((("cd", ("cd#1", "cd#2")), ("ab", ("ab#1",))),
+                         (("ab", ["ab#1"]), ("cd", ("cd#1", "cd#2"))),
+                         {"ab": ("ab#1",), "cd": ("cd#1", "cd#2")}):
+            assert Modification(K4, mod.source, spelling).chain_registry == mod.chain_registry
+
+    def test_chain_vertex_with_wrong_neighbours(self):
+        # valence 2 at the chain vertex, but both of its edges reach v
+        bent = DualGraph(
+            (("v", 0), ("w", 0), ("e1#1", 0)),
+            (("e1#0-1", ("v", "e1#1")), ("e1#1-2", ("e1#1", "v")),
+             ("e2", ("v", "w")), ("e3", ("v", "w"))),
+        )
+        with pytest.raises(ValueError, match="chain over 'e1' is not a path from 'v' to 'w'"):
+            Modification(theta_graph(), bent, (("e1", ("e1#1",)),))
 
 
 class TestModificationJson:

@@ -39,9 +39,11 @@ from nodalcalc import (
     small_modification,
     theta_graph,
 )
+from nodalcalc import stability
 from nodalcalc.modifications import _series_reduction
 from nodalcalc.stability import (
-    _cut_table, _lifted_rows, _margins, _series_cuts, _stability_test, _subcurve_table,
+    _boxes, _bundle_side, _cut_table, _lifted_rows, _margins, _model_side, _series_cuts,
+    _stability_test, _subcurve_table,
 )
 from nodalcalc.verify import random_stable_graph
 
@@ -667,7 +669,7 @@ class TestCutWindows:
                             assert verdict == report.verdict(*mode), (graph, d, mode, model)
                             outcomes.add((mode[0], verdict))
                             checked += 1
-        assert checked > 20000
+        assert checked > 35000
         assert len(outcomes) == 6
 
     def test_bundle_windows_match_the_report(self):
@@ -698,7 +700,7 @@ class TestCutWindows:
                                 assert verdict == report.verdict(*mode), (src, mode, deg)
                                 outcomes.add((mode[0], verdict))
                                 checked += 1
-        assert checked > 20000
+        assert checked > 35000
         assert len(outcomes) == 6
 
 
@@ -974,3 +976,131 @@ class TestSeriesCutBound:
                                                          "too many to enumerate"):
                         _series_cuts(mod.target, mod.chain_registry)
                 monkeypatch.undo()
+
+
+K5 = DualGraph(tuple((v, 0) for v in "abcde"),
+               tuple((a + b, (a, b)) for a, b in combinations("abcde", 2)))
+
+
+class TestCompiledWindows:
+    """Each side compiles a stratum's windows once, from the kernel at the zero vector.
+
+    Oracle: the kernel run afresh on each vector with its own values,
+    ``all(ok(z, m, hi) for z, m, hi in _margins(...))``, on the cuts under N
+    for the model side and on the lifted rows of Y_N, with 1 on the chain
+    vertices and the source's e, for the bundle side.
+    """
+
+    @staticmethod
+    def cases():
+        rng = random.Random(1313)
+        graphs = [theta_graph(), elliptic_bridge(), K4]
+        graphs += [random_stable_graph(rng, 6, 2) for _ in range(20)]
+        for graph in graphs:
+            modes = [("semistable", None), ("stable", None)]
+            modes += [("quasistable", p) for p in graph.vertex_ids]
+            for d in (graph.genus - 1, graph.genus):
+                yield graph, d, modes
+        yield K5, 4, [("quasistable", "a")]  # ten rows, one mode: K5 has 1,024 strata
+
+    @staticmethod
+    def oracles(graph, d, subset):
+        """Fresh kernel runs on a box vector: the model side's and the bundle side's."""
+        cuts = [row for row in _cut_table(graph) if len(row[0]) > 1]
+        rank, vids = 2 * graph.genus - 2, graph.vertex_ids
+        e = canonical_polarization(graph, d).e.as_dict
+        mod = small_modification(graph, subset)
+        source, rows = mod.source, _lifted_rows(mod, cuts)
+        source_e = canonical_polarization(source, d).e.as_dict
+        ones = dict.fromkeys(mod.chain_vertices, 1)
+
+        def model(vec):
+            return _margins(cuts, graph.edge_ends, dict(zip(vids, vec)), subset, rank, e)
+
+        def bundle(vec):
+            values = dict(zip(vids, vec)) | ones
+            return _margins(rows, source.edge_ends, values, (), rank, source_e)
+
+        return model, bundle, ones
+
+    @staticmethod
+    def first_failure(ok, margins):
+        return next((i for i, (z, m, hi) in enumerate(margins) if not ok(z, m, hi)), None)
+
+    def test_verdicts_match_the_kernel(self):
+        rng = random.Random(14)
+        checked, failed_at = 0, {}
+        for graph, d, modes in self.cases():
+            rows = len([row for row in _cut_table(graph) if len(row[0]) > 1])
+            positions = failed_at.setdefault(graph, ({"model": set(), "bundle": set()}, rows))[0]
+            for mode, base in modes:
+                ok = _stability_test(mode, base, graph, window=True)
+                model_side, bundle_side = _model_side(graph, d, ok), _bundle_side(graph, d, ok)
+                for subset, vectors in _boxes(graph, d, ok):
+                    box = list(vectors)
+                    # vectors around the box, of any total, reach failures at every row
+                    vecs = box + [tuple(x + rng.randint(-2, 2) for x in vec) for vec in box]
+                    accepts = model_side(subset)
+                    mod, lift = bundle_side(subset)
+                    model, bundle, ones = self.oracles(graph, d, subset)
+                    for vec in vecs:
+                        fail = self.first_failure(ok, model(vec))
+                        assert accepts(vec) == (fail is None), (graph, d, mode, subset, vec)
+                        if fail is not None:
+                            positions["model"].add(fail)
+                        fail = self.first_failure(ok, bundle(vec))
+                        deg = lift(vec)
+                        assert (deg is None) == (fail is not None), (graph, d, mode, subset, vec)
+                        if deg is None:
+                            positions["bundle"].add(fail)
+                        else:
+                            assert deg.as_dict == dict(zip(graph.vertex_ids, vec)) | ones
+                            assert deg.graph is mod.source
+                        checked += 1
+        assert checked > 35000
+        for graph, (positions, rows) in failed_at.items():
+            for side, seen in positions.items():
+                assert seen == set(range(rows)), (graph, side)
+        assert max(rows for _, rows in failed_at.values()) == 10
+
+    @staticmethod
+    def count_rows(monkeypatch):
+        """Rows the kernel yields from now on, over every kernel run."""
+        pulled = []
+        kernel = stability._margins
+
+        def counted(*args):
+            for row in kernel(*args):
+                pulled.append(row)
+                yield row
+
+        monkeypatch.setattr(stability, "_margins", counted)
+        return pulled
+
+    def test_compiling_is_lazy(self, monkeypatch):
+        # A per-stratum precompute ahead of the scan once made a benchmark's
+        # median op 65% slower; a stratum pays only for the rows its vectors read.
+        pulled = self.count_rows(monkeypatch)
+        ok = _stability_test("semistable", None, window=True)
+        for graph, d in ((K4, 2), (K5, 4)):
+            rows = len([row for row in _cut_table(graph) if len(row[0]) > 1])
+            for side in ("model", "bundle"):
+                depths = set()
+                model_side, bundle_side = _model_side(graph, d, ok), _bundle_side(graph, d, ok)
+                for subset, vectors in _boxes(graph, d, ok):
+                    oracle = self.oracles(graph, d, subset)[side == "bundle"]
+                    for vec in list(vectors)[:3]:
+                        fail = self.first_failure(ok, list(oracle(vec)))
+                        pulled.clear()
+                        if side == "model":
+                            accepts = model_side(subset)
+                        else:
+                            lift = bundle_side(subset)[1]
+                            accepts = lambda vec: lift(vec) is not None
+                        assert pulled == []  # a stratum that reads no vector compiles no row
+                        depth = rows if fail is None else fail
+                        for _ in range(2):  # a vector read again compiles nothing more
+                            assert accepts(vec) == (fail is None)
+                            assert len(pulled) == min(depth + 1, rows), (graph, side, subset)
+                        depths.add(depth)
+                assert depths == set(range(rows + 1)), (graph, d, side)
