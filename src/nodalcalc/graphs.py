@@ -61,6 +61,26 @@ class ExceptionalCycleError(ValueError):
     """
 
 
+def _check_graph(verts: tuple, edges: tuple) -> None:
+    """Check normalized vertex and edge lists, all but connectivity.
+
+    Both are sorted by id, so a repeated id shrinks its dict.
+    """
+    if not verts:
+        raise ValueError("graph needs at least one vertex")
+    genus_map = dict(verts)
+    if len(genus_map) != len(verts):
+        raise ValueError("duplicate vertex id")
+    for v, g in verts:
+        if g < 0:
+            raise ValueError(f"vertex {v!r} has negative genus")
+    if len(dict(edges)) != len(edges):
+        raise ValueError("duplicate edge id")
+    for e, (a, b) in edges:
+        if a not in genus_map or b not in genus_map:
+            raise ValueError(f"edge {e!r} has unknown endpoint")
+
+
 @dataclass(frozen=True)
 class DualGraph:
     """Connected multigraph with genus-labelled vertices.
@@ -78,7 +98,8 @@ class DualGraph:
     ``(edge_id, other_end)`` pairs in edge id order.  A loop at ``v``
     appears twice in the pairs of ``v``, so their number is the valence.
     The hash, the dataclass's ``hash((vertices, edges))``, is computed
-    once too.
+    once too.  The constructor checks the graph; only ``modify``, which
+    derives a source from a checked target, skips the checks.
     """
 
     vertices: tuple[tuple[str, int], ...]
@@ -94,42 +115,44 @@ class DualGraph:
                 a, b = b, a
             edges.append((str(eid), (a, b)))
         edges.sort()
-        object.__setattr__(self, "vertices", verts)
-        object.__setattr__(self, "edges", tuple(edges))
-        object.__setattr__(self, "vertex_ids", tuple(v for v, _ in verts))
-        object.__setattr__(self, "genus_map", MappingProxyType(dict(verts)))
-        object.__setattr__(self, "edge_ends", MappingProxyType(dict(edges)))
-        b1 = len(edges) - len(verts) + 1
-        object.__setattr__(self, "genus", b1 + sum(g for _, g in verts))
-        object.__setattr__(self, "_hash", hash((self.vertices, self.edges)))
-        self._validate()
+        edges = tuple(edges)
+        _check_graph(verts, edges)
+        self._set_views(verts, edges)
+        if len(self._component_ids(set(self.vertex_ids))) > 1:
+            raise ValueError("graph not connected")
 
-    def _validate(self) -> None:
-        """Check the graph and set ``incidence``, once its endpoints are known.
+    @classmethod
+    def _derived(cls, verts: tuple, edges: tuple) -> "DualGraph":
+        """A graph from lists that hold by construction what ``__post_init__`` checks.
 
-        The ids are sorted, so a repeated one shrinks its dict view, and the
-        edges reach each vertex in increasing id order.
+        ``verts`` and ``edges`` must be sorted by id, with distinct string ids,
+        genera >= 0, the two ends of every edge sorted and known, and the graph
+        connected.  Nothing of this is checked.
         """
-        if not self.vertices:
-            raise ValueError("graph needs at least one vertex")
-        ids = self.vertex_ids
-        if len(self.genus_map) != len(ids):
-            raise ValueError("duplicate vertex id")
-        for v, g in self.vertices:
-            if g < 0:
-                raise ValueError(f"vertex {v!r} has negative genus")
-        if len(self.edge_ends) != len(self.edges):
-            raise ValueError("duplicate edge id")
+        graph = object.__new__(cls)
+        graph._set_views(verts, edges)
+        return graph
+
+    def _set_views(self, verts: tuple, edges: tuple) -> None:
+        """Set the fields and every derived view from normalized, valid lists.
+
+        The edges are sorted by id, so they reach each vertex in increasing id
+        order.
+        """
+        put = object.__setattr__
+        ids = tuple(v for v, _ in verts)
+        put(self, "vertices", verts)
+        put(self, "edges", edges)
+        put(self, "vertex_ids", ids)
+        put(self, "genus_map", MappingProxyType(dict(verts)))
+        put(self, "edge_ends", MappingProxyType(dict(edges)))
+        put(self, "genus", len(edges) - len(verts) + 1 + sum(g for _, g in verts))
+        put(self, "_hash", hash((verts, edges)))
         inc: dict[str, list[tuple[str, str]]] = {v: [] for v in ids}
-        for e, (a, b) in self.edges:
-            if a not in inc or b not in inc:
-                raise ValueError(f"edge {e!r} has unknown endpoint")
+        for e, (a, b) in edges:
             inc[a].append((e, b))
             inc[b].append((e, a))
-        incidence = {v: tuple(pairs) for v, pairs in inc.items()}
-        object.__setattr__(self, "incidence", MappingProxyType(incidence))
-        if len(self._component_ids(set(ids))) > 1:
-            raise ValueError("graph not connected")
+        put(self, "incidence", MappingProxyType({v: tuple(pairs) for v, pairs in inc.items()}))
 
     def __hash__(self) -> int:
         return self._hash

@@ -7,6 +7,14 @@ builds the source from scratch with generated ids, and ``stable_model``
 recognizes the maximal exceptional chains of an existing graph and
 contracts them, producing the stable target.
 
+``modify`` derives its source and its ``Modification`` from the checked
+target, checking only the lengths and the generated ids: everything else
+the validating constructors would check holds by construction (its
+docstring says why).  Every other way to build one validates: direct
+construction, ``from_json_dict`` with a source and chains,
+``stable_model``, and pickling and copying, which go through the
+constructor.
+
 Every chain is stored oriented.  Side 0 of the chain over an edge is
 the lexicographically smaller endpoint of that edge; for a loop the two
 sides attach at the same vertex and the lexicographically smaller
@@ -38,7 +46,8 @@ class Modification:
     ``chain_registry`` maps each modified edge to the ordered tuple of
     chain vertex ids in the source, side 0 first.  The source must be
     exactly the subdivision of the target described by the registry;
-    this is checked on construction.
+    this is checked on construction, except in ``modify``, which builds
+    that subdivision itself.
 
     A registry already in canonical form, a tuple of ``(str, tuple of
     str)`` pairs with increasing edge ids, is kept as it is; any other is
@@ -56,13 +65,28 @@ class Modification:
         if not _is_canonical_registry(reg):
             reg = tuple(sorted((str(e), tuple(str(c) for c in chain))
                                for e, chain in dict(reg).items()))
-        chains = dict(reg)
-        object.__setattr__(self, "chain_registry", reg)
-        object.__setattr__(self, "chains", MappingProxyType(chains))
-        object.__setattr__(self, "lengths", MappingProxyType({e: len(c) for e, c in reg}))
-        object.__setattr__(self, "chain_vertices", frozenset(v for _, c in reg for v in c))
-        object.__setattr__(self, "modified_edges", frozenset(chains))
+        self._set_views(reg)
         self._validate()
+
+    @classmethod
+    def _derived(cls, target: DualGraph, source: DualGraph, registry: tuple) -> "Modification":
+        """A modification whose source is by construction the subdivision of
+        ``target`` that the canonical ``registry`` describes; nothing is checked."""
+        mod = object.__new__(cls)
+        object.__setattr__(mod, "target", target)
+        object.__setattr__(mod, "source", source)
+        mod._set_views(registry)
+        return mod
+
+    def _set_views(self, reg: tuple) -> None:
+        """Set ``chain_registry`` and its derived views from a canonical registry."""
+        put = object.__setattr__
+        chains = dict(reg)
+        put(self, "chain_registry", reg)
+        put(self, "chains", MappingProxyType(chains))
+        put(self, "lengths", MappingProxyType({e: len(c) for e, c in reg}))
+        put(self, "chain_vertices", frozenset(v for _, c in reg for v in c))
+        put(self, "modified_edges", frozenset(chains))
 
     __reduce__ = _reduce_to_fields
 
@@ -183,42 +207,49 @@ def _is_canonical_registry(registry) -> bool:
 def modify(graph: DualGraph, lengths: Mapping[str, int]) -> Modification:
     """Replace each listed edge by a chain of new genus-0 vertices.
 
-    ``lengths`` maps edge ids to chain lengths (at least 1).  The chain
-    over edge e is named e#1, e#2, ... starting from side 0, and its
-    segments are named e#0-1, e#1-2, and so on.
+    ``lengths`` maps edge ids to chain lengths, each an ``int`` of at least
+    1.  The chain over edge e is named e#1, e#2, ... starting from side 0,
+    and its segments are named e#0-1, e#1-2, and so on.
+
+    The source is built straight from the checked target, without the
+    validating constructors: it is connected with distinct ids and genera
+    >= 0 because the target is, its chain vertices have genus 0, its
+    generated ids are checked against the target's here (they cannot
+    collide with each other: the text after the last ``#`` holds no ``#``),
+    and k new vertices come with k new edges, so the genus is the target's.
     """
     clean: dict[str, int] = {}
     for e, k in lengths.items():
         e = str(e)
         if e not in graph.edge_ends:
             raise ValueError(f"unknown edge id {e!r}")
-        if int(k) <= 0:
+        if _json_int(k, f"chain length for edge {e!r}") <= 0:
             raise ValueError(f"chain length for edge {e!r} must be positive")
-        clean[e] = int(k)
+        clean[e] = k
 
+    taken_vertices, taken_edges = graph.genus_map, graph.edge_ends
     vertices = list(graph.vertices)
-    taken_vertices = set(graph.vertex_ids)
-    edges = [(eid, ends) for eid, ends in graph.edges if eid not in clean]
-    taken_edges = {eid for eid, _ in graph.edges}
+    edges = [item for item in graph.edges if item[0] not in clean]
     registry = []
     for e in sorted(clean):
-        a, b = graph.ends(e)
         chain = tuple(f"{e}#{i}" for i in range(1, clean[e] + 1))
         for c in chain:
             if c in taken_vertices:
                 raise ValueError(f"generated chain vertex id {c!r} collides with the graph")
-            vertices.append((c, 0))
-            taken_vertices.add(c)
+        vertices += [(c, 0) for c in chain]
+        a, b = taken_edges[e]
         path = (a,) + chain + (b,)
         for i in range(len(path) - 1):
             eid = f"{e}#{i}-{i + 1}"
             if eid in taken_edges:
                 raise ValueError(f"generated chain edge id {eid!r} collides with the graph")
-            edges.append((eid, (path[i], path[i + 1])))
-            taken_edges.add(eid)
+            x, y = path[i], path[i + 1]
+            edges.append((eid, (x, y) if x <= y else (y, x)))
         registry.append((e, chain))
-    source = DualGraph(tuple(vertices), tuple(edges))
-    return Modification(graph, source, tuple(registry))
+    vertices.sort()
+    edges.sort()
+    source = DualGraph._derived(tuple(vertices), tuple(edges))
+    return Modification._derived(graph, source, tuple(registry))
 
 
 # Distinct (graph, edge set) pairs whose small modifications are kept even

@@ -22,7 +22,7 @@ from typing import Iterable
 
 from .graphs import is_connected_subcurve, _check_members
 from .modifications import Modification
-from .sheaves import Multidegree, SheafModel, Twister, interval_sum_range, twist
+from .sheaves import Multidegree, SheafModel, Twister, twist
 
 
 class NotAdmissibleError(ValueError):
@@ -61,10 +61,46 @@ def chain_degrees(mod: Modification, deg: Multidegree) -> list[tuple[str, tuple[
     return [(e, tuple(values[c] for c in chain)) for e, chain in mod.chain_registry]
 
 
+def _chain_scans(mod: Modification, deg: Multidegree) -> list[tuple[str, int, int, int, int, int]]:
+    """(e, lo, hi, total, head, tail) per chain, side 0 first, in one pass each.
+
+    lo and hi bound the sums of nonempty contiguous runs, read off running
+    prefix sums: the run ending at an entry ranges between its prefix sum
+    minus the largest and minus the smallest earlier prefix sum (0
+    included).  head and tail are the first and last nonzero entries, 0
+    when there is none.  ``interval_sum_range`` is the independent
+    reference.
+    """
+    if deg.graph != mod.source:
+        raise ValueError("multidegree does not live on the modification source")
+    values = deg.as_dict
+    scans = []
+    for e, chain in mod.chain_registry:
+        prefix = low_prefix = high_prefix = 0
+        lo = hi = values[chain[0]]
+        head = tail = 0
+        for c in chain:
+            d = values[c]
+            if d:
+                tail = d
+                if not head:
+                    head = d
+            prefix += d
+            if prefix - high_prefix < lo:
+                lo = prefix - high_prefix
+            if prefix - low_prefix > hi:
+                hi = prefix - low_prefix
+            if prefix < low_prefix:
+                low_prefix = prefix
+            elif prefix > high_prefix:
+                high_prefix = prefix
+        scans.append((e, lo, hi, prefix, head, tail))
+    return scans
+
+
 def admissibility(mod: Modification, deg: Multidegree) -> AdmissibilityFlags:
     admissible = negatively = positively = invertible = True
-    for _, degs in chain_degrees(mod, deg):
-        lo, hi = interval_sum_range(degs)
+    for _, lo, hi, _, _, _ in _chain_scans(mod, deg):
         admissible &= -1 <= lo and hi <= 1
         negatively &= -1 <= lo and hi <= 0
         positively &= 0 <= lo and hi <= 1
@@ -86,42 +122,18 @@ def pushforward_model(mod: Modification, deg: Multidegree) -> SheafModel:
     Vertices away from the chains keep their degrees.  The total degree
     of the model equals the total degree of the bundle.
 
-    One pass per chain reads the interval-sum range off running prefix
-    sums: the run ending at an entry ranges between its prefix sum minus
-    the largest and minus the smallest earlier prefix sum (0 included).
-    The same pass gives the total and the first and last nonzero
-    entries.  ``interval_sum_range`` is the independent reference.
+    Each chain is read in one pass (``_chain_scans``).
     """
-    if deg.graph != mod.source:
-        raise ValueError("multidegree does not live on the modification source")
     values = deg.as_dict
     corrections = []
-    for e, chain in mod.chain_registry:
-        prefix = low_prefix = high_prefix = 0
-        lo = hi = values[chain[0]]
-        head = tail = 0
-        for c in chain:
-            d = values[c]
-            if d:
-                tail = d
-                if not head:
-                    head = d
-            prefix += d
-            if prefix - high_prefix < lo:
-                lo = prefix - high_prefix
-            if prefix - low_prefix > hi:
-                hi = prefix - low_prefix
-            if prefix < low_prefix:
-                low_prefix = prefix
-            elif prefix > high_prefix:
-                high_prefix = prefix
+    for e, lo, hi, delta, head, tail in _chain_scans(mod, deg):
         if lo < -1 or hi > 1:
             raise NotAdmissibleError(
                 f"chain over {e!r} has a contiguous run of degree "
-                f"{lo if lo < -1 else hi}: {[values[c] for c in chain]}"
+                f"{lo if lo < -1 else hi}: {[values[c] for c in mod.chains[e]]}"
             )
         if head:
-            corrections.append((e, prefix, head, tail))
+            corrections.append((e, delta, head, tail))
 
     tilde = {v: values[v] for v in mod.target.vertex_ids}
     noninvertible = set()
@@ -206,11 +218,10 @@ class PushforwardDiagnostics:
 def pushforward_diagnostics(mod: Modification, deg: Multidegree) -> PushforwardDiagnostics:
     torsion = drops = False
     bad = []
-    for e, degs in chain_degrees(mod, deg):
-        lo, hi = interval_sum_range(degs)
+    for e, lo, hi, _, head, _ in _chain_scans(mod, deg):
         torsion |= hi >= 2
         drops |= lo <= -2
-        if any(degs):
+        if head:
             bad.append(e)
     return PushforwardDiagnostics(torsion, drops, tuple(sorted(bad)))
 

@@ -606,16 +606,19 @@ def _edge_subsets(graph: DualGraph) -> list[tuple[str, ...]]:
 def _bounded_vectors(lows: list[int], highs: list[int], total: int) -> Iterator[tuple[int, ...]]:
     """All integer vectors within the box summing to total, ascending lex."""
     n = len(lows)
+    # the least and the greatest sum of the entries after i, for each i
+    rest_lo, rest_hi = [0] * n, [0] * n
+    for i in range(n - 1, 0, -1):
+        rest_lo[i - 1] = rest_lo[i] + lows[i]
+        rest_hi[i - 1] = rest_hi[i] + highs[i]
 
     def rec(i: int, remaining: int) -> Iterator[tuple[int, ...]]:
         if i == n - 1:
             if lows[i] <= remaining <= highs[i]:
                 yield (remaining,)
             return
-        rest_lo = sum(lows[i + 1:])
-        rest_hi = sum(highs[i + 1:])
-        start = max(lows[i], remaining - rest_hi)
-        stop = min(highs[i], remaining - rest_lo)
+        start = max(lows[i], remaining - rest_hi[i])
+        stop = min(highs[i], remaining - rest_lo[i])
         for x in range(start, stop + 1):
             for tail in rec(i + 1, remaining - x):
                 yield (x,) + tail
@@ -748,7 +751,8 @@ def _bundle_side(graph: DualGraph, d: int, ok: Callable) -> Callable:
     ``Multidegree`` on the source when every window of ``_lifted_rows``
     holds, else None.  No source table is built.  The windows are compiled
     once per stratum from the kernel at the vector that is 0 on the box
-    vertices and 1 on the chain vertices.
+    vertices and 1 on the chain vertices; without a cut row of two or more
+    vertices there is nothing to compile, and the box decides.
     """
     cuts = [row for row in _cut_table(graph) if len(row[0]) > 1]
     scale = 2 * graph.genus - 2
@@ -760,9 +764,12 @@ def _bundle_side(graph: DualGraph, d: int, ok: Callable) -> Callable:
         source = mod.source
         if classify(source) not in ("stable", "quasistable"):
             raise ValueError("balanced multidegrees live on quasistable graphs")
-        ones = dict.fromkeys(mod.chain_vertices, 1)  # the exceptional vertices
-        kernel = _margins(_lifted_rows(mod, cuts), source.edge_ends, zeros | ones, (), scale,
-                          _canonical_e(source, d))
+        if cuts:
+            ones = dict.fromkeys(mod.chain_vertices, 1)  # the exceptional vertices
+            kernel = _margins(_lifted_rows(mod, cuts), source.edge_ends, zeros | ones, (),
+                              scale, _canonical_e(source, d))
+        else:  # no window to read: the box decides every vector
+            kernel = iter(())
         accepts = _compiled_windows(kernel, index, scale, ok)
         # each source vertex's place in a box vector, or None for a chain vertex
         slots = tuple((v, index.get(v)) for v in source.vertex_ids)

@@ -93,6 +93,96 @@ class TestModify:
         assert mod.vertex_map["e1#1"] == ("e1", 1)
         assert mod.vertex_map["e1#2"] == ("e1", 2)
 
+    @pytest.mark.parametrize("length", [2.7, True, "2", None])
+    def test_length_must_be_an_int(self, length):
+        with pytest.raises(ValueError, match=(
+                f"chain length for edge 'e1' must be an integer, got {length!r}")):
+            modify(theta_graph(), {"e2": 1, "e1": length})
+
+    def test_collision_messages_name_the_first_colliding_id(self):
+        # edges in id order, and per edge its vertices before its segments
+        g = DualGraph(
+            (("a", 2), ("b#2", 0), ("w", 1)),
+            (("a", ("a", "w")), ("a#1-2", ("a", "w")), ("b", ("a", "w")),
+             ("b#0-1", ("a", "w")), ("c", ("a", "w")), ("d", ("b#2", "w"))),
+        )
+        cases = [({"b": 3}, "vertex id 'b#2'"), ({"c": 1, "a#1-2": 2, "b": 1}, "edge id 'b#0-1'"),
+                 ({"c": 1, "a": 2, "b": 3}, "edge id 'a#1-2'")]
+        for lengths, what in cases:
+            with pytest.raises(ValueError) as exc:
+                modify(g, lengths)
+            assert str(exc.value) == f"generated chain {what} collides with the graph"
+
+    def test_unknown_and_nonpositive_messages(self):
+        with pytest.raises(ValueError) as exc:
+            modify(theta_graph(), {"e1": 1, "zzz": 1})
+        assert str(exc.value) == "unknown edge id 'zzz'"
+        for k in (0, -2):
+            with pytest.raises(ValueError) as exc:
+                modify(theta_graph(), {"e1": k})
+            assert str(exc.value) == "chain length for edge 'e1' must be positive"
+
+
+def random_multigraph(rng):
+    """A connected graph with loops, parallel edges and ids that sort around
+    the ids ``modify`` generates ("e" < "e!" < "e#0-1" < "e#1" < "e1")."""
+    n = rng.randint(1, 5)
+    vids = rng.sample(["a", "e#", "e#0", "e0", "v", "w#1", "z"], n)
+    eids = iter(rng.sample(["e", "e!", "e#", "e1", "e10", "e2", "f", "f#0-1x", "g",
+                            "l", "x", "y", "z!"], 13))
+    edges = [(next(eids), (vids[i], vids[rng.randrange(i)])) for i in range(1, n)]
+    for _ in range(rng.randint(0, 13 - len(edges))):
+        edges.append((next(eids), (rng.choice(vids), rng.choice(vids))))
+    rng.shuffle(edges)
+    return DualGraph(tuple((v, rng.randint(0, 2)) for v in vids), tuple(edges))
+
+
+class TestDerivedConstruction:
+    """``modify`` builds its source without the validating constructors.
+
+    Oracle: the same modification through ``DualGraph(...)`` and
+    ``Modification(...)``, which check everything.
+    """
+
+    @staticmethod
+    def views(mod):
+        src = mod.source
+        return (
+            src.vertices, src.edges, src.vertex_ids, dict(src.genus_map), dict(src.edge_ends),
+            dict(src.incidence), src.genus, hash(src), type(src.genus_map),
+            type(src.edge_ends), type(src.incidence), mod.target, mod.chain_registry,
+            dict(mod.chains), dict(mod.lengths), mod.chain_vertices, mod.modified_edges,
+            dict(mod.vertex_map), type(mod.chains), type(mod.lengths), hash(mod),
+        )
+
+    def test_matches_the_validating_constructors(self):
+        rng = random.Random(1403)
+        loops = parallel = chains = 0
+        for _ in range(400):
+            graph = random_multigraph(rng)
+            edges = [e for e, _ in graph.edges]
+            lengths = {e: rng.randint(1, 5) for e in rng.sample(edges, rng.randint(0, len(edges)))}
+            mod = modify(graph, lengths)
+            src = mod.source
+            want = Modification(graph, DualGraph(src.vertices, src.edges), mod.chain_registry)
+            assert mod == want and mod.source == want.source
+            assert self.views(mod) == self.views(want)
+            for e, chain in mod.chain_registry:  # as the docstring names them
+                assert chain == tuple(f"{e}#{i}" for i in range(1, lengths[e] + 1))
+            for copied in (pickle.loads(pickle.dumps(mod)), copy.copy(mod), copy.deepcopy(mod)):
+                assert copied == mod and self.views(copied) == self.views(mod)
+            loops += any(a == b for a, b in graph.edge_ends.values())
+            parallel += len(set(graph.edge_ends.values())) < len(graph.edges)
+            chains += len(lengths)
+        assert loops > 100 and parallel > 100 and chains > 1000
+
+    def test_segments_sort_among_the_kept_edges(self):
+        g = DualGraph((("v0", 1), ("w", 1)), (("e", ("v0", "w")), ("e!", ("w", "v0"))))
+        mod = modify(g, {"e": 1})
+        assert [e for e, _ in mod.source.edges] == ["e!", "e#0-1", "e#1-2"]
+        assert mod.source.ends("e#0-1") == ("e#1", "v0")
+        assert mod.source.incidence["v0"] == (("e!", "w"), ("e#0-1", "e#1"))
+
 
 class TestIsSmall:
     def test_single_length_one(self):

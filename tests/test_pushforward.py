@@ -1,10 +1,12 @@
 """Direct image normal form, admissibility, the min-formula oracle."""
 
+import random
 from itertools import product
 
 import pytest
 
 from nodalcalc import (
+    AdmissibilityFlags,
     DualGraph,
     ModelMismatchError,
     Multidegree,
@@ -77,6 +79,38 @@ class TestAdmissibility:
         deg = Multidegree(theta_graph(), (("v", 0), ("w", 0)))
         with pytest.raises(ValueError):
             admissibility(mod, deg)
+
+
+class TestOnePassScan:
+    """``admissibility`` and ``pushforward_diagnostics`` read each chain in one
+    pass; oracle: ``interval_sum_range`` and ``any`` on the chain's degrees."""
+
+    def test_flags_match_interval_sums_on_random_chains(self):
+        rng = random.Random(1401)
+        cases = 0
+        for _ in range(1500):
+            lengths = {e: rng.randint(1, 6) for e in ("e1", "e2", "e3") if rng.random() < 0.7}
+            mod = modify(theta_graph(), lengths)
+            seqs = {e: tuple(rng.randint(-2, 2) for _ in range(k)) for e, k in lengths.items()}
+            deg = theta_deg(mod, seqs, v=rng.randint(-2, 2), w=rng.randint(-2, 2))
+            want = AdmissibilityFlags(True, True, True, True)
+            torsion = drops = False
+            for degs in seqs.values():
+                lo, hi = interval_sum_range(degs)
+                want = AdmissibilityFlags(
+                    want.admissible and -1 <= lo and hi <= 1,
+                    want.negatively and -1 <= lo and hi <= 0,
+                    want.positively and 0 <= lo and hi <= 1,
+                    want.invertible and lo == 0 == hi,
+                )
+                torsion |= hi >= 2
+                drops |= lo <= -2
+                cases += 1
+            assert admissibility(mod, deg) == want, seqs
+            diag = pushforward_diagnostics(mod, deg)
+            assert (diag.has_torsion, diag.degree_drops) == (torsion, drops), seqs
+            assert diag.noninvertible_edges == tuple(e for e in sorted(seqs) if any(seqs[e]))
+        assert cases >= 3000
 
 
 class TestPushforwardModel:

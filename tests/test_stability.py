@@ -42,8 +42,8 @@ from nodalcalc import (
 from nodalcalc import stability
 from nodalcalc.modifications import _series_reduction
 from nodalcalc.stability import (
-    _boxes, _bundle_side, _cut_table, _lifted_rows, _margins, _model_side, _series_cuts,
-    _stability_test, _subcurve_table,
+    _bounded_vectors, _boxes, _bundle_side, _cut_table, _lifted_rows, _margins, _model_side,
+    _series_cuts, _stability_test, _subcurve_table,
 )
 from nodalcalc.verify import random_stable_graph
 
@@ -980,6 +980,30 @@ class TestSeriesCutBound:
 
 K5 = DualGraph(tuple((v, 0) for v in "abcde"),
                tuple((a + b, (a, b)) for a, b in combinations("abcde", 2)))
+
+
+class TestBoundedVectors:
+    """Oracle: ``itertools.product`` over the box, filtered by the total."""
+
+    def test_matches_filtered_product(self):
+        rng = random.Random(1402)
+        empty = nonempty = 0
+        for _ in range(600):
+            n = rng.choice((0, 1, 1, 2, 3, 4, 5))
+            lows = [rng.randint(-3, 2) for _ in range(n)]
+            # a high below its low makes the box empty
+            highs = [lo + rng.randint(-1, 3) for lo in lows]
+            total = rng.randint(sum(lows) - 2, sum(highs) + 2)
+            want = [vec for vec in product(*(range(lo, hi + 1) for lo, hi in zip(lows, highs)))
+                    if sum(vec) == total]
+            assert list(_bounded_vectors(lows, highs, total)) == want, (lows, highs, total)
+            if want:
+                nonempty += 1
+            else:
+                empty += 1
+        assert list(_bounded_vectors([], [], 0)) == [()]
+        assert list(_bounded_vectors([], [], 1)) == []
+        assert empty > 100 and nonempty > 100
 
 
 class TestCompiledWindows:
