@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import DualGraph, classify, exceptional_vertices
+from .graphs import DualGraph, _json_int, classify, exceptional_vertices
 from .modifications import Modification, is_small, small_modification
 from .pushforward import pushforward_model
 from .sheaves import Multidegree, SheafModel
@@ -65,13 +65,15 @@ def phi_inverse(graph: DualGraph, model: SheafModel) -> tuple[Modification, Mult
     Subdivides each non-invertible edge once and puts degree 1 on the
     new vertices; the total degree of the bundle equals the degree of
     the model.  The modification is the shared one ``small_modification``
-    builds for the non-invertible set.
+    builds for the non-invertible set.  The bundle lists the source's
+    vertices in order with ``int`` degrees, so it is built through
+    ``Multidegree._derived``.
     """
     if model.graph != graph:
         raise ValueError("sheaf model does not live on the given graph")
     mod = small_modification(graph, model.noninvertible)
     chain, values = mod.chain_vertices, model.multidegree.as_dict
-    deg = Multidegree(mod.source, tuple(
+    deg = Multidegree._derived(mod.source, tuple(
         (v, 1 if v in chain else values[v]) for v in mod.source.vertex_ids
     ))
     if deg.total != model.degree:
@@ -117,8 +119,10 @@ def certify_bijection(graph: DualGraph, d: int, mode: str = "balanced") -> Corre
     the image returns the original pair exactly.  Graph and round-trip
     mismatches are listed in enumeration order, then "not injective" at
     most once, then the models not reached and the images not semistable,
-    each sorted by non-invertible set and degrees.
+    each sorted by non-invertible set and degrees.  The degree d must be
+    an ``int``.
     """
+    _json_int(d, "degree")
     if mode not in _SHEAF_MODE:
         raise ValueError(f"unknown balanced mode {mode!r}")
     ok = _stability_test(_SHEAF_MODE[mode], None, window=True)

@@ -17,7 +17,8 @@ from typing import Iterable, Iterator
 
 
 def _json_int(value, what: str) -> int:
-    """A JSON integer from outside input; floats, bools, null and strings are refused."""
+    """An integer from outside input, JSON or Python; floats, bools, None and strings
+    are refused, never truncated."""
     if type(value) is not int:
         raise ValueError(f"{what} must be an integer, got {value!r}")
     return value
@@ -89,7 +90,8 @@ class DualGraph:
     ``(edge_id, (end, end))`` pairs; a loop repeats the same end twice.
     Input order is irrelevant: the constructor sorts vertices and edges
     by id and sorts the two ends of every edge, so equality and hashing
-    are canonical.
+    are canonical.  A genus must be an ``int``; a bool, a float or a
+    string is refused.
 
     The derived views are computed once, on construction, and are
     read-only: ``vertex_ids`` (sorted), ``genus_map``, ``edge_ends``,
@@ -106,7 +108,12 @@ class DualGraph:
     edges: tuple[tuple[str, tuple[str, str]], ...] = ()
 
     def __post_init__(self) -> None:
-        verts = tuple(sorted((str(v), int(g)) for v, g in self.vertices))
+        verts = []
+        for v, g in self.vertices:
+            v = str(v)
+            # only a refused genus pays for formatting its message
+            verts.append((v, g if type(g) is int else _json_int(g, f"genus of vertex {v!r}")))
+        verts = tuple(sorted(verts))
         edges = []
         for eid, ends in self.edges:
             a, b = ends

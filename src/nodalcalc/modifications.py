@@ -272,8 +272,11 @@ def small_modification(graph: DualGraph, edges: Iterable[str]) -> Modification:
     """Chain length 1 on every listed edge.
 
     Modifications are immutable, so one is built per graph and edge set
-    and shared by every caller while any of them holds it.
+    and shared by every caller while any of them holds it.  A string is
+    refused, not read as its characters.
     """
+    if isinstance(edges, str):
+        raise ValueError(f"edge set must be a collection of edge ids, not the string {edges!r}")
     key = (graph, frozenset(edges))
     mod = _live_small.get(key)
     if mod is None:
@@ -361,11 +364,12 @@ def pullback_multidegree(mod: Modification, deg: Multidegree) -> Multidegree:
 
     Values are copied to the surviving vertices and chain vertices get
     0, matching the degree of a pulled-back line bundle.  They are listed
-    in source vertex order, so ``Multidegree`` keeps them as given.
+    in source vertex order with ``int`` degrees, so the result is built
+    through ``Multidegree._derived``.
     """
     if deg.graph != mod.target:
         raise ValueError("multidegree does not live on the modification target")
     chain, values = mod.chain_vertices, deg.as_dict
-    return Multidegree(mod.source, tuple(
+    return Multidegree._derived(mod.source, tuple(
         (v, 0 if v in chain else values[v]) for v in mod.source.vertex_ids
     ))

@@ -122,7 +122,8 @@ def pushforward_model(mod: Modification, deg: Multidegree) -> SheafModel:
     Vertices away from the chains keep their degrees.  The total degree
     of the model equals the total degree of the bundle.
 
-    Each chain is read in one pass (``_chain_scans``).
+    Each chain is read in one pass (``_chain_scans``).  The model is
+    built in canonical form, through the ``_derived`` constructors.
     """
     values = deg.as_dict
     corrections = []
@@ -151,8 +152,10 @@ def pushforward_model(mod: Modification, deg: Multidegree) -> SheafModel:
             tilde[b] -= 1
         else:  # admissibility bounds every chain total by 1 in absolute value
             raise AssertionError("unreachable chain total")
-    model = SheafModel(
-        mod.target, frozenset(noninvertible), Multidegree(mod.target, tuple(tilde.items()))
+    # canonical by construction: target vertex order, int degrees, target edge ids
+    model = SheafModel._derived(
+        mod.target, frozenset(noninvertible),
+        Multidegree._derived(mod.target, tuple(tilde.items())),
     )
     if model.degree != deg.total:
         raise AssertionError("pushforward changed the total degree")

@@ -16,12 +16,24 @@ used elsewhere, so the two can be checked against each other.
 Value assignments are checked in canonical form.  A ``tuple`` of
 ``(str, int)`` tuples listing exactly ``graph.vertex_ids`` in that order,
 every value of type ``int``, is accepted as it is, with one comparison
-of its keys; every other input (a dict, a list of pairs, bools, floats,
-an unsorted or partial tuple) is normalized and checked entry by entry.
-The library builds its own multidegrees in canonical form, so the check
-is cheap where it runs most.  Derived values such as ``as_dict``,
-``total`` and ``degree_changes`` are computed once, on construction,
-and are read-only.
+of its keys; every other input (a dict, a list of pairs, an unsorted or
+partial tuple) is normalized and checked entry by entry.  A degree,
+coefficient or genus whose type is not ``int`` (a bool, a float, a
+string) is refused, never truncated.  Derived values such as
+``as_dict``, ``total`` and ``degree_changes`` are computed once, on
+construction, and are read-only.
+
+Every public way to build a ``Multidegree`` or a ``SheafModel`` checks:
+the constructors, ``from_json_dict``, ``replace``, pickling and copying.
+A private ``_derived`` classmethod on each skips the checks; it is used
+only where the library builds a value that holds them by construction: a
+tuple of ``(str, int)`` pairs in ``graph.vertex_ids`` order, each value
+an ``int`` computed from ``int`` inputs, and a non-invertible set of the
+graph's own edge ids.  Those sites are ``twist``, ``pushforward_model``,
+``phi_inverse``, the bundle side's lift and ``_model`` in ``stability``,
+``pullback_multidegree``, ``canonical_polarization`` and
+``omega_multidegree``; the public entries that feed them a degree d
+check that it is an ``int``.
 """
 
 from __future__ import annotations
@@ -56,10 +68,11 @@ def _vertex_values(graph: DualGraph, values) -> tuple[tuple[str, int], ...]:
     """
     if _is_canonical(graph, values):
         return values
-    if isinstance(values, Mapping):
-        items = [(str(k), int(v)) for k, v in values.items()]
-    else:
-        items = [(str(k), int(v)) for k, v in values]
+    items = []
+    for k, v in values.items() if isinstance(values, Mapping) else values:
+        k = str(k)
+        # only a refused degree pays for formatting its message
+        items.append((k, v if type(v) is int else _json_int(v, f"degree at {k!r}")))
     keys = [k for k, _ in items]
     if len(set(keys)) != len(keys):
         raise ValueError("repeated vertex id in value assignment")
@@ -77,22 +90,39 @@ class Multidegree:
     """Integer degree assignment on the vertices of a dual graph.
 
     ``values`` may be any mapping or iterable of ``(vertex, degree)``
-    pairs covering every vertex once; it is stored sorted by vertex id.
-    Input already in that canonical form, a tuple of ``(str, int)``
-    tuples in ``graph.vertex_ids`` order, is kept without rebuilding.
-    ``as_dict``, a read-only mapping, and ``total``, the sum of the
-    degrees, are computed once, on construction.
+    pairs covering every vertex once, each degree an ``int``; it is
+    stored sorted by vertex id.  Input already in that canonical form, a
+    tuple of ``(str, int)`` tuples in ``graph.vertex_ids`` order, is kept
+    without rebuilding.  ``as_dict``, a read-only mapping, and ``total``,
+    the sum of the degrees, are computed once, on construction.
+
+    The constructor checks the values; only the library's own canonical
+    constructions (the module docstring lists them) go through
+    ``_derived``, which does not.
     """
 
     graph: DualGraph
     values: tuple[tuple[str, int], ...]
 
     def __post_init__(self) -> None:
-        values = _vertex_values(self.graph, self.values)
+        self._set_views(self.graph, _vertex_values(self.graph, self.values))
+
+    @classmethod
+    def _derived(cls, graph: DualGraph, values: tuple) -> "Multidegree":
+        """A multidegree from values in canonical form by construction: a tuple of
+        ``(str, int)`` tuples in ``graph.vertex_ids`` order.  Nothing is checked."""
+        deg = object.__new__(cls)
+        deg._set_views(graph, values)
+        return deg
+
+    def _set_views(self, graph: DualGraph, values: tuple) -> None:
+        """Set the fields and the derived views from canonical values."""
+        put = object.__setattr__
         degrees = dict(values)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "as_dict", MappingProxyType(degrees))
-        object.__setattr__(self, "total", sum(degrees.values()))
+        put(self, "graph", graph)
+        put(self, "values", values)
+        put(self, "as_dict", MappingProxyType(degrees))
+        put(self, "total", sum(degrees.values()))
 
     __reduce__ = _reduce_to_fields
 
@@ -104,7 +134,7 @@ class Multidegree:
         return sum(self.as_dict[v] for v in sub)
 
     def replace(self, **updates: int) -> "Multidegree":
-        new = self.as_dict | {str(k): int(v) for k, v in updates.items()}
+        new = self.as_dict | {str(k): v for k, v in updates.items()}
         return Multidegree(self.graph, tuple(new.items()))
 
     def to_json_dict(self) -> dict[str, int]:
@@ -114,27 +144,29 @@ class Multidegree:
     def from_json_dict(cls, graph: DualGraph, data: Mapping) -> "Multidegree":
         if not isinstance(data, Mapping):
             raise ValueError("multidegree data must be a JSON object")
-        values = tuple((str(k), _json_int(v, f"degree at {k!r}")) for k, v in data.items())
-        return cls(graph, values)
+        return cls(graph, tuple(data.items()))  # the constructor refuses a non-int degree
 
 
 def omega_multidegree(graph: DualGraph) -> Multidegree:
     """Multidegree of the dualizing sheaf; its total is 2g - 2."""
-    return Multidegree(graph, tuple((v, graph.omega_degree(v)) for v in graph.vertex_ids))
+    return Multidegree._derived(graph, tuple((v, graph.omega_degree(v)) for v in graph.vertex_ids))
 
 
 @dataclass(frozen=True)
 class Twister:
     """Integer coefficient vector for twisting by component divisors.
 
-    Coefficients may be given for any subset of the vertices; missing
-    ones default to 0.
+    Coefficients may be given for any subset of the vertices, each an
+    ``int``; missing ones default to 0.  Every construction checks them.
 
     ``as_dict`` and ``degree_changes`` are read-only mappings computed
     once, on construction.  ``degree_changes`` is the per-vertex degree
     change, the negated graph Laplacian of c: each non-loop edge v-w
     moves c(w) - c(v) onto v and the opposite onto w, and loops
-    contribute nothing.  The changes always sum to 0.
+    contribute nothing.  It is summed from ``graph.incidence``, over the
+    vertices with a nonzero coefficient only: a vertex u moves c(u) from
+    itself to the far end of each of its edge ends, so the two ends of a
+    loop at u cancel.  The changes always sum to 0.
     """
 
     graph: DualGraph
@@ -142,20 +174,25 @@ class Twister:
 
     def __post_init__(self) -> None:
         graph = self.graph
-        if isinstance(self.coefficients, Mapping):
-            given = {str(k): int(v) for k, v in self.coefficients.items()}
-        else:
-            given = {str(k): int(v) for k, v in self.coefficients}
+        given = {}
+        for k, v in (self.coefficients.items() if isinstance(self.coefficients, Mapping)
+                     else self.coefficients):
+            k = str(k)
+            # only a refused coefficient pays for formatting its message
+            given[k] = v if type(v) is int else _json_int(v, f"twister coefficient at {k!r}")
         extra = given.keys() - graph.genus_map.keys()
         if extra:
             raise ValueError(f"twister names unknown vertices: {sorted(extra)}")
-        c = {v: given.get(v, 0) for v in graph.vertex_ids}
+        c = dict.fromkeys(graph.vertex_ids, 0)
+        c.update(given)
         delta = dict.fromkeys(graph.vertex_ids, 0)
-        for _, (a, b) in graph.edges:
-            if a == b:
-                continue
-            delta[a] += c[b] - c[a]
-            delta[b] += c[a] - c[b]
+        incidence = graph.incidence
+        for u, cu in given.items():
+            if cu:
+                ends = incidence[u]
+                delta[u] -= cu * len(ends)
+                for _, w in ends:
+                    delta[w] += cu
         object.__setattr__(self, "coefficients", tuple(c.items()))
         object.__setattr__(self, "as_dict", MappingProxyType(c))
         object.__setattr__(self, "degree_changes", MappingProxyType(delta))
@@ -164,11 +201,15 @@ class Twister:
 
 
 def twist(deg: Multidegree, twister: Twister) -> Multidegree:
-    """Apply a twister to a multidegree.  Total degree is preserved."""
+    """Apply a twister to a multidegree.  Total degree is preserved.
+
+    The result keeps ``deg``'s canonical vertex order and adds ``int``
+    changes, so it is built through ``Multidegree._derived``.
+    """
     if deg.graph != twister.graph:
         raise ValueError("multidegree and twister live on different graphs")
     delta = twister.degree_changes
-    return Multidegree(deg.graph, tuple((v, d + delta[v]) for v, d in deg.values))
+    return Multidegree._derived(deg.graph, tuple((v, d + delta[v]) for v, d in deg.values))
 
 
 @dataclass(frozen=True)
@@ -179,6 +220,11 @@ class SheafModel:
     be locally free; ``multidegree`` lives on the partial normalization
     at those nodes, recorded on the same vertex set.  The total degree
     adds one unit per non-invertible node.
+
+    The constructor checks that the edges are the graph's (a string is
+    refused, not read as its characters) and that the multidegree lives
+    on the graph; ``_derived``, for the library's own canonical
+    constructions, does not.
     """
 
     graph: DualGraph
@@ -186,13 +232,37 @@ class SheafModel:
     multidegree: Multidegree
 
     def __post_init__(self) -> None:
+        if isinstance(self.noninvertible, str):
+            raise ValueError(
+                f"non-invertible set must be a collection of edge ids, not the string "
+                f"{self.noninvertible!r}"
+            )
         edges = frozenset(str(e) for e in self.noninvertible)
         unknown = [e for e in edges if e not in self.graph.edge_ends]
         if unknown:
             raise ValueError(f"non-invertible set names unknown edges: {sorted(unknown)}")
-        object.__setattr__(self, "noninvertible", edges)
         if self.multidegree.graph != self.graph:
             raise ValueError("sheaf multidegree lives on a different graph")
+        self._set_views(self.graph, edges, self.multidegree)
+
+    @classmethod
+    def _derived(cls, graph: DualGraph, noninvertible: frozenset,
+                 multidegree: Multidegree) -> "SheafModel":
+        """A model from a frozenset of the graph's own edge ids and a multidegree
+        on the graph, as the library builds them.  Nothing is checked."""
+        model = object.__new__(cls)
+        model._set_views(graph, noninvertible, multidegree)
+        return model
+
+    def _set_views(self, graph: DualGraph, noninvertible: frozenset,
+                   multidegree: Multidegree) -> None:
+        """Set the fields from checked values."""
+        put = object.__setattr__
+        put(self, "graph", graph)
+        put(self, "noninvertible", noninvertible)
+        put(self, "multidegree", multidegree)
+
+    __reduce__ = _reduce_to_fields
 
     @property
     def degree(self) -> int:

@@ -194,8 +194,8 @@ def canonical_polarization(graph: DualGraph, d: int) -> Polarization:
     """
     if graph.genus < 2:
         raise ValueError("canonical polarization requires genus at least 2")
-    e = _canonical_e(graph, d)  # in vertex order, so Multidegree keeps the items as given
-    return Polarization(2 * graph.genus - 2, Multidegree(graph, tuple(e.items())))
+    e = _canonical_e(graph, _json_int(d, "degree"))  # in vertex order, int values
+    return Polarization(2 * graph.genus - 2, Multidegree._derived(graph, tuple(e.items())))
 
 
 def _canonical_e(graph: DualGraph, d: int) -> dict[str, int]:
@@ -776,8 +776,8 @@ def _bundle_side(graph: DualGraph, d: int, ok: Callable) -> Callable:
 
         def lift(vec: tuple[int, ...]) -> Multidegree | None:
             if accepts(vec):
-                return Multidegree(source, tuple((v, 1 if i is None else vec[i])
-                                                 for v, i in slots))
+                return Multidegree._derived(source, tuple((v, 1 if i is None else vec[i])
+                                                          for v, i in slots))
             return None
 
         return mod, lift
@@ -816,10 +816,10 @@ def _strata(
 
 
 def _model(graph: DualGraph, subset: Iterable[str], vec: tuple[int, ...]) -> SheafModel:
-    """The sheaf model with non-invertible set ``subset`` and degrees ``vec`` over
-    graph.vertex_ids, built in canonical form."""
-    deg = Multidegree(graph, tuple(zip(graph.vertex_ids, vec)))
-    return SheafModel(graph, frozenset(subset), deg)
+    """The sheaf model with non-invertible set ``subset``, edge ids of the graph,
+    and ``int`` degrees ``vec`` over graph.vertex_ids, built in canonical form."""
+    deg = Multidegree._derived(graph, tuple(zip(graph.vertex_ids, vec)))
+    return SheafModel._derived(graph, frozenset(subset), deg)
 
 
 def enumerate_semistable_models(
@@ -831,8 +831,10 @@ def enumerate_semistable_models(
     deterministic: non-invertible sets in lexicographic order of their
     sorted edge ids, then multidegrees in lexicographic order over the
     sorted vertices.  A candidate is rejected at its first failing cut
-    window, on integer chi margins; the box decides the rows {v}.
+    window, on integer chi margins; the box decides the rows {v}.  The
+    degree d must be an ``int``.
     """
+    _json_int(d, "degree")
     ok = _stability_test(mode, base_vertex, graph, window=True)
     return [_model(graph, subset, vec)
             for subset, _, vectors, _ in _strata(graph, d, ok, bundles=False)
@@ -848,8 +850,10 @@ def enumerate_balanced(
     subdivided once, chain vertices carry degree 1, and the rest range over
     the sheaf enumeration's box, the windows of the lifted rows {v}.  Same
     order and early exit, on the other windows of ``_lifted_rows``; no
-    source table is built, nor a modification for an empty box.
+    source table is built, nor a modification for an empty box.  The degree
+    d must be an ``int``.
     """
+    _json_int(d, "degree")
     if mode not in ("balanced", "stably_balanced"):
         raise ValueError(f"unknown balanced mode {mode!r}")
     ok = _stability_test("semistable" if mode == "balanced" else "stable", None, window=True)

@@ -7,17 +7,18 @@ from nodalcalc import sheaves
 
 @pytest.fixture
 def canonical_checks(monkeypatch):
-    """The result of every ``sheaves._is_canonical`` call made while the test runs.
+    """Whether the values of every ``Multidegree._derived`` call made while the test
+    runs are canonical, as ``sheaves._is_canonical`` decides.
 
-    True means a ``Multidegree`` was built from values already in canonical
-    form and took the one-comparison path.
+    ``_derived`` checks nothing, so each True confirms that a multidegree the
+    library built itself holds by construction what the constructor would check.
     """
     seen = []
-    real = sheaves._is_canonical
+    real = sheaves.Multidegree._derived.__func__
 
-    def recording(graph, values):
-        seen.append(real(graph, values))
-        return seen[-1]
+    def recording(cls, graph, values):
+        seen.append(sheaves._is_canonical(graph, values))
+        return real(cls, graph, values)
 
-    monkeypatch.setattr(sheaves, "_is_canonical", recording)
+    monkeypatch.setattr(sheaves.Multidegree, "_derived", classmethod(recording))
     return seen

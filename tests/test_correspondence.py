@@ -144,6 +144,13 @@ class TestPhiInverse:
 
 
 class TestCertify:
+    def test_non_int_degree_is_refused(self):
+        for d in (2.0, 2.5, True, "2", None):
+            for mode in ("balanced", "stably_balanced"):
+                with pytest.raises(ValueError) as exc:
+                    certify_bijection(theta_graph(), d, mode)
+                assert str(exc.value) == f"degree must be an integer, got {d!r}"
+
     def test_theta_degree_two(self):
         report = certify_bijection(theta_graph(), 2)
         assert report.bijection

@@ -107,6 +107,13 @@ class TestConstruction:
         with pytest.raises(ValueError, match="graph not connected"):
             DualGraph((("v", 1), ("w", 2)), ())
 
+    def test_non_int_genus_is_refused(self):
+        for genus in (1.5, 1.0, True, False, "1", None):
+            for vertices in ((("a", genus),), (("b", 1), ("a", genus))):
+                with pytest.raises(ValueError) as exc:
+                    DualGraph(vertices, (("e", ("a", "b")),) if len(vertices) > 1 else ())
+                assert str(exc.value) == f"genus of vertex 'a' must be an integer, got {genus!r}"
+
     def test_single_vertex_no_edges(self):
         g = DualGraph((("v", 2),), ())
         assert g.genus == 2

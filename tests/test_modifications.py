@@ -222,6 +222,16 @@ class TestSmallModificationCache:
                 small_modification(theta_graph(), edges)
         assert cache.cache_info().currsize == before
 
+    def test_string_edge_set_is_refused(self):
+        g = DualGraph((("v", 1), ("w", 1)),
+                      (("a", ("v", "w")), ("b", ("v", "w")), ("c", ("v", "w"))))
+        for edges in ("ab", "a", ""):
+            with pytest.raises(ValueError) as exc:
+                small_modification(g, edges)
+            assert str(exc.value) == (
+                f"edge set must be a collection of edge ids, not the string {edges!r}")
+        assert small_modification(g, ["a", "b"]).modified_edges == {"a", "b"}
+
     def test_cache_is_bounded(self):
         assert modifications._small_modification.cache_info().maxsize == 512
 

@@ -3,6 +3,7 @@
 import copy
 import pickle
 import random
+import sys
 from fractions import Fraction
 from itertools import product
 
@@ -13,16 +14,29 @@ from nodalcalc import (
     Multidegree,
     SheafModel,
     Twister,
+    canonical_polarization,
     chain_h,
     elliptic_bridge,
+    enumerate_balanced,
+    enumerate_semistable_models,
     interval_sum_range,
     modify,
     omega_multidegree,
+    phi_inverse,
+    pullback_multidegree,
+    pushforward_model,
     sheaf_degree,
     theta_graph,
     twist,
 )
-from nodalcalc.verify import random_graph
+from nodalcalc.verify import (
+    chain_twister_options,
+    random_admissible_multidegree,
+    random_graph,
+    random_modification,
+    random_multidegree,
+    random_stable_graph,
+)
 
 
 def loop_vertex():
@@ -96,15 +110,24 @@ class TestCanonicalForm:
                 assert deg.values == full_normalization(canonical)
                 assert deg.as_dict == dict(canonical)
 
-    def test_bools_and_floats_normalize_as_before(self):
+    def test_non_int_degrees_are_refused(self):
+        """A degree whose type is not int is refused, never truncated."""
         for graph in canonical_form_graphs():
             ids = graph.vertex_ids
-            for fill in (True, False, 1.0, 2.7, -1.5):
-                pairs = tuple((v, fill if i % 2 == 0 else i) for i, v in enumerate(ids))
-                deg = Multidegree(graph, pairs)
-                assert deg.values == full_normalization(pairs)
-                assert all(type(d) is int for _, d in deg.values)
-                assert all(type(d) is int for d in deg.as_dict.values())
+            bad = ids[len(ids) // 2]
+            for fill in (True, False, 1.0, 2.7, -1.5, "2"):
+                pairs = tuple((v, fill if v == bad else i) for i, v in enumerate(ids))
+                message = f"degree at {bad!r} must be an integer, got {fill!r}"
+                for spelling in (pairs, tuple(reversed(pairs)), dict(pairs), list(pairs)):
+                    with pytest.raises(ValueError) as exc:
+                        Multidegree(graph, spelling)
+                    assert str(exc.value) == message
+                with pytest.raises(ValueError) as exc:
+                    Multidegree(graph, tuple((v, 0) for v in ids)).replace(**{bad: fill})
+                assert str(exc.value) == message
+        with pytest.raises(ValueError) as exc:
+            Multidegree(theta_graph(), {"v": 2.7, "w": True})
+        assert str(exc.value) == "degree at 'v' must be an integer, got 2.7"
 
     def test_bad_assignments_keep_their_messages(self):
         for graph in canonical_form_graphs():
@@ -120,6 +143,92 @@ class TestCanonicalForm:
                     with pytest.raises(ValueError) as exc:
                         Multidegree(graph, spelling)
                     assert str(exc.value) == message
+
+
+# every caller of Multidegree._derived and SheafModel._derived in the package
+DERIVED_SITES = {"twist", "pushforward_model", "phi_inverse", "lift", "_model",
+                 "pullback_multidegree", "canonical_polarization", "omega_multidegree"}
+
+
+def derived_views(obj):
+    """Every field and view of a multidegree or sheaf model, with their types."""
+    if isinstance(obj, SheafModel):
+        return (obj.graph, obj.noninvertible, type(obj.noninvertible),
+                sorted(map(type, obj.noninvertible), key=str), obj.degree, hash(obj),
+                obj.to_json_dict()) + derived_views(obj.multidegree)
+    return (obj.graph, obj.values, type(obj.values), [tuple(map(type, p)) for p in obj.values],
+            dict(obj.as_dict), type(obj.as_dict), obj.total, type(obj.total), hash(obj))
+
+
+def relabelled(rng, graph):
+    """The graph with ids that sort around the chain ids ``modify`` generates
+    ("e#" < "e#1" < "e#1x" < "e#2" < "e1#0" < "e1#1" < "f" < "f#1")."""
+    vids = dict(zip(graph.vertex_ids, rng.sample(["a", "e#", "e#1x", "e1#0", "f", "z"],
+                                                 len(graph.vertex_ids))))
+    eids = dict(zip(graph.edge_ends, rng.sample(["e", "e!", "e1", "e10", "f", "g", "x", "z!"],
+                                                len(graph.edges))))
+    return DualGraph(tuple((vids[v], g) for v, g in graph.vertices),
+                     tuple((eids[e], (vids[a], vids[b])) for e, (a, b) in graph.edges))
+
+
+class TestDerivedConstruction:
+    """The library's canonical constructions skip the checks through ``_derived``.
+
+    Oracle: the validating constructor on the same arguments, at every call
+    site, compared field by field, in every view, by hash, and after pickle,
+    ``copy`` and ``deepcopy``.  The graphs' ids interleave with the chain
+    ids, so a value listed out of vertex order shows.
+    """
+
+    @staticmethod
+    def record(monkeypatch):
+        """(calling function, class, arguments, result) of every ``_derived`` call."""
+        calls = []
+        for cls in (Multidegree, SheafModel):
+            def recording(cls, *args, _real=cls._derived.__func__):
+                built = _real(cls, *args)
+                calls.append((sys._getframe(1).f_code.co_name, cls, args, built))
+                return built
+            monkeypatch.setattr(cls, "_derived", classmethod(recording))
+        return calls
+
+    def test_matches_the_validating_constructors(self, monkeypatch):
+        calls = self.record(monkeypatch)
+        rng = random.Random(1502)
+        checked = dict.fromkeys(DERIVED_SITES, 0)
+        for _ in range(400):
+            graph = relabelled(rng, random_stable_graph(rng, 3, 3))
+            d = graph.genus - 1 + rng.randint(-1, 1)
+            omega_multidegree(graph)
+            canonical_polarization(graph, d)
+            models = enumerate_semistable_models(graph, d)
+            for model in rng.sample(models, min(3, len(models))):
+                phi_inverse(graph, model)
+            enumerate_balanced(graph, d)
+            # a twister orbit of an admissible bundle, and a pullback
+            mod = random_modification(rng, graph, 2)
+            deg = random_admissible_multidegree(rng, mod, 2)
+            base = pushforward_model(mod, deg)
+            for _ in range(3):
+                coefficients = {}
+                for _, chain in mod.chain_registry:
+                    seq = tuple(deg[c] for c in chain)
+                    coeffs, _ = rng.choice(chain_twister_options(seq))
+                    coefficients.update(zip(chain, coeffs))
+                twisted = twist(deg, Twister(mod.source, coefficients))
+                assert pushforward_model(mod, twisted) == base
+            pullback_multidegree(mod, random_multidegree(rng, graph, 3))
+
+            for site, cls, args, built in calls:
+                want = cls(*args)
+                assert built == want and derived_views(built) == derived_views(want)
+                for clone in (pickle.loads(pickle.dumps(built)), copy.copy(built),
+                              copy.deepcopy(built)):
+                    assert clone == want and derived_views(clone) == derived_views(want)
+                checked[site] += 1
+            calls.clear()
+        assert set(checked) == DERIVED_SITES  # no other caller
+        assert min(checked.values()) >= 400, checked
 
 
 class TestReadOnlyViews:
@@ -198,6 +307,66 @@ class TestTwister:
         with pytest.raises(ValueError):
             twist(deg, Twister(elliptic_bridge(), (("v", 1),)))
 
+    def test_non_int_coefficients_are_refused(self):
+        for fill in (True, False, 1.0, 1.9, -1.5, "2"):
+            message = f"twister coefficient at 'v' must be an integer, got {fill!r}"
+            for spelling in ({"v": fill}, (("w", 1), ("v", fill)), [["v", fill]]):
+                with pytest.raises(ValueError) as exc:
+                    Twister(theta_graph(), spelling)
+                assert str(exc.value) == message
+        with pytest.raises(ValueError, match="twister names unknown vertices: \\['x'\\]"):
+            Twister(theta_graph(), {"x": 1})
+
+
+def all_edges_laplacian(graph, coefficients):
+    """Degree changes by a walk over every edge: the reference for ``Twister``."""
+    c = dict.fromkeys(graph.vertex_ids, 0) | dict(coefficients)
+    delta = dict.fromkeys(graph.vertex_ids, 0)
+    for _, (a, b) in graph.edges:
+        if a == b:
+            continue
+        delta[a] += c[b] - c[a]
+        delta[b] += c[a] - c[b]
+    return delta
+
+
+class TestSparseLaplacian:
+    """``Twister.degree_changes`` visits only the vertices with a nonzero
+    coefficient; oracle: the walk over every edge."""
+
+    def test_matches_the_all_edges_walk(self):
+        rng = random.Random(1501)
+        loops = parallel = 0
+        for _ in range(500):
+            graph = random_graph(rng, 6, 5)
+            ids = graph.vertex_ids
+            chosen = rng.sample(ids, rng.randint(0, len(ids)))
+            cases = [
+                (),  # no coefficient at all
+                tuple((v, 0) for v in ids),  # explicit zeros everywhere
+                tuple((v, rng.choice((0, rng.randint(-4, 4)))) for v in chosen),  # partial
+                tuple((v, rng.randint(-4, 4)) for v in ids),
+            ]
+            for coefficients in cases:
+                tw = Twister(graph, coefficients)
+                want = all_edges_laplacian(graph, coefficients)
+                assert tw.degree_changes == want
+                assert list(tw.degree_changes) == list(ids)
+                assert sum(tw.degree_changes.values()) == 0
+                if not any(c for _, c in coefficients):
+                    assert set(tw.degree_changes.values()) == {0}
+            loops += any(a == b for a, b in graph.edge_ends.values())
+            parallel += len(set(graph.edge_ends.values())) < len(graph.edges)
+        assert loops > 100 and parallel > 50
+
+    def test_loops_and_parallel_edges(self):
+        g = DualGraph((("u", 0), ("v", 1), ("w", 0)),
+                      (("a", ("u", "v")), ("b", ("v", "u")), ("l", ("v", "v")),
+                       ("m", ("v", "v")), ("c", ("v", "w"))))
+        for coefficients in ({"v": 2}, {"u": -1, "w": 0}, {"u": 3, "v": 3, "w": 3}):
+            assert Twister(g, coefficients).degree_changes == all_edges_laplacian(g, coefficients)
+        assert Twister(g, {"v": 2}).degree_changes == {"u": 4, "v": -6, "w": 2}
+
 
 class TestSheafModel:
     def test_unknown_edge_rejected(self):
@@ -234,6 +403,32 @@ class TestSheafModel:
         deg = Multidegree(theta_graph(), (("v", 0), ("w", 1)))
         model = SheafModel(theta_graph(), frozenset({"e1", "e3"}), deg)
         assert SheafModel.from_json_dict(theta_graph(), model.to_json_dict()) == model
+
+    def test_string_edge_set_is_refused(self):
+        g = DualGraph((("v", 1), ("w", 1)),
+                      (("a", ("v", "w")), ("b", ("v", "w")), ("c", ("v", "w"))))
+        deg = Multidegree(g, (("v", 0), ("w", 1)))
+        for edges in ("ab", "a"):
+            with pytest.raises(ValueError) as exc:
+                SheafModel(g, edges, deg)
+            assert str(exc.value) == (
+                f"non-invertible set must be a collection of edge ids, not the string {edges!r}")
+        assert SheafModel(g, ["a", "b"], deg).noninvertible == {"a", "b"}
+
+    def test_pickle_and_copies_validate(self):
+        deg = Multidegree(theta_graph(), (("v", 0), ("w", 1)))
+        model = SheafModel(theta_graph(), frozenset({"e1"}), deg)
+        for clone in (pickle.loads(pickle.dumps(model)), copy.copy(model), copy.deepcopy(model)):
+            assert clone == model and hash(clone) == hash(model)
+        # values that skipped the checks are caught when rebuilt
+        bad_deg = Multidegree._derived(theta_graph(), (("v", 0), ("w", 2.7)))
+        bad_model = SheafModel._derived(theta_graph(), frozenset({"zz"}), deg)
+        for bad, message in ((bad_deg, "degree at 'w' must be an integer, got 2.7"),
+                             (bad_model, "non-invertible set names unknown edges: ['zz']")):
+            for rebuild in (lambda x: pickle.loads(pickle.dumps(x)), copy.copy, copy.deepcopy):
+                with pytest.raises(ValueError) as exc:
+                    rebuild(bad)
+                assert str(exc.value) == message
 
 
 class TestChainCohomology:

@@ -343,6 +343,18 @@ class TestBalanced:
 
 
 class TestEnumeration:
+    def test_non_int_degree_is_refused(self):
+        for d in (2.0, 2.5, True, "2", None):
+            for call in (lambda: enumerate_semistable_models(theta_graph(), d),
+                         lambda: enumerate_semistable_models(K4, d, "quasistable", "a"),
+                         lambda: enumerate_balanced(theta_graph(), d),
+                         lambda: enumerate_balanced(K4, d, "stably_balanced"),
+                         lambda: canonical_polarization(theta_graph(), d)):
+                with pytest.raises(ValueError) as exc:
+                    call()
+                assert str(exc.value) == f"degree must be an integer, got {d!r}"
+        assert len(enumerate_semistable_models(theta_graph(), 2)) == 12
+
     def test_theta_semistable_count_and_split(self):
         models = enumerate_semistable_models(theta_graph(), 2)
         assert len(models) == 12
