@@ -236,6 +236,9 @@ class DualGraph:
 
 
 def _check_members(graph: DualGraph, members: Iterable[str]) -> frozenset[str]:
+    """The subcurve as a set of vertex ids; a string is refused, not read as its characters."""
+    if isinstance(members, str):
+        raise ValueError(f"subcurve must be a collection of vertex ids, not the string {members!r}")
     sub = frozenset(members)
     if not sub:
         raise ValueError("subcurve must be nonempty")
@@ -333,34 +336,47 @@ def classify(graph: DualGraph) -> str:
 _MAX_SUBCURVES = 1 << 20
 
 
-def connected_subcurves(graph: DualGraph, proper: bool = False) -> Iterator[frozenset[str]]:
-    """Yield the vertex sets of connected subcurves.
-
-    The order is by increasing bitmask over the sorted vertex ids, so it
-    is deterministic.  With ``proper`` the whole curve is skipped.
+def _grow_subcurves(graph: DualGraph) -> dict[int, tuple[int, int, int]]:
+    """(chi, k = |dZ|, parent) per connected subcurve Z, keyed by its bitmask
+    over the sorted vertex ids, in increasing mask order.
 
     The sets are grown from single vertices, one neighbouring vertex at a
-    time; every connected set of k >= 2 vertices is reached this way, from
-    the connected set left after removing one of its non-cut vertices.  The
-    cost is proportional to the number of connected subcurves times the
-    valence, not to the 2^n vertex subsets, but that number is itself
-    exponential for dense graphs: more than _MAX_SUBCURVES of them raise
-    ValueError.
+    time; every connected set of two or more vertices is reached this way,
+    from the connected set left after removing one of its non-cut vertices,
+    its parent (0 for a single vertex), a smaller mask.  A set grown by v
+    gains 1 - g(v) - loops(v) in chi and the non-loop valence of v in k,
+    each less the edges from v into the set (twice for k).  The cost is
+    proportional to the number of connected subcurves times the valence,
+    not to the 2^n vertex subsets, but that number is itself exponential
+    for dense graphs: more than _MAX_SUBCURVES of them raise ValueError.
     """
     ids = graph.vertex_ids
     n = len(ids)
     index = {v: i for i, v in enumerate(ids)}
+    own = [1 - g for _, g in graph.vertices]
+    reach = [0] * n  # non-loop valence
     neighbor_mask = [0] * n
+    parallel: list[tuple[int, ...]] = [()] * n  # a neighbour's bit once per edge after its first
     for _, (a, b) in graph.edges:
-        if a != b:
-            neighbor_mask[index[a]] |= 1 << index[b]
-            neighbor_mask[index[b]] |= 1 << index[a]
-    found = {1 << i: frozenset((v,)) for i, v in enumerate(ids)}
-    # (set, its neighbours outside it) as bitmasks, for each set still to extend
-    stack = [(1 << i, neighbor_mask[i]) for i in range(n)]
+        i, j = index[a], index[b]
+        if i == j:
+            own[i] -= 1
+            continue
+        reach[i] += 1
+        reach[j] += 1
+        bit_i, bit_j = 1 << i, 1 << j
+        if neighbor_mask[i] & bit_j:
+            parallel[i] += (bit_j,)
+            parallel[j] += (bit_i,)
+        neighbor_mask[i] |= bit_j
+        neighbor_mask[j] |= bit_i
+    found, stack = {}, []  # stack: (set, its neighbours outside it), for each set to extend
+    for i in range(n):
+        found[1 << i] = (own[i], reach[i], 0)
+        stack.append((1 << i, neighbor_mask[i]))
     while stack:
         mask, border = stack.pop()
-        members = found[mask]
+        chi, k, _ = found[mask]
         rest = border
         while rest:
             bit = rest & -rest
@@ -374,12 +390,45 @@ def connected_subcurves(graph: DualGraph, proper: bool = False) -> Iterator[froz
                     "too many to enumerate"
                 )
             i = bit.bit_length() - 1
-            found[grown] = members | {ids[i]}
+            inner = (mask & neighbor_mask[i]).bit_count()  # the edges from i into mask
+            if parallel[i]:
+                inner += sum(1 for b in parallel[i] if mask & b)
+            found[grown] = (chi + own[i] - inner, k + reach[i] - 2 * inner, mask)
             stack.append((grown, (border | neighbor_mask[i]) & ~grown))
-    full = (1 << n) - 1
-    for mask in sorted(found):
+    return {mask: found[mask] for mask in sorted(found)}
+
+
+@_per_graph
+def _subcurve_masks(graph: DualGraph) -> dict[int, tuple[int, int, int]]:
+    """The graph's one enumeration of its connected subcurves, ``_grow_subcurves``."""
+    return _grow_subcurves(graph)
+
+
+def _members(ids: tuple[str, ...], mask: int) -> frozenset[str]:
+    """The ids at the set bits of ``mask``."""
+    members = []
+    while mask:
+        bit = mask & -mask
+        members.append(ids[bit.bit_length() - 1])
+        mask ^= bit
+    return frozenset(members)
+
+
+def connected_subcurves(graph: DualGraph, proper: bool = False) -> Iterator[frozenset[str]]:
+    """Yield the vertex sets of connected subcurves.
+
+    The order is by increasing bitmask over the sorted vertex ids, so it
+    is deterministic.  With ``proper`` the whole curve is skipped.  The
+    masks are enumerated once per graph object (``_grow_subcurves``): more
+    than _MAX_SUBCURVES connected subcurves raise ValueError.
+    """
+    ids = graph.vertex_ids
+    full = (1 << len(ids)) - 1
+    sets = {0: frozenset()}  # each set is its parent's and one vertex more
+    for mask, (_, _, parent) in _subcurve_masks(graph).items():
+        sets[mask] = members = sets[parent] | {ids[(mask ^ parent).bit_length() - 1]}
         if not (proper and mask == full):
-            yield found[mask]
+            yield members
 
 
 # -- exceptional chains ----------------------------------------------------

@@ -208,8 +208,9 @@ def modify(graph: DualGraph, lengths: Mapping[str, int]) -> Modification:
     """Replace each listed edge by a chain of new genus-0 vertices.
 
     ``lengths`` maps edge ids to chain lengths, each an ``int`` of at least
-    1.  The chain over edge e is named e#1, e#2, ... starting from side 0,
-    and its segments are named e#0-1, e#1-2, and so on.
+    1; anything but a mapping, such as the string of one edge id, is
+    refused.  The chain over edge e is named e#1, e#2, ... starting from
+    side 0, and its segments are named e#0-1, e#1-2, and so on.
 
     The source is built straight from the checked target, without the
     validating constructors: it is connected with distinct ids and genera
@@ -218,6 +219,8 @@ def modify(graph: DualGraph, lengths: Mapping[str, int]) -> Modification:
     collide with each other: the text after the last ``#`` holds no ``#``),
     and k new vertices come with k new edges, so the genus is the target's.
     """
+    if not isinstance(lengths, Mapping):
+        raise ValueError(f"chain lengths must map edge ids to lengths, not {lengths!r}")
     clean: dict[str, int] = {}
     for e, k in lengths.items():
         e = str(e)

@@ -17,9 +17,11 @@ below; certify_bijection takes both sides from one walk.  Each side
 compiles a stratum's windows once, by the remark after the first lemma,
 and reads each vector off them, one row further only when the rows
 before it pass.  A graph with exceptional chains reads its cuts off the
-graph with each chain contracted to one edge, one chain row per cut, so
-its subcurves are never enumerated; each verdict decides a chain row on
-at most four of its sides, chosen from per-chain prefix extremes.
+graph with each chain contracted to one edge: one chain row per cut and
+one interval record per chain, so neither its subcurves nor its sides are
+ever built.  Each verdict decides a chain row from the margin of one set
+and each chain's least prefix sums, and an interval record from its
+least interval sums, all integers (the last two lemmas).
 
     Lemma.  Let N be a model's non-invertible set, the polarization
     compatible with its degree, and for a vertex set S let d_S count the
@@ -100,7 +102,8 @@ at most four of its sides, chosen from per-chain prefix extremes.
     crossed by a chain of m vertices gives m + 1 distinct sides.
 
     So the cut table of G holds one chain row per cut of R, standing for
-    all the sides of (i), and the interval rows of (ii).
+    all the sides of (i), and one interval record per chain of (ii),
+    standing for its m (m + 1) / 2 intervals.
 
     Lemma (chain windows).  Fix a model on G (degrees d, non-invertible
     set N) and a polarization (rank, e).  Read each chain crossing a cut
@@ -113,10 +116,12 @@ at most four of its sides, chosen from per-chain prefix extremes.
     S >= b with a = b = 0 (semistable), a = b = 1 (stable), or a = [p in
     Z] and b = [p not in Z] (quasistable at p), and whether p is in Z
     depends on at most one chain.  So every side of the row passes
-    exactly when, within each class of p's membership, the side of least
-    M and the side of least S pass: at most four sides, taken from the
-    least prefix sums of P and Q on each chain, on p's chain restricted
-    to the parts that hold p or to those that do not.
+    exactly when, within each class of p's membership, the least M and
+    the least S pass: M_0 plus the sum of each chain's least P, and S_0
+    plus the sum of its least Q, on p's chain over the parts that hold p
+    or over those that do not.  Read from its other end, a chain has
+    P'(j) = Q(m - j) - Q(m) and Q'(j) - Q'(0) = P(m - j) - P(m), so one
+    reading serves both ends.
 
     Proof.  Adding c_1..c_j to a side adds j vertices of genus 0 and the
     j edges f_0..f_(j-1), so chi is unchanged, d_Z and e_Z grow by the
@@ -125,8 +130,30 @@ at most four of its sides, chosen from per-chain prefix extremes.
     integers, so M > 0 is M >= 1 and M < rank (k - |dZ & N|) is S >= 1,
     which gives a and b in each mode.  Within a class, a and b are fixed
     and the parts range independently, so the least M is the sum of the
-    per-chain least P, reached by one side, and likewise for S; the class
-    passes exactly when those two sides pass.
+    per-chain least P, and likewise for S: every side passes exactly when
+    these two do, though they may be reached at different sides.  The
+    other reading takes c_m..c_(m-j+1) with the edges f_m..f_(m-j+1), so
+    P'(j) = P(m) - P(m - j) + rank ([f_m in N] - [f_(m-j) in N]) = Q(m - j)
+    - Q(m), and Q'(j) = -P'(j) - rank [f_(m-j) in N] = P(m - j) + Q(m).
+
+    Lemma (intervals).  With a chain of (ii) read as in the chain-window
+    lemma and P and Q as there, the interval c_(s+1)..c_j, 0 <= s < j <= m,
+    has margin M = rank + P(j) + Q(s) and slack S = rank + Q(j) + P(s).
+    So every interval passes its window exactly when, within each class
+    of p's membership, the least M and the least S pass: over all s < j
+    when p is off the chain; for p = c_q, over s < q <= j for the
+    intervals holding p, where M and S split into a least over j >= q and
+    one over s < q, and over s < j < q and q <= s < j for the others.  On
+    a span of indices the least of A(j) + B(s) over s < j is one pass
+    over j, keeping the least B(s) met before it.
+
+    Proof.  An interval has chi 1 and k 2 (the bond lemma), holds the
+    nodes among f_(s+1)..f_(j-1), and is crossed by f_s and f_j.  So M =
+    rank (1 + sum d(c_t) + #(N among f_(s+1)..f_(j-1))) + sum e(c_t), over
+    s < t <= j, which is rank + P(j) - P(s) - rank [f_s in N] = rank + P(j)
+    + Q(s); and M + S = rank (2 - [f_s in N] - [f_j in N]) gives S.  Whether
+    p is in the interval is fixed within a class, and so are a and b of
+    the window, as in the chain-window lemma.
 """
 
 from __future__ import annotations
@@ -137,8 +164,8 @@ from itertools import combinations
 from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 from . import graphs
-from .graphs import (DualGraph, _json_int, _per_graph, classify, connected_subcurves,
-                     exceptional_vertices)
+from .graphs import (DualGraph, _json_int, _members, _per_graph, _subcurve_masks, classify,
+                     connected_subcurves, exceptional_vertices)
 from .modifications import (Modification, _series_reduction, pullback_multidegree,
                             small_modification)
 from .sheaves import Multidegree, SheafModel
@@ -209,164 +236,198 @@ def _canonical_e(graph: DualGraph, d: int) -> dict[str, int]:
 
 @_per_graph
 def _subcurve_table(graph: DualGraph) -> tuple[tuple[frozenset[str], int], ...]:
-    """(members, chi) per connected proper subcurve.
+    """(members, chi) per connected proper subcurve, in ``connected_subcurves`` order.
 
-    Every row is connected, so chi_Z is the sum over v in Z of
-    1 - g(v) - loops(v), minus the non-loop edges inside Z.  Each such edge
-    is counted at its smaller end, from a table of each vertex's larger
-    neighbours with their edge multiplicities, built once per graph.
+    Both read the graph's one enumeration of its subcurves, which also
+    gives each chi.
     """
-    own = {v: 1 - g for v, g in graph.vertices}
-    larger: dict[str, dict[str, int]] = {v: {} for v in graph.vertex_ids}
-    for _, (a, b) in graph.edges:
-        if a == b:
-            own[a] -= 1
-        else:
-            larger[a][b] = larger[a].get(b, 0) + 1
-    above = {v: tuple(nbrs.items()) for v, nbrs in larger.items()}
-    rows = []
-    for z in connected_subcurves(graph, proper=True):
-        chi = 0
-        for v in z:
-            chi += own[v]
-            for w, k in above[v]:
-                if w in z:
-                    chi -= k
-        rows.append((z, chi))
-    return tuple(rows)
+    full = (1 << len(graph.vertex_ids)) - 1
+    chis = [chi for mask, (chi, _, _) in _subcurve_masks(graph).items() if mask != full]
+    return tuple(zip(connected_subcurves(graph, proper=True), chis))
 
 
 @_per_graph
-def _cut_table(graph: DualGraph) -> tuple[tuple, ...]:
-    """(members, chi, k = |dZ| = omega_Z + 2 chi_Z) per cut with both sides connected.
+def _cut_table(graph: DualGraph) -> tuple[tuple, ...] | _ChainCuts:
+    """(members, chi, k = |dZ|) per cut with both sides connected.
 
     One side per cut is kept; every window predicate is symmetric under
     Z <-> Z^c, by (a) of the first lemma.  A graph with exceptional chains,
     unless its class is "none" or it is one exceptional cycle, reads its
-    cuts off its series reduction (the bond lemma of the module): chain
-    rows and interval rows, see ``_series_cuts``, and no subcurve table.
-    Every other graph keeps, from its subcurve table, the side with fewer
-    vertices, or on a tie the side holding the first vertex.
+    cuts off its series reduction (the bond lemma of the module): a
+    ``_ChainCuts``, see ``_series_cuts``, and no subcurve table.  Every
+    other graph keeps, from its enumeration of subcurves, the side with
+    fewer vertices, or on a tie the side holding the first vertex; only
+    the kept sides become sets.
     """
     exceptional = exceptional_vertices(graph)
     if exceptional and classify(graph) != "none" and len(exceptional) < len(graph.vertex_ids):
-        return _series_cuts(*_series_reduction(graph))
-    rows = _subcurve_table(graph)
-    sides = {z for z, _ in rows}
-    whole, first = frozenset(graph.vertex_ids), graph.vertex_ids[0]
-    omega = {v: graph.omega_degree(v) for v in whole}
-    return tuple(
-        (z, chi, sum(map(omega.__getitem__, z)) + 2 * chi) for z, chi in rows
-        if whole - z in sides
-        and (2 * len(z) < len(whole) or 2 * len(z) == len(whole) and first in z)
-    )
+        return _series_cuts(graph, *_series_reduction(graph))
+    masks = _subcurve_masks(graph)
+    ids = graph.vertex_ids
+    n, full = len(ids), (1 << len(ids)) - 1
+    rows = []
+    for mask, (chi, k, _) in masks.items():
+        twice = 2 * mask.bit_count()
+        if (twice < n or twice == n and mask & 1) and full ^ mask in masks:
+            rows.append((_members(ids, mask), chi, k))
+    return tuple(rows)
+
+
+@dataclass(frozen=True)
+class _ChainCuts:
+    """The cut table of a subdivision, read off its series reduction (the bond lemma).
+
+    ``chains`` holds each chain read from the first end of its edge, as
+    (c_1..c_m, f_0..f_m): its vertices, and f_t the edge from c_t to
+    c_(t+1), c_0 and c_(m+1) being the ends.  ``rows`` holds one chain row
+    (W+, chi, k, arms) per cut (W, chi, k) of the reduction: W+ is W with
+    the chains having both ends in W, and ``arms`` names each chain i
+    crossing it by 2i when read from its first end, in W, and by 2i + 1 when
+    read from its other end.  ``intervals`` holds each chain whose edge is
+    not a bridge, one record for all its intervals.
+    """
+
+    chains: tuple[tuple[tuple[str, ...], tuple[str, ...]], ...]
+    rows: tuple[tuple[frozenset[str], int, int, tuple[int, ...]], ...]
+    intervals: tuple[int, ...]
 
 
 def _series_cuts(
-    base: DualGraph, registry: Iterable[tuple[str, tuple[str, ...]]],
-) -> tuple[tuple, ...]:
-    """Cut rows of the subdivision of ``base`` along the chains of ``registry``.
+    graph: DualGraph, base: DualGraph, registry: Iterable[tuple[str, tuple[str, ...]]],
+) -> _ChainCuts:
+    """The cut table of ``graph``, the subdivision of ``base`` along the chains of ``registry``.
 
     The cut table of ``base`` has no chain rows, and each chain reads from
-    the first end of its edge.  Each cut (W, chi, k) of ``base`` gives one
-    chain row (W+, chi, k, arms): W+ is W with the chains having both ends
-    in W, and each arm is the path of a chain crossing it, from its end in
-    W through c_1..c_m to its other end (the bond lemma).  Then each
-    interval of a chain whose edge is not a bridge (crosses no cut with
-    k = 1) is a row (interval, 1, 2).  The rows are counted before the
-    intervals are built: more than ``graphs._MAX_SUBCURVES`` raise ValueError.
+    the first end of its edge; its edges are read off ``graph``.  A chain
+    whose edge crosses a cut with k = 1 is a bridge.  The table holds one
+    record per chain row and per interval record: more than
+    ``graphs._MAX_SUBCURVES`` raise ValueError.
     """
-    ends = base.edge_ends
-    chains = []
+    ends, incidence = base.edge_ends, graph.incidence
+    chains, sides = [], []
     for e, c in registry:
         a, b = ends[e]
-        chains.append((a, b, c, (a,) + c + (b,), (b,) + c[::-1] + (a,)))
+        (f, other), (g, _) = incidence[c[0]]
+        edges = [f if other == a else g]  # both, on a one-vertex chain of a loop
+        for v in c:
+            (f, _), (g, _) = incidence[v]
+            edges.append(g if f == edges[-1] else f)
+        chains.append((c, tuple(edges)))
+        sides.append((a, b, c))
     bridges = set()
     rows: list[tuple] = []
     for w, chi, k in _cut_table(base):
         inside, arms = [], []
-        for i, (a, b, c, forward, backward) in enumerate(chains):
+        for i, (a, b, c) in enumerate(sides):
             if (a in w) == (b in w):
                 if a in w:
                     inside.extend(c)
                 continue
-            arms.append(forward if a in w else backward)
+            arms.append(2 * i if a in w else 2 * i + 1)
             if k == 1:
                 bridges.add(i)
         rows.append((w.union(inside) if inside else w, chi, k, tuple(arms)))
-    intervals = [c for i, (_, _, c, _, _) in enumerate(chains) if i not in bridges]
-    count = len(rows) + sum(len(c) * (len(c) + 1) // 2 for c in intervals)
+    intervals = tuple(i for i in range(len(chains)) if i not in bridges)
+    count = len(rows) + len(intervals)
     if count > graphs._MAX_SUBCURVES:
         raise ValueError(f"graph has {count} cut rows, more than "
                          f"{graphs._MAX_SUBCURVES}; too many to enumerate")
-    for c in intervals:
-        rows.extend((frozenset(c[lo:hi]), 1, 2)
-                    for lo in range(len(c)) for hi in range(lo + 1, len(c) + 1))
-    return tuple(rows)
+    return _ChainCuts(tuple(chains), tuple(rows), intervals)
 
 
-def _least(sums: list[int], lo: int = 0, hi: int | None = None) -> int:
-    """The first index in range(lo, hi) of a least entry."""
-    return sums.index(min(sums[lo:hi]), lo)
+def _least_pair(later: list[int], earlier: list[int], lo: int, hi: int) -> int:
+    """The least later[j] + earlier[s] over lo <= s < j <= hi; needs lo < hi."""
+    least, best = later[lo + 1] + earlier[lo], earlier[lo]
+    for j in range(lo + 2, hi + 1):
+        if earlier[j - 1] < best:
+            best = earlier[j - 1]
+        if later[j] + best < least:
+            least = later[j] + best
+    return least
 
 
-def _chain_sides(
-    rows: Sequence[tuple], ends: Mapping[str, tuple[str, str]], values: Mapping[str, int],
-    noninvertible: Collection[str], rank: int, e_values: Mapping[str, int],
-    base_vertex: str | None = None,
-) -> Sequence[tuple]:
-    """Cut rows (Z, chi, k) that decide the windows of ``rows`` under one model.
+def _cut_windows(
+    cuts: Sequence[tuple] | _ChainCuts, ends: Mapping[str, tuple[str, str]],
+    values: Mapping[str, int], noninvertible: Collection[str], rank: int,
+    e_values: Mapping[str, int], base_vertex: str | None = None,
+) -> Iterator[tuple]:
+    """Window rows (z, m, hi) that decide every cut of ``cuts`` under one model, lazily.
 
-    Each chain row (W+, chi, k, arms) becomes its side of least margin and
-    its side of least slack, one pair per class of membership of
-    ``base_vertex`` when that lies on an arm (the chain-window lemma of the
-    module); the interval rows after them are kept, and a table without
-    chain rows is returned as it is.  Without a base vertex the sides
-    decide every mode at any base vertex off the arms.  A crossing chain
-    has one edge between two consecutive vertices of its path, so N is
-    read as pairs of ends.
+    Plain cut rows go through the kernel as they are.  A ``_ChainCuts``
+    gives one row (z, least M, least M + least S) per chain row, from the
+    kernel margin of W+ and each arm's least prefix sums (the chain-window
+    lemma of the module), and one per interval record, from its least
+    interval sums (the interval lemma); on the arm or chain holding
+    ``base_vertex``, one per class of its membership.  A window reads
+    m >= a and hi - m >= b apart, so that one row decides its class, and z
+    holds ``base_vertex`` exactly when the class's sides do.  Without a
+    base vertex the rows decide every mode at any base vertex off the
+    chains.  No side is built.
     """
-    if not rows or len(rows[0]) == 3:
-        return rows
-    nodes = {pair for e in noninvertible for pair in (ends[e], ends[e][::-1])}
-    extremes: dict[tuple[str, ...], tuple] = {}  # per arm: a chain may cross many cuts
-
-    def prefix_sums(path: tuple[str, ...]) -> tuple:
-        inner = path[1:-1]
-        crossing = ([rank if pair in nodes else 0 for pair in zip(path, path[1:])] if nodes
-                    else [0] * (len(path) - 1))
+    if not isinstance(cuts, _ChainCuts):
+        yield from _margins(cuts, ends, values, noninvertible, rank, e_values)
+        return
+    nodes = set(noninvertible)
+    sums, lows = [], []  # per chain P and Q; per arm its least P and least Q - Q(0)
+    for vertices, edges in cuts.chains:
         margin, prefix = 0, [0]
-        for c, f in zip(inner, crossing):
-            margin += rank * values[c] + e_values[c] + f
-            prefix.append(margin)
-        slack = [-m - f for m, f in zip(prefix, crossing)]
-        return inner, prefix, slack, inner[:_least(prefix)], inner[:_least(slack)]
-
-    sides: list[tuple] = []
-    for n, row in enumerate(rows):
-        if len(row) == 3:
-            sides.extend(rows[n:])
+        if nodes:
+            crossing = [rank if f in nodes else 0 for f in edges]
+            for c, f in zip(vertices, crossing):
+                margin += rank * values[c] + e_values[c] + f
+                prefix.append(margin)
+            slack = [-m - f for m, f in zip(prefix, crossing)]
+        else:
+            for c in vertices:
+                margin += rank * values[c] + e_values[c]
+                prefix.append(margin)
+            slack = [-m for m in prefix]
+        sums.append((prefix, slack))
+        # read from the other end, P(j) is Q(m - j) - Q(m) and Q(j) - Q(0) is P(m - j) - P(m)
+        low_p, low_q = min(prefix), min(slack)
+        lows += [(low_p, low_q - slack[0]), (low_q - slack[-1], low_p - prefix[-1])]
+    held, at, split = (base_vertex,), {}, {}  # the chain holding base_vertex = c_q
+    for i, (vertices, _) in enumerate(cuts.chains):
+        if base_vertex is not None and base_vertex in vertices:
+            q = at[i] = vertices.index(base_vertex) + 1
+            prefix, slack = sums[i]
+            head, tail = slice(None, q), slice(q, None)
+            # per arm: the parts that miss c_q, then those that hold it
+            split[2 * i] = [(min(prefix[part]), min(slack[part]) - slack[0])
+                            for part in (head, tail)]
+            split[2 * i + 1] = [(min(slack[part]) - slack[-1], min(prefix[part]) - prefix[-1])
+                                for part in (tail, head)]
             break
-        w, chi, k, arms = row
-        low_m, low_s, split = [], [], None
-        for path in arms:
-            if path not in extremes:
-                extremes[path] = prefix_sums(path)
-            inner, prefix, slack, least_m, least_s = extremes[path]
-            if base_vertex in inner:
-                split = (len(low_m), inner, prefix, slack, inner.index(base_vertex) + 1)
-            low_m.append(least_m)
-            low_s.append(least_s)
-        picks = [low_m, low_s]
-        if split is not None:
-            i, inner, prefix, slack, q = split
-            picks = [low[:i] + [inner[:_least(sums, lo, hi)]] + low[i + 1:]
-                     for lo, hi in ((0, q), (q, None))
-                     for low, sums in ((low_m, prefix), (low_s, slack))]
-        for j, parts in enumerate(picks):
-            if parts not in picks[:j]:
-                sides.append((w.union(*parts), chi, k))
-    return sides
+    kernel = _margins(cuts.rows, ends, values, noninvertible, rank, e_values)
+    for (w, _, _, arms), (_, m0, hi) in zip(cuts.rows, kernel):
+        least_m, least_s, classes = m0, hi - m0, None
+        for a in arms:
+            if a in split:
+                classes = split[a]
+                continue
+            low_m, low_s = lows[a]
+            least_m += low_m
+            least_s += low_s
+        if classes is None:
+            yield w, least_m, least_m + least_s
+            continue
+        for z, (low_m, low_s) in zip((w, held), classes):
+            m = least_m + low_m
+            yield z, m, m + least_s + low_s
+    for i in cuts.intervals:
+        prefix, slack = sums[i]
+        m, q = len(prefix) - 1, at.get(i)
+        # intervals c_(s+1)..c_j with s < j in one span: all, or those missing c_q
+        spans = ((0, m),) if q is None else [span for span in ((0, q - 1), (q, m))
+                                             if span[0] < span[1]]
+        if spans:
+            low_m = min(_least_pair(prefix, slack, lo, hi) for lo, hi in spans)
+            low_s = min(_least_pair(slack, prefix, lo, hi) for lo, hi in spans)
+            yield (), rank + low_m, 2 * rank + low_m + low_s
+        if q is not None:  # the intervals holding c_q: s < q <= j, the ends apart
+            low_m = min(prefix[q:]) + min(slack[:q])
+            low_s = min(slack[q:]) + min(prefix[:q])
+            yield held, rank + low_m, 2 * rank + low_m + low_s
 
 
 @dataclass(frozen=True)
@@ -457,18 +518,19 @@ def _polarized_margins(
 ) -> Iterator[tuple]:
     """The kernel under ``pol``, which must live on ``graph`` and suit degree d.
 
-    It reads the graph's subcurve table, or the cut rows ``cuts`` with each
-    chain row narrowed to the sides that decide it at ``base_vertex``.
+    It reads the graph's subcurve table, or the windows of the cut table
+    ``cuts`` that decide it at ``base_vertex`` (``_cut_windows``).
     """
     if pol.graph != graph:
         raise ValueError("polarization lives on a different graph")
     if not pol.compatible_with_degree(d):
         raise ValueError(f"polarization incompatible with degree {d}")
     values, e_values = dict(values), dict(pol.e.as_dict)
-    rows = (_subcurve_table(graph) if cuts is None
-            else _chain_sides(cuts, graph.edge_ends, values, noninvertible, pol.rank, e_values,
-                              base_vertex))
-    return _margins(rows, graph.edge_ends, values, noninvertible, pol.rank, e_values)
+    if cuts is None:
+        return _margins(_subcurve_table(graph), graph.edge_ends, values, noninvertible,
+                        pol.rank, e_values)
+    return _cut_windows(cuts, graph.edge_ends, values, noninvertible, pol.rank, e_values,
+                        base_vertex)
 
 
 def _canonical_scan(

@@ -14,8 +14,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product, tee
-from typing import Callable, Collection, Iterator
+from itertools import combinations, product, starmap
+from typing import Callable, Collection, Iterator, Sequence
 
 from .catalog import elliptic_bridge, theta_graph
 from .graphs import DualGraph, connected_subcurves, exceptional_vertices
@@ -43,9 +43,9 @@ from .sheaves import (
     twist,
 )
 from .stability import (
-    _chain_sides,
+    _ChainCuts,
     _cut_table,
-    _margins,
+    _cut_windows,
     _series_cuts,
     _stability_test,
     balanced_report,
@@ -388,30 +388,25 @@ def _suite_compadm(cfg: VerifyConfig, rng: random.Random) -> SuiteResult:
 
 
 def _window_rows(graph: DualGraph, values: dict[str, int], noninvertible: Collection[str],
-                 rank: int, e_values: dict[str, int], cuts: tuple) -> Callable[..., Iterator]:
+                 rank: int, e_values: dict[str, int],
+                 cuts: tuple | _ChainCuts) -> Callable[..., Sequence]:
     """The window rows of one model at a base vertex, for every mode.
 
-    The chain sides are chosen once with no base vertex, which serves every
-    base vertex off the chains of ``cuts``, and again for a base vertex on
-    one of them (the chain-window lemma of ``stability``).  Margins are
-    computed as the verdicts read them and replayed for the next mode, so
-    a window that fails early spares the rows after it.
+    One decided list, built with no base vertex, serves every mode at
+    every base vertex off the chains of ``cuts``; a base vertex on one of
+    them is decided afresh (the chain-window and interval lemmas of
+    ``stability``).
     """
     ends = graph.edge_ends
+    shared = list(_cut_windows(cuts, ends, values, noninvertible, rank, e_values))
+    on_chains = ({v for vertices, _ in cuts.chains for v in vertices}
+                 if isinstance(cuts, _ChainCuts) else ())
 
-    def rows(base_vertex: str | None = None) -> Iterator:
-        sides = _chain_sides(cuts, ends, values, noninvertible, rank, e_values, base_vertex)
-        return _margins(sides, ends, values, noninvertible, rank, e_values)
-
-    on_chains = {v for row in cuts if len(row) > 3 for path in row[3] for v in path[1:-1]}
-    shared = rows()
-
-    def at(base_vertex: str | None = None) -> Iterator:
-        nonlocal shared
+    def at(base_vertex: str | None = None) -> Sequence:
         if base_vertex in on_chains:
-            return rows(base_vertex)
-        shared, replay = tee(shared)
-        return replay
+            return list(_cut_windows(cuts, ends, values, noninvertible, rank, e_values,
+                                     base_vertex))
+        return shared
 
     return at
 
@@ -426,19 +421,18 @@ def check_famchain2_instance(mod: Modification, deg: Multidegree) -> list[dict]:
     the target along the registered chains, so by the bond lemma of
     ``stability`` its cuts are the target's with chain rows.  A target
     whose own table has chain rows leaves the source its own table.  Each
-    side's chain sides are chosen once and its windows read, as far as a
-    verdict needs them, in every mode: every base vertex is a target
-    vertex, on no registered chain.
+    side decides its windows once, as integers, and reads them in every
+    mode: every base vertex is a target vertex, on no registered chain.
     """
     failures = []
     d = deg.total
     pol = canonical_polarization(mod.target, d)
     e_values = dict(pol.e.as_dict)
     target_cuts = _cut_table(mod.target)
-    if all(len(row) == 3 for row in target_cuts):
-        source_cuts = _series_cuts(mod.target, mod.chain_registry)
-    else:
+    if isinstance(target_cuts, _ChainCuts):
         source_cuts = _cut_table(mod.source)
+    else:
+        source_cuts = _series_cuts(mod.source, mod.target, mod.chain_registry)
     # the pulled-back polarization: the same rank, and e is 0 on the chains
     source = _window_rows(mod.source, dict(deg.as_dict), (), pol.rank,
                           dict.fromkeys(mod.chain_vertices, 0) | e_values, source_cuts)
@@ -450,7 +444,7 @@ def check_famchain2_instance(mod: Modification, deg: Multidegree) -> list[dict]:
 
     def holds(rows, mode, base_vertex=None):
         ok = _stability_test(mode, base_vertex, window=True)
-        return all(ok(z, m, hi) for z, m, hi in rows)
+        return all(starmap(ok, rows))
 
     semi = flags.admissible and holds(target(), "semistable")
     stab = flags.admissible and holds(target(), "stable")

@@ -26,7 +26,7 @@ from nodalcalc import (
     theta_graph,
     elliptic_bridge,
 )
-from nodalcalc import graphs, stability
+from nodalcalc import graphs
 from nodalcalc.graphs import internal_edge_count
 from nodalcalc.stability import _cut_table, _subcurve_table
 from nodalcalc.verify import random_graph, random_modification
@@ -263,6 +263,24 @@ class TestConnectedSubcurves:
             for z, chi in rows:
                 assert chi == chi_structure(g, z)
 
+    def test_cut_table_keeps_the_table_rows_in_order(self):
+        # Oracle: the cut rows as read off the full subcurve table, the side
+        # with fewer vertices or, on a tie, the one holding the first vertex,
+        # with k from boundary_count
+        checked = 0
+        for g in oracle_graphs():
+            table = _cut_table(g)
+            if not isinstance(table, tuple):  # a subdivision reads its series reduction
+                continue
+            rows = _subcurve_table(g)
+            sides, whole, first = {z for z, _ in rows}, frozenset(g.vertex_ids), g.vertex_ids[0]
+            want = tuple((z, chi, boundary_count(g, z)) for z, chi in rows
+                         if whole - z in sides
+                         and (2 * len(z) < len(whole) or 2 * len(z) == len(whole) and first in z))
+            assert table == want, g
+            checked += bool(want)
+        assert checked > 30
+
     def test_too_many_subcurves_refused(self, monkeypatch):
         monkeypatch.setattr(graphs, "_MAX_SUBCURVES", 10)
         path = DualGraph(tuple((v, 0) for v in "abcd"),
@@ -409,24 +427,32 @@ class TestPerGraphMemo:
     @staticmethod
     def count_enumerations(monkeypatch):
         calls = []
-        enumerate_ = stability.connected_subcurves
+        enumerate_ = graphs._grow_subcurves
 
-        def counted(graph, *args, **kwargs):
+        def counted(graph):
             calls.append(graph)
-            return enumerate_(graph, *args, **kwargs)
+            return enumerate_(graph)
 
-        monkeypatch.setattr(stability, "connected_subcurves", counted)
+        monkeypatch.setattr(graphs, "_grow_subcurves", counted)
         return calls
 
     def test_cut_table_enumerates_once_per_graph(self, monkeypatch):
         calls = self.count_enumerations(monkeypatch)
         # a stable graph enumerates itself; a chain-modified one its series reduction
-        for graph in (complete_graph(4), modify(complete_graph(4), {"e01": 2}).source):
+        stable = complete_graph(4)
+        for graph in (stable, modify(complete_graph(4), {"e01": 2}).source):
             first = _cut_table(graph)
-            assert len(calls) == 1
+            assert len(calls) == 1 and (calls[0] is graph) == (graph is stable)
             assert _cut_table(graph) is first
             assert len(calls) == 1
             calls.clear()
+        # the subcurve table, the cut table and connected_subcurves share one enumeration
+        graph = complete_graph(4)
+        table = _subcurve_table(graph)
+        assert [z for z, _ in table] == list(connected_subcurves(graph, proper=True))
+        _cut_table(graph)
+        assert _subcurve_table(graph) is table
+        assert calls == [graph]
 
     def test_is_exceptional_once_per_vertex(self, monkeypatch):
         seen = []  # (graph, vertex), holding each graph so no id is reused

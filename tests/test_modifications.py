@@ -5,6 +5,7 @@ import pickle
 import random
 from dataclasses import FrozenInstanceError
 from itertools import combinations
+from types import MappingProxyType
 
 import pytest
 
@@ -98,6 +99,13 @@ class TestModify:
         with pytest.raises(ValueError, match=(
                 f"chain length for edge 'e1' must be an integer, got {length!r}")):
             modify(theta_graph(), {"e2": 1, "e1": length})
+
+    def test_lengths_must_be_a_mapping(self):
+        for lengths in ("e1", ["e1"], [("e1", 2)], None):
+            with pytest.raises(ValueError) as exc:
+                modify(theta_graph(), lengths)
+            assert str(exc.value) == f"chain lengths must map edge ids to lengths, not {lengths!r}"
+        assert modify(theta_graph(), MappingProxyType({"e1": 2})).lengths == {"e1": 2}
 
     def test_collision_messages_name_the_first_colliding_id(self):
         # edges in id order, and per edge its vertices before its segments

@@ -14,6 +14,7 @@ from nodalcalc import (
     Multidegree,
     SheafModel,
     Twister,
+    boundary_count,
     canonical_polarization,
     chain_h,
     elliptic_bridge,
@@ -414,6 +415,20 @@ class TestSheafModel:
             assert str(exc.value) == (
                 f"non-invertible set must be a collection of edge ids, not the string {edges!r}")
         assert SheafModel(g, ["a", "b"], deg).noninvertible == {"a", "b"}
+
+    def test_string_subcurve_is_refused(self):
+        # "vw" would be read as its characters, the subcurve {v, w}
+        model = SheafModel(theta_graph(), frozenset({"e1"}),
+                           Multidegree(theta_graph(), {"v": 1, "w": 0}))
+        for measure in (model.multidegree.degree_on, lambda z: sheaf_degree(model, z),
+                        lambda z: boundary_count(theta_graph(), z)):
+            for members in ("vw", "v"):
+                with pytest.raises(ValueError) as exc:
+                    measure(members)
+                assert str(exc.value) == (
+                    f"subcurve must be a collection of vertex ids, not the string {members!r}")
+        assert model.multidegree.degree_on(["v", "w"]) == 1
+        assert sheaf_degree(model, ("v", "w")) == 2
 
     def test_pickle_and_copies_validate(self):
         deg = Multidegree(theta_graph(), (("v", 0), ("w", 1)))

@@ -4,6 +4,7 @@ import functools
 import random
 import time
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, product
 from math import ceil, floor
@@ -42,8 +43,8 @@ from nodalcalc import (
 from nodalcalc import stability
 from nodalcalc.modifications import _series_reduction
 from nodalcalc.stability import (
-    _bounded_vectors, _boxes, _bundle_side, _cut_table, _lifted_rows, _margins, _model_side,
-    _series_cuts, _stability_test, _subcurve_table,
+    _ChainCuts, _bounded_vectors, _boxes, _bundle_side, _cut_table, _cut_windows, _lifted_rows,
+    _margins, _model_side, _series_cuts, _stability_test, _subcurve_table,
 )
 from nodalcalc.verify import random_stable_graph
 
@@ -777,23 +778,37 @@ class TestSeriesCuts:
         return [mod.source for mod in mods if mod.chain_registry]
 
     @staticmethod
-    def expand(graph, rows):
+    def expand(graph, table):
         """One row (Z, chi, k) per side of each chain row, one part per arm for
-        every pick; checks that each arm is a path of the graph whose one edge
-        after the part crosses Z, with one edge between consecutive vertices."""
-        for row in rows:
-            if len(row) == 3:
-                yield row
-                continue
-            w, chi, k, arms = row
-            for path in arms:
-                for a, b in zip(path, path[1:]):
-                    assert [o for _, o in graph.incidence[a]].count(b) == 1, (graph, path)
-            for pick in product(*(range(len(path) - 1) for path in arms)):
-                z = w.union(*(path[1:j + 1] for path, j in zip(arms, pick)))
-                for path, j in zip(arms, pick):
-                    assert set(path[:j + 1]) <= z and not z & set(path[j + 1:]), (graph, z)
+        every pick, then every interval of each interval record; checks that
+        each arm is a path of the graph whose one edge after the part crosses
+        Z, from its end in W.  A plain table is returned as it is."""
+        if not isinstance(table, _ChainCuts):
+            yield from table
+            return
+        ends = graph.edge_ends
+        for w, chi, k, arms in table.rows:
+            paths = []
+            for a in arms:
+                vertices, edges = table.chains[a // 2]
+                paths.append((vertices, edges) if a % 2 == 0 else (vertices[::-1], edges[::-1]))
+            for vertices, edges in paths:
+                assert len(edges) == len(vertices) + 1, (graph, vertices)
+                for t, c in enumerate(vertices):
+                    assert c in ends[edges[t]] and c in ends[edges[t + 1]], (graph, vertices)
+                    assert edges[t] != edges[t + 1]
+                assert set(ends[edges[0]]) & w and not set(ends[edges[-1]]) & w, (graph, w)
+            for pick in product(*(range(len(vertices) + 1) for vertices, _ in paths)):
+                z = w.union(*(vertices[:j] for (vertices, _), j in zip(paths, pick)))
+                for (vertices, edges), j in zip(paths, pick):
+                    a, b = ends[edges[j]]
+                    assert (a in z) != (b in z) and not z & set(vertices[j:]), (graph, z)
                 yield z, chi, k
+        for i in table.intervals:
+            vertices = table.chains[i][0]
+            for lo in range(len(vertices)):
+                for hi in range(lo + 1, len(vertices) + 1):
+                    yield frozenset(vertices[lo:hi]), 1, 2
 
     @classmethod
     def assert_cuts_match_the_full_table(cls, graph, table=None):
@@ -813,7 +828,7 @@ class TestSeriesCuts:
         sources = self.sources()
         assert len(sources) > 450
         for source in sources:
-            assert _cut_table(source) == _series_cuts(*_series_reduction(source))
+            assert _cut_table(source) == _series_cuts(source, *_series_reduction(source))
             self.assert_cuts_match_the_full_table(source)
 
     def test_modification_sources_read_their_targets(self):
@@ -825,21 +840,27 @@ class TestSeriesCuts:
             graph = random_stable_graph(rng, 5, 4)
             mod = modify(graph, {e: rng.randint(1, 3)
                                  for e in graph.edge_ends if rng.random() < 0.6})
-            rows = _series_cuts(mod.target, mod.chain_registry)
+            rows = _series_cuts(mod.source, mod.target, mod.chain_registry)
             self.assert_cuts_match_the_full_table(mod.source, rows)
             checked += bool(mod.chain_registry)
         assert checked > 40
 
     def test_intervals_and_bridges(self):
-        # the elliptic bridge's edge is a bridge: its chain has no interval row,
-        # while each of theta's chains contributes its m (m + 1) / 2 intervals
+        # the elliptic bridge's edge is a bridge: its chain has no interval record,
+        # while each of theta's chains has one, standing for its m (m + 1) / 2 intervals
         bridge = modify(elliptic_bridge(), {"e1": 3}).source
-        rows = list(self.expand(bridge, _cut_table(bridge)))
-        assert len(_cut_table(bridge)) == 1
+        table = _cut_table(bridge)
+        rows = list(self.expand(bridge, table))
+        assert len(table.rows) == 1 and table.intervals == ()
         assert all(len(z & {"v", "w"}) == 1 for z, _, _ in rows)
         assert len(rows) == 4
         theta = modify(theta_graph(), {"e1": 3}).source
-        intervals = [row for row in _cut_table(theta) if not row[0] & {"v", "w"}]
+        table = _cut_table(theta)
+        assert len(table.rows) == 1 and table.intervals == (0,)
+        assert table.chains == ((("e1#1", "e1#2", "e1#3"),
+                                 ("e1#0-1", "e1#1-2", "e1#2-3", "e1#3-4")),)
+        assert table.rows == ((frozenset({"v"}), 1, 3, (0,)),)
+        intervals = [row for row in self.expand(theta, table) if not row[0] & {"v", "w"}]
         assert sorted(intervals, key=lambda row: sorted(row[0])) == [
             (frozenset(c), 1, 2) for c in (["e1#1"], ["e1#1", "e1#2"],
                                            ["e1#1", "e1#2", "e1#3"], ["e1#2"],
@@ -928,6 +949,70 @@ class TestSeriesCuts:
         assert len(outcomes) == 6 and min(outcomes.values()) > 50, outcomes
 
 
+    def test_long_chain_verdicts_match_the_report(self):
+        # chains of 3 to 5 vertices, so a base vertex inside a chain leaves
+        # intervals on both of its sides; bundles and sheaves with nodes on the
+        # chains, random compatible polarizations with e nonzero on the chains,
+        # every mode at every base vertex.  Decisive: verdicts that differ once
+        # the interval records are dropped, and once the chain rows are, with
+        # the base vertex inside a chain and elsewhere.
+        rng = random.Random(3141)
+        checked, outcomes, decisive, inside = 0, Counter(), Counter(), 0
+        for _ in range(100):
+            graph = random_stable_graph(rng, 3, 3)
+            while not graph.edges:
+                graph = random_stable_graph(rng, 3, 3)
+            ids = sorted(graph.edge_ends)
+            picked = [e for e in ids if rng.random() < 0.5] or [rng.choice(ids)]
+            mod = modify(graph, {e: rng.randint(3, 5) for e in picked})
+            src, table = mod.source, _cut_table(mod.source)
+            inner = {c for _, chain in mod.chain_registry for c in chain[1:-1]}
+            for _ in range(4):
+                d = rng.randint(src.genus - 2, src.genus + 1)
+                rank = rng.randint(1, 3)
+                e = {v: rng.randint(-3, 3) for v in src.vertex_ids}
+                e[graph.vertex_ids[0]] -= rank * (d + 1 - src.genus) + sum(e.values())
+                pol = Polarization(rank, Multidegree(src, e))
+                subset = frozenset(f for f in sorted(src.edge_ends) if rng.random() < 0.2)
+                vals = self.centered(rng, src, subset, pol, d)
+                # along each chain, the running sum of d + e / rank + nodes near 0, so
+                # its interval sums stay near their middles; now and then one off
+                for _, chain in mod.chain_registry:
+                    running = 0
+                    for c in chain:
+                        step = e[c] / rank + sum(f in subset for f, _ in src.incidence[c]) / 2
+                        off = rng.choice((-1, 1)) if rng.random() < 0.1 else 0
+                        vals[c] = round(-running - step) + off
+                        running += vals[c] + step
+                while (gap := d - len(subset) - sum(vals.values())) != 0:
+                    vals[rng.choice(graph.vertex_ids)] += 1 if gap > 0 else -1
+                model = SheafModel(src, subset, Multidegree(src, vals))
+                bundle_vals = dict(vals)
+                bundle_vals[graph.vertex_ids[0]] += len(subset)
+                deg = Multidegree(src, bundle_vals)
+                for value, values, nodes, check, report in (
+                        (model, vals, subset, check_sheaf_stability,
+                         sheaf_stability_report(model, pol)),
+                        (deg, bundle_vals, (), check_bundle_stability,
+                         bundle_stability_report(deg, pol))):
+                    for mode in TestCutWindows.modes(src):
+                        verdict = check(value, pol, *mode)
+                        assert verdict == report.verdict(*mode), (src, mode, value)
+                        outcomes[mode[0], verdict] += 1
+                        checked += 1
+                        held = mode[1] in inner
+                        inside += held
+                        ok = _stability_test(*mode, window=True)
+                        for part, kept in (("intervals", replace(table, intervals=())),
+                                           ("rows", replace(table, rows=()))):
+                            rows = _cut_windows(kept, src.edge_ends, values, nodes, rank, e,
+                                                mode[1])
+                            decisive[part, held] += all(ok(*row) for row in rows) != verdict
+        assert checked > 7000 and inside > 2000, (checked, inside)
+        assert len(outcomes) == 6 and min(outcomes.values()) > 40, outcomes
+        assert len(decisive) == 4 and min(decisive.values()) > 100, decisive
+
+
 class TestSeriesCutBound:
     """Chain rows stand for many sides; only the rows built are counted."""
 
@@ -969,25 +1054,90 @@ class TestSeriesCutBound:
         assert len(outcomes) == 6
 
     def test_bound_counts_every_row(self, monkeypatch):
-        # the count is exact: a bound of the chain and interval rows passes,
-        # one less does not; each target's own table is built before the bound
+        # the count is exact: a bound of the chain rows and interval records
+        # passes, one less does not; each target's own table is built before the
+        # bound
         mods = [lambda: self.k5_subdivided(1),
                 lambda: modify(K4, {"ab": 2, "cd": 3}),
                 lambda: modify(elliptic_bridge(), {"e1": 3}),
                 lambda: modify(CUT_VERTEX, {"ca": 2, "cc": 2})]
         for build in mods:
-            rows = len(_cut_table(build().source))
+            table = _cut_table(build().source)
+            rows = len(table.rows) + len(table.intervals)
             for bound in (rows, rows - 1):
                 mod = build()
                 _cut_table(mod.target)
                 monkeypatch.setattr("nodalcalc.graphs._MAX_SUBCURVES", bound)
                 if bound == rows:
-                    assert len(_series_cuts(mod.target, mod.chain_registry)) == rows
+                    assert _series_cuts(mod.source, mod.target, mod.chain_registry) == table
                 else:
                     with pytest.raises(ValueError, match=f"{rows} cut rows, more than {bound}; "
                                                          "too many to enumerate"):
-                        _series_cuts(mod.target, mod.chain_registry)
+                        _series_cuts(mod.source, mod.target, mod.chain_registry)
                 monkeypatch.undo()
+
+    def test_thousand_vertex_chain_answers_within_a_second(self):
+        # theta with one chain of 1,000 vertices: 500,500 intervals and 1,001
+        # sides of its one cut, decided on one chain row and one interval record
+        # in every mode, at base vertices on and off the chain, for bundles and
+        # for sheaves with nodes on the chain.  Oracle: the same model with the
+        # chain's middle run of zero degrees, free of nodes and of e, shortened to
+        # three vertices (the prefix sums stand still along it), and that curve's
+        # full-table report.  Nodes lie on the chain's first three and last three
+        # edges, one of each touching the run.
+        rng = random.Random(1000)
+        outcomes = set()
+        for long_length in (1000, 998):
+            built = {}
+            for length in (long_length, 7):
+                mod = modify(theta_graph(), {"e1": length})
+
+                def place(i, length=length):  # the vertex i places from either end
+                    return f"e1#{i if i > 0 else length + 1 + i}"
+
+                def node(i, length=length):  # f_i, or f_(length + 1 + i) from the far end
+                    i = i if i >= 0 else length + 1 + i
+                    return f"e1#{i}-{i + 1}"
+
+                built[length] = mod, place, node
+            for _ in range(12):
+                ends = {i: rng.randint(-2, 2) for i in (1, 2, -2, -1)}
+                plain = {"v": rng.randint(-1, 3), "w": rng.randint(-1, 3)}
+                nodes = [i for i in (0, 1, 2, -3, -2, -1) if rng.random() < 0.25]
+                rank = rng.randint(1, 3)
+                e_ends = {i: rng.randint(-2, 2) for i in (1, -1)}
+                verdicts = []
+                for length in (long_length, 7):
+                    mod, place, node = built[length]
+                    src = mod.source
+                    values = dict.fromkeys(src.vertex_ids, 0) | plain
+                    values.update((place(i), x) for i, x in ends.items())
+                    deg = Multidegree(src, values)
+                    model = SheafModel(src, frozenset(map(node, nodes)),
+                                       Multidegree(src, values | {"v": plain["v"] - len(nodes)}))
+                    e = dict.fromkeys(src.vertex_ids, 0)
+                    e.update((place(i), x) for i, x in e_ends.items())
+                    e["w"] = -rank * (deg.total + 1 - src.genus) - sum(e.values())
+                    pol = Polarization(rank, Multidegree(src, e))
+                    modes = [("semistable", None), ("stable", None)] + [
+                        ("quasistable", p) for p in ("v", "w", place(1), place(3), place(4),
+                                                     place(-3), place(-1))]
+                    found = []
+                    for mode in modes:
+                        for check, value in ((check_bundle_stability, deg),
+                                             (check_sheaf_stability, model)):
+                            start = time.perf_counter()
+                            found.append(check(value, pol, *mode))
+                            assert time.perf_counter() - start < 1, (length, mode, check)
+                    if length == 7:
+                        for (mode, check), verdict in zip(product(modes, "bs"), found):
+                            report = (bundle_stability_report(deg, pol) if check == "b"
+                                      else sheaf_stability_report(model, pol))
+                            assert verdict == report.verdict(*mode), (mode, check, values)
+                            outcomes.add((mode[0], verdict))
+                    verdicts.append(found)
+                assert verdicts[0] == verdicts[1], (long_length, ends, plain, nodes)
+        assert len(outcomes) == 6
 
 
 K5 = DualGraph(tuple((v, 0) for v in "abcde"),

@@ -170,36 +170,36 @@ class TestInstanceChecks:
     def test_source_verdicts_match_the_report(self, monkeypatch):
         # the source windows check_famchain2_instance reads, against the
         # full-table report in every mode and at every target vertex.  On the
-        # exhaustive theta and bridge families the chain sides are chosen once,
-        # with no base vertex.  A target with an exceptional vertex has chain
-        # rows of its own, so the source keeps its own table, and the sides are
-        # chosen again at a base vertex on one of its chains.
-        window_rows, chain_sides, seen, chosen = verify._window_rows, verify._chain_sides, [], []
+        # exhaustive theta and bridge families each side's windows are decided
+        # once, with no base vertex.  A target with an exceptional vertex has
+        # chain rows of its own, so the source keeps its own table, and the
+        # windows are decided again at a base vertex on one of its chains.
+        window_rows, cut_windows, seen, decided = verify._window_rows, verify._cut_windows, [], []
 
         def spy_rows(graph, *args):
             seen.append((graph, window_rows(graph, *args)))
             return seen[-1][1]
 
-        def spy_sides(rows, *args):
-            chosen.append(args[-1])
-            return chain_sides(rows, *args)
+        def spy_windows(cuts, ends, values, nodes, rank, e_values, base_vertex=None):
+            decided.append(base_vertex)
+            return cut_windows(cuts, ends, values, nodes, rank, e_values, base_vertex)
 
         monkeypatch.setattr(verify, "_window_rows", spy_rows)
-        monkeypatch.setattr(verify, "_chain_sides", spy_sides)
+        monkeypatch.setattr(verify, "_cut_windows", spy_windows)
         quasistable_target = modify(theta_graph(), {"e1": 1}).source
         families = [exhaustive_instances(theta_graph(), max_eta=2, plain_window=1),
                     exhaustive_instances(elliptic_bridge(), max_eta=2, plain_window=2),
                     islice(exhaustive_instances(quasistable_target, max_eta=1, plain_window=1),
                            0, None, 4)]
-        checked, outcomes, chosen_again = 0, set(), 0
+        checked, outcomes, decided_again = 0, set(), 0
         for mod, deg in (pair for family in families for pair in family):
             seen.clear()
-            chosen.clear()
+            decided.clear()
             assert check_famchain2_instance(mod, deg) == []
             if mod.target is quasistable_target:
-                chosen_again += sum(p is not None for p in chosen)
+                decided_again += sum(p is not None for p in decided)
             else:
-                assert chosen == [None] * len(seen)
+                assert decided == [None] * len(seen)
             [rows_at] = [at for graph, at in seen if graph is mod.source]
             pol = canonical_polarization(mod.target, deg.total).pullback(mod)
             report = bundle_stability_report(deg, pol)
@@ -211,7 +211,7 @@ class TestInstanceChecks:
                 assert verdict == report.verdict(*mode), (mod, deg, mode)
                 outcomes.add((mode[0], verdict))
                 checked += 1
-        assert checked > 5000 and chosen_again > 1000
+        assert checked > 5000 and decided_again > 1000
         assert len(outcomes) == 6
 
     def test_biss_instances_pass(self):
