@@ -125,7 +125,7 @@ def certify_bijection(graph: DualGraph, d: int, mode: str = "balanced") -> Corre
     _json_int(d, "degree")
     if mode not in _SHEAF_MODE:
         raise ValueError(f"unknown balanced mode {mode!r}")
-    ok = _stability_test(_SHEAF_MODE[mode], None, window=True)
+    ok = _stability_test(_SHEAF_MODE[mode], None)
     mismatches: list[str] = []
     missing: list[SheafModel] = []
     extra: list[SheafModel] = []

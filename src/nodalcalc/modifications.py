@@ -168,8 +168,12 @@ class Modification:
             raise ValueError("modification data must be a JSON object")
         try:
             target = DualGraph.from_json_dict(data["target"])
-            lengths = {str(m["edge"]): _json_int(m["length"], "chain length")
-                       for m in data["modified_edges"]}
+            lengths = {}
+            for m in data["modified_edges"]:
+                e = str(m["edge"])
+                if e in lengths:
+                    raise ValueError(f"modified_edges lists edge {e!r} twice")
+                lengths[e] = _json_int(m["length"], "chain length")
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed modification data: {exc}") from exc
         if "source" in data and "chains" in data:

@@ -281,7 +281,11 @@ class SheafModel:
         try:
             if not isinstance(data["noninvertible"], list):
                 raise ValueError("sheaf 'noninvertible' must be a JSON list of edge ids")
-            edges = frozenset(str(e) for e in data["noninvertible"])
+            ids = [str(e) for e in data["noninvertible"]]
+            edges = frozenset(ids)
+            if len(edges) < len(ids):
+                twice = next(e for i, e in enumerate(ids) if e in ids[:i])
+                raise ValueError(f"sheaf 'noninvertible' lists edge {twice!r} twice")
             deg = Multidegree.from_json_dict(graph, data["multidegree"])
         except KeyError as exc:
             raise ValueError(f"sheaf data missing key {exc}") from exc

@@ -6,22 +6,30 @@ characteristic m(Z) = rank (d_Z + chi_Z) + e_Z of the twisted
 restriction.  As omega_Z = k_Z - 2 chi_Z, under the canonical
 polarization m(Z) is 2g - 2 times the degree-bound margin d_Z - d omega_Z
 / (2g - 2) + k_Z / 2; that bound on a line bundle, with degree 1 on every
-exceptional vertex, is the balanced condition.  One kernel yields the
-integer margins; each verdict mode is one exact predicate on them.  The
-reports read a graph's full subcurve table; the check_* verdicts and
-both enumerators read one two-sided window per cut (Caporaso's basic
-inequality) and stop at the first failing window.  The enumerators are
-one walk of the edge subsets, ``_strata``, that hands each vector of a
-stratum's box to a model side and a bundle side, with the second lemma
-below; certify_bijection takes both sides from one walk.  Each side
-compiles a stratum's windows once, by the remark after the first lemma,
-and reads each vector off them, one row further only when the rows
-before it pass.  A graph with exceptional chains reads its cuts off the
-graph with each chain contracted to one edge: one chain row per cut and
-one interval record per chain, so neither its subcurves nor its sides are
-ever built.  Each verdict decides a chain row from the margin of one set
-and each chain's least prefix sums, and an interval record from its
-least interval sums, all integers (the last two lemmas).
+exceptional vertex, is the balanced condition.
+
+One kernel, ``_margins``, turns each row (Z, chi, k) into a window (Z,
+m(Z), rank (k - |dZ & N|)), and each verdict mode is one window predicate
+(``_stability_test``, (c) of the first lemma).  There is one report path
+and one verdict path.  The reports read a graph's full subcurve table and
+keep (Z, m(Z)); a report's verdict reads each margin as a window with no
+upper end.  The check_* verdicts read one two-sided window per cut
+(Caporaso's basic inequality) and stop at the first failing window.  Each
+graph has one cut table.  A graph with exceptional chains reads its cuts
+off the graph with each chain contracted to one edge: one chain row per
+cut and one interval record per chain, so neither its subcurves nor its
+sides are ever built, and a verdict decides a chain row from the margin of
+one set and each chain's least prefix sums, and an interval record from
+its least interval sums, all integers (the last two lemmas).  Any other
+graph's table has no chains, no interval records and rows with no arms,
+whose windows are the kernel's.  The enumerators are one walk of the edge
+subsets, ``_strata``, that hands each vector of a stratum's box to a
+model side and a bundle side, with the second lemma below;
+certify_bijection takes both sides from one walk.  Both sides read the
+graph's cut rows, each with its positions in a box vector found once per
+graph, compile a stratum's windows once, by the remark after the first
+lemma, and read each vector off them, one row further only when the rows
+before it pass.
 
     Lemma.  Let N be a model's non-invertible set, the polarization
     compatible with its degree, and for a vertex set S let d_S count the
@@ -161,6 +169,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import inf
 from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 from . import graphs
@@ -184,7 +193,7 @@ class Polarization:
     e: Multidegree
 
     def __post_init__(self) -> None:
-        if self.rank < 1:
+        if _json_int(self.rank, "polarization rank") < 1:
             raise ValueError("polarization rank must be at least 1")
 
     @property
@@ -206,9 +215,8 @@ class Polarization:
     def from_json_dict(cls, graph: DualGraph, data: Mapping) -> "Polarization":
         if not isinstance(data, Mapping):
             raise ValueError("polarization data must be a JSON object")
-        try:
-            rank = _json_int(data["rank"], "polarization rank")
-            return cls(rank, Multidegree.from_json_dict(graph, data["e"]))
+        try:  # the constructor refuses a non-int rank
+            return cls(data["rank"], Multidegree.from_json_dict(graph, data["e"]))
         except KeyError as exc:
             raise ValueError(f"polarization data missing key {exc}") from exc
 
@@ -235,29 +243,50 @@ def _canonical_e(graph: DualGraph, d: int) -> dict[str, int]:
 
 
 @_per_graph
-def _subcurve_table(graph: DualGraph) -> tuple[tuple[frozenset[str], int], ...]:
-    """(members, chi) per connected proper subcurve, in ``connected_subcurves`` order.
+def _subcurve_table(graph: DualGraph) -> tuple[tuple[frozenset[str], int, int], ...]:
+    """(members, chi, k = |dZ|) per connected proper subcurve, in ``connected_subcurves`` order.
 
     Both read the graph's one enumeration of its subcurves, which also
-    gives each chi.
+    gives each chi and k.
     """
     full = (1 << len(graph.vertex_ids)) - 1
-    chis = [chi for mask, (chi, _, _) in _subcurve_masks(graph).items() if mask != full]
-    return tuple(zip(connected_subcurves(graph, proper=True), chis))
+    counts = [(chi, k) for mask, (chi, k, _) in _subcurve_masks(graph).items() if mask != full]
+    return tuple((z, *chi_k) for z, chi_k in zip(connected_subcurves(graph, proper=True), counts))
+
+
+@dataclass(frozen=True)
+class _CutTable:
+    """The cuts of a graph with both sides connected, one side each (the bond lemma).
+
+    ``chains`` holds each chain the graph subdivides, read from the first
+    end of its edge, as (c_1..c_m, f_0..f_m): its vertices, and f_t the
+    edge from c_t to c_(t+1), c_0 and c_(m+1) being the ends.  ``rows``
+    holds one row (W+, chi, k, arms) per cut (W, chi, k) of the graph the
+    chains are read off: W+ is W with the chains having both ends in W,
+    and ``arms`` names each chain i crossing it by 2i when read from its
+    first end, in W, and by 2i + 1 when read from its other end.
+    ``intervals`` holds each chain whose edge is not a bridge, one record
+    for all its intervals.  A graph read as it is has no chains, no
+    interval records, and rows (Z, chi, k, ()).
+    """
+
+    chains: tuple[tuple[tuple[str, ...], tuple[str, ...]], ...]
+    rows: tuple[tuple[frozenset[str], int, int, tuple[int, ...]], ...]
+    intervals: tuple[int, ...]
 
 
 @_per_graph
-def _cut_table(graph: DualGraph) -> tuple[tuple, ...] | _ChainCuts:
-    """(members, chi, k = |dZ|) per cut with both sides connected.
+def _cut_table(graph: DualGraph) -> _CutTable:
+    """The graph's one cut table, a ``_CutTable``.
 
     One side per cut is kept; every window predicate is symmetric under
     Z <-> Z^c, by (a) of the first lemma.  A graph with exceptional chains,
     unless its class is "none" or it is one exceptional cycle, reads its
-    cuts off its series reduction (the bond lemma of the module): a
-    ``_ChainCuts``, see ``_series_cuts``, and no subcurve table.  Every
-    other graph keeps, from its enumeration of subcurves, the side with
-    fewer vertices, or on a tie the side holding the first vertex; only
-    the kept sides become sets.
+    cuts off its series reduction (the bond lemma of the module), see
+    ``_series_cuts``, and builds no subcurve table.  Every other graph is
+    read as it is: from its enumeration of subcurves, it keeps the side
+    with fewer vertices, or on a tie the side holding the first vertex;
+    only the kept sides become sets.
     """
     exceptional = exceptional_vertices(graph)
     if exceptional and classify(graph) != "none" and len(exceptional) < len(graph.vertex_ids):
@@ -269,38 +298,20 @@ def _cut_table(graph: DualGraph) -> tuple[tuple, ...] | _ChainCuts:
     for mask, (chi, k, _) in masks.items():
         twice = 2 * mask.bit_count()
         if (twice < n or twice == n and mask & 1) and full ^ mask in masks:
-            rows.append((_members(ids, mask), chi, k))
-    return tuple(rows)
-
-
-@dataclass(frozen=True)
-class _ChainCuts:
-    """The cut table of a subdivision, read off its series reduction (the bond lemma).
-
-    ``chains`` holds each chain read from the first end of its edge, as
-    (c_1..c_m, f_0..f_m): its vertices, and f_t the edge from c_t to
-    c_(t+1), c_0 and c_(m+1) being the ends.  ``rows`` holds one chain row
-    (W+, chi, k, arms) per cut (W, chi, k) of the reduction: W+ is W with
-    the chains having both ends in W, and ``arms`` names each chain i
-    crossing it by 2i when read from its first end, in W, and by 2i + 1 when
-    read from its other end.  ``intervals`` holds each chain whose edge is
-    not a bridge, one record for all its intervals.
-    """
-
-    chains: tuple[tuple[tuple[str, ...], tuple[str, ...]], ...]
-    rows: tuple[tuple[frozenset[str], int, int, tuple[int, ...]], ...]
-    intervals: tuple[int, ...]
+            rows.append((_members(ids, mask), chi, k, ()))
+    return _CutTable((), tuple(rows), ())
 
 
 def _series_cuts(
     graph: DualGraph, base: DualGraph, registry: Iterable[tuple[str, tuple[str, ...]]],
-) -> _ChainCuts:
+) -> _CutTable:
     """The cut table of ``graph``, the subdivision of ``base`` along the chains of ``registry``.
 
-    The cut table of ``base`` has no chain rows, and each chain reads from
-    the first end of its edge; its edges are read off ``graph``.  A chain
+    Its rows are those of the cut table of ``base``, which has no chains,
+    with the chains' vertices and arms added; each chain reads from the
+    first end of its edge, and its edges are read off ``graph``.  A chain
     whose edge crosses a cut with k = 1 is a bridge.  The table holds one
-    record per chain row and per interval record: more than
+    record per row and per interval record: more than
     ``graphs._MAX_SUBCURVES`` raise ValueError.
     """
     ends, incidence = base.edge_ends, graph.incidence
@@ -316,7 +327,7 @@ def _series_cuts(
         sides.append((a, b, c))
     bridges = set()
     rows: list[tuple] = []
-    for w, chi, k in _cut_table(base):
+    for w, chi, k, _ in _cut_table(base).rows:
         inside, arms = [], []
         for i, (a, b, c) in enumerate(sides):
             if (a in w) == (b in w):
@@ -332,7 +343,7 @@ def _series_cuts(
     if count > graphs._MAX_SUBCURVES:
         raise ValueError(f"graph has {count} cut rows, more than "
                          f"{graphs._MAX_SUBCURVES}; too many to enumerate")
-    return _ChainCuts(tuple(chains), tuple(rows), intervals)
+    return _CutTable(tuple(chains), tuple(rows), intervals)
 
 
 def _least_pair(later: list[int], earlier: list[int], lo: int, hi: int) -> int:
@@ -347,26 +358,22 @@ def _least_pair(later: list[int], earlier: list[int], lo: int, hi: int) -> int:
 
 
 def _cut_windows(
-    cuts: Sequence[tuple] | _ChainCuts, ends: Mapping[str, tuple[str, str]],
+    cuts: _CutTable, ends: Mapping[str, tuple[str, str]],
     values: Mapping[str, int], noninvertible: Collection[str], rank: int,
     e_values: Mapping[str, int], base_vertex: str | None = None,
 ) -> Iterator[tuple]:
     """Window rows (z, m, hi) that decide every cut of ``cuts`` under one model, lazily.
 
-    Plain cut rows go through the kernel as they are.  A ``_ChainCuts``
-    gives one row (z, least M, least M + least S) per chain row, from the
+    One row (z, least M, least M + least S) per row of the table, from the
     kernel margin of W+ and each arm's least prefix sums (the chain-window
     lemma of the module), and one per interval record, from its least
     interval sums (the interval lemma); on the arm or chain holding
-    ``base_vertex``, one per class of its membership.  A window reads
-    m >= a and hi - m >= b apart, so that one row decides its class, and z
-    holds ``base_vertex`` exactly when the class's sides do.  Without a
-    base vertex the rows decide every mode at any base vertex off the
-    chains.  No side is built.
+    ``base_vertex``, one per class of its membership.  A row with no arms
+    is the kernel's window as it is.  A window reads m >= a and hi - m >= b
+    apart, so that one row decides its class, and z holds ``base_vertex``
+    exactly when the class's sides do.  Without a base vertex the rows
+    decide every mode at any base vertex off the chains.  No side is built.
     """
-    if not isinstance(cuts, _ChainCuts):
-        yield from _margins(cuts, ends, values, noninvertible, rank, e_values)
-        return
     nodes = set(noninvertible)
     sums, lows = [], []  # per chain P and Q; per arm its least P and least Q - Q(0)
     for vertices, edges in cuts.chains:
@@ -399,21 +406,20 @@ def _cut_windows(
                                 for part in (tail, head)]
             break
     kernel = _margins(cuts.rows, ends, values, noninvertible, rank, e_values)
-    for (w, _, _, arms), (_, m0, hi) in zip(cuts.rows, kernel):
-        least_m, least_s, classes = m0, hi - m0, None
+    for (w, _, _, arms), (_, m, hi) in zip(cuts.rows, kernel):
+        classes = None  # from W+, each arm adds its least M to m and least M + least S to hi
         for a in arms:
             if a in split:
                 classes = split[a]
                 continue
             low_m, low_s = lows[a]
-            least_m += low_m
-            least_s += low_s
+            m += low_m
+            hi += low_m + low_s
         if classes is None:
-            yield w, least_m, least_m + least_s
+            yield w, m, hi
             continue
         for z, (low_m, low_s) in zip((w, held), classes):
-            m = least_m + low_m
-            yield z, m, m + least_s + low_s
+            yield z, m + low_m, hi + low_m + low_s
     for i in cuts.intervals:
         prefix, slack = sums[i]
         m, q = len(prefix) - 1, at.get(i)
@@ -450,33 +456,32 @@ class SubcurveScan:
 
     def verdict(self, mode: str, base_vertex: str | None = None) -> bool:
         """semistable: all margins >= 0.  stable: all > 0.
-        quasistable: equality allowed only away from the base vertex."""
+        quasistable: equality allowed only away from the base vertex.
+        Each margin is a window with no upper end."""
         ok = _stability_test(mode, base_vertex)
-        return all(ok(z, m) for z, m in self.entries)
+        return all(ok(z, m, inf) for z, m in self.entries)
 
 
 def _stability_test(
-    mode: str, base_vertex: str | None, graph: DualGraph | None = None, window: bool = False,
+    mode: str, base_vertex: str | None, graph: DualGraph | None = None,
 ) -> Callable[..., bool]:
-    """The per-row predicate of a stability mode; the mode is checked here.
+    """The window predicate of a stability mode on rows (z, m, hi); the mode is checked here.
 
-    Given the graph, a quasistable base vertex must be one of its vertices.
-    A ``window`` predicate reads cut rows (z, m, hi), as in the module lemma.
+    The window is the one of (c) in the first lemma.  Given the graph, a
+    quasistable base vertex must be one of its vertices.
     """
     if mode == "semistable":
-        return (lambda z, m, hi: 0 <= m <= hi) if window else (lambda z, m: m >= 0)
+        return lambda z, m, hi: 0 <= m <= hi
     if mode == "stable":
-        return (lambda z, m, hi: 0 < m < hi) if window else (lambda z, m: m > 0)
+        return lambda z, m, hi: 0 < m < hi
     if mode == "quasistable":
         if base_vertex is None:
             raise ValueError("quasistable verdict needs a base vertex")
         if graph is not None and base_vertex not in graph.vertex_ids:
             raise ValueError(f"base vertex {base_vertex!r} is not a vertex of the graph")
         p = base_vertex
-        if window:
-            return lambda z, m, hi: ((m > 0 or m == 0 and p not in z)
-                                     and (m < hi or m == hi and p in z))
-        return lambda z, m: m > 0 or (m == 0 and p not in z)
+        return lambda z, m, hi: ((m > 0 or m == 0 and p not in z)
+                                 and (m < hi or m == hi and p in z))
     raise ValueError(f"unknown stability mode {mode!r}")
 
 
@@ -486,15 +491,13 @@ def _margins(
 ) -> Iterator[tuple]:
     """The scan kernel: chi_twisted(d_Z, chi_Z, e_Z, rank), lazily, row by row.
 
-    Table rows (members, chi) give (members, margin).  Cut rows (members,
-    chi, k), never mixed with table rows, also give the window's upper end
-    rank (k - |dZ & N|), counted in the loop over N that counts the nodes
-    inside Z.  ``values`` and ``e_values`` should be plain dicts: a
-    read-only view costs about a fifth more per scan, so the scan entry
-    points copy views once per scan.
+    Each row (members, chi, k, ...) gives (members, margin, rank (k - |dZ &
+    N|)), the upper end of the row's window, counted in the loop over N that
+    counts the nodes inside Z.  ``values`` and ``e_values`` should be plain
+    dicts: a read-only view costs about a fifth more per scan, so the scan
+    entry points copy views once per scan.
     """
     nodes = [ends[e] for e in noninvertible]
-    cut = len(rows[0]) > 2 if rows else False
     for row in rows:
         z = row[0]
         inside = crossing = 0
@@ -508,29 +511,37 @@ def _margins(
                 crossing += 1
         m = chi_twisted(sum(map(values.__getitem__, z)) + inside, row[1],
                         sum(map(e_values.__getitem__, z)), rank)
-        yield (z, m, rank * (row[2] - crossing)) if cut else (z, m)
+        yield z, m, rank * (row[2] - crossing)
 
 
-def _polarized_margins(
-    pol: Polarization, graph: DualGraph, d: int, values: Mapping[str, int],
-    noninvertible: Collection[str], cuts: Sequence[tuple] | None = None,
-    base_vertex: str | None = None,
-) -> Iterator[tuple]:
-    """The kernel under ``pol``, which must live on ``graph`` and suit degree d.
-
-    It reads the graph's subcurve table, or the windows of the cut table
-    ``cuts`` that decide it at ``base_vertex`` (``_cut_windows``).
-    """
+def _polarized(pol: Polarization, graph: DualGraph, d: int) -> tuple[int, dict[str, int]]:
+    """The rank and e values of ``pol``, which must live on ``graph`` and suit degree d."""
     if pol.graph != graph:
         raise ValueError("polarization lives on a different graph")
     if not pol.compatible_with_degree(d):
         raise ValueError(f"polarization incompatible with degree {d}")
-    values, e_values = dict(values), dict(pol.e.as_dict)
-    if cuts is None:
-        return _margins(_subcurve_table(graph), graph.edge_ends, values, noninvertible,
-                        pol.rank, e_values)
-    return _cut_windows(cuts, graph.edge_ends, values, noninvertible, pol.rank, e_values,
-                        base_vertex)
+    return pol.rank, dict(pol.e.as_dict)
+
+
+def _report(
+    graph: DualGraph, values: Mapping[str, int], noninvertible: Collection[str], rank: int,
+    e_values: dict[str, int],
+) -> Iterator[tuple[frozenset[str], int]]:
+    """The report path: (Z, m(Z)) per connected proper subcurve, from the subcurve table."""
+    margins = _margins(_subcurve_table(graph), graph.edge_ends, dict(values), noninvertible,
+                       rank, e_values)
+    return ((z, m) for z, m, _ in margins)
+
+
+def _verdict(
+    graph: DualGraph, d: int, values: Mapping[str, int], noninvertible: Collection[str],
+    pol: Polarization, mode: str, base_vertex: str | None,
+) -> bool:
+    """The verdict path: the graph's cut windows under ``pol``, up to the first failing one."""
+    ok = _stability_test(mode, base_vertex, graph)
+    windows = _cut_windows(_cut_table(graph), graph.edge_ends, dict(values), noninvertible,
+                           *_polarized(pol, graph, d), base_vertex)
+    return all(ok(z, m, hi) for z, m, hi in windows)
 
 
 def _canonical_scan(
@@ -538,21 +549,20 @@ def _canonical_scan(
 ) -> SubcurveScan:
     """Degree-bound margins: canonical chi margins divided by the rank 2g - 2."""
     scale = 2 * graph.genus - 2
-    margins = _margins(_subcurve_table(graph), graph.edge_ends, dict(values), noninvertible,
-                       scale, _canonical_e(graph, d))
+    margins = _report(graph, values, noninvertible, scale, _canonical_e(graph, d))
     return SubcurveScan(tuple((z, Fraction(m, scale)) for z, m in margins))
 
 
 def sheaf_stability_report(model: SheafModel, pol: Polarization) -> SubcurveScan:
     """Twisted Euler characteristic of the model on every connected proper subcurve."""
-    return SubcurveScan(tuple(_polarized_margins(
-        pol, model.graph, model.degree, model.multidegree.as_dict, model.noninvertible,
-    )))
+    return SubcurveScan(tuple(_report(model.graph, model.multidegree.as_dict, model.noninvertible,
+                                      *_polarized(pol, model.graph, model.degree))))
 
 
 def bundle_stability_report(deg: Multidegree, pol: Polarization) -> SubcurveScan:
     """Same scan for an honest line bundle given by its multidegree."""
-    return SubcurveScan(tuple(_polarized_margins(pol, deg.graph, deg.total, deg.as_dict, ())))
+    return SubcurveScan(tuple(_report(deg.graph, deg.as_dict, (),
+                                      *_polarized(pol, deg.graph, deg.total))))
 
 
 def check_sheaf_stability(
@@ -560,10 +570,8 @@ def check_sheaf_stability(
     base_vertex: str | None = None,
 ) -> bool:
     """Verdict of sheaf_stability_report, on the cut windows, stopping at the first failure."""
-    ok = _stability_test(mode, base_vertex, model.graph, window=True)
-    margins = _polarized_margins(pol, model.graph, model.degree, model.multidegree.as_dict,
-                                 model.noninvertible, _cut_table(model.graph), base_vertex)
-    return all(ok(z, m, hi) for z, m, hi in margins)
+    return _verdict(model.graph, model.degree, model.multidegree.as_dict, model.noninvertible,
+                    pol, mode, base_vertex)
 
 
 def check_bundle_stability(
@@ -571,10 +579,7 @@ def check_bundle_stability(
     base_vertex: str | None = None,
 ) -> bool:
     """Verdict of bundle_stability_report, on the cut windows, stopping at the first failure."""
-    ok = _stability_test(mode, base_vertex, deg.graph, window=True)
-    margins = _polarized_margins(pol, deg.graph, deg.total, deg.as_dict, (),
-                                 _cut_table(deg.graph), base_vertex)
-    return all(ok(z, m, hi) for z, m, hi in margins)
+    return _verdict(deg.graph, deg.total, deg.as_dict, (), pol, mode, base_vertex)
 
 
 def check_ssI2(model: SheafModel, d: int) -> SubcurveScan:
@@ -741,43 +746,43 @@ def _check_enumerable(graph: DualGraph) -> None:
         raise ValueError("enumeration requires genus at least 2")
 
 
-def _lifted_rows(mod: Modification, cuts: Iterable[tuple]) -> list[tuple]:
-    """Cut rows (W, chi, k) of a small modification's target, lifted to its source:
-    W plus the chain vertex of each modified edge inside it, chi, and k less
-    the modified edges crossing W (the second lemma of the module)."""
+def _lifted_rows(mod: Modification, rows: Iterable[tuple]) -> list[tuple]:
+    """Cut rows (W, chi, k, places) of a small modification's target, lifted to its
+    source: W plus the chain vertex of each modified edge inside it, chi, k less
+    the modified edges crossing W (the second lemma of the module), and places."""
     ends = mod.target.edge_ends
     chains = [(ends[e], c) for e, (c,) in mod.chain_registry]
-    rows = []
-    for w, chi, k in cuts:
+    lifted = []
+    for w, chi, k, places in rows:
         inside = [c for (a, b), c in chains if a in w and b in w]
         crossing = sum((a in w) != (b in w) for (a, b), _ in chains)
-        rows.append((w.union(inside) if inside else w, chi, k - crossing))
-    return rows
+        lifted.append((w.union(inside) if inside else w, chi, k - crossing, places))
+    return lifted
 
 
 def _compiled_windows(
-    kernel: Iterator[tuple], index: Mapping[str, int], rank: int, ok: Callable,
+    rows: Sequence[tuple], kernel: Iterable[tuple], rank: int, ok: Callable,
 ) -> Callable[[tuple[int, ...]], bool]:
     """A predicate on box vectors from one stratum's kernel run at the zero vector.
 
-    ``kernel`` yields cut rows (Z, m0, hi) with the box vertices at degree 0,
-    and ``index`` gives each box vertex its position in a vector.  The
-    margins are affine in the degrees (the affine-margin remark of the
-    module), so a vector's margin on Z is m0 + rank sum(vec over Z's box
-    vertices), and hi does not move.  Rows are compiled as the vectors
-    read them: the kernel runs one row further only when every compiled
-    row has passed.
+    ``kernel`` yields the window (Z, m0, hi) of each row of ``rows`` with
+    the box vertices at degree 0, and each row ends with its box vertices'
+    positions in a vector.  The margins are affine in the degrees (the
+    affine-margin remark of the module), so a vector's margin on Z is m0 +
+    rank sum(vec at those positions), and hi does not move.  Rows are
+    compiled as the vectors read them: the kernel runs one row further only
+    when every compiled row has passed.
     """
-    rows: list[tuple] = []
+    compiled: list[tuple] = []
+    pending = zip(rows, kernel)
 
     def accepts(vec: tuple[int, ...]) -> bool:
         at = vec.__getitem__
-        for z, places, m0, hi in rows:
+        for z, places, m0, hi in compiled:
             if not ok(z, m0 + rank * sum(map(at, places)), hi):
                 return False
-        for z, m0, hi in kernel:
-            places = tuple(index[v] for v in z if v in index)
-            rows.append((z, places, m0, hi))
+        for (_, _, _, places), (z, m0, hi) in pending:
+            compiled.append((z, places, m0, hi))
             if not ok(z, m0 + rank * sum(map(at, places)), hi):
                 return False
         return True
@@ -785,38 +790,35 @@ def _compiled_windows(
     return accepts
 
 
-def _model_side(graph: DualGraph, d: int, ok: Callable) -> Callable:
+def _model_side(graph: DualGraph, d: int, ok: Callable, rows: list[tuple]) -> Callable:
     """The model side of ``_strata``: per stratum N, a predicate on box vectors.
 
-    A vector of degrees over graph.vertex_ids passes when every cut window
-    of the graph under N holds, read on integer chi margins up to the first
+    A vector of degrees over graph.vertex_ids passes when every window of
+    ``rows`` under N holds, read on integer chi margins up to the first
     failing window; the box decides the rows {v}.  The windows are compiled
     once per stratum from the kernel at the zero vector.
     """
-    vids, ends = graph.vertex_ids, graph.edge_ends
-    cuts = [row for row in _cut_table(graph) if len(row[0]) > 1]
+    ends, zeros = graph.edge_ends, dict.fromkeys(graph.vertex_ids, 0)
     scale, e_values = 2 * graph.genus - 2, _canonical_e(graph, d)
-    index, zeros = {v: i for i, v in enumerate(vids)}, dict.fromkeys(vids, 0)
 
     def stratum(subset: tuple[str, ...]) -> Callable[[tuple[int, ...]], bool]:
-        kernel = _margins(cuts, ends, zeros, subset, scale, e_values)
-        return _compiled_windows(kernel, index, scale, ok)
+        kernel = _margins(rows, ends, zeros, subset, scale, e_values)
+        return _compiled_windows(rows, kernel, scale, ok)
 
     return stratum
 
 
-def _bundle_side(graph: DualGraph, d: int, ok: Callable) -> Callable:
+def _bundle_side(graph: DualGraph, d: int, ok: Callable, rows: list[tuple]) -> Callable:
     """The bundle side of ``_strata``: per stratum N, its modification and a lift.
 
     The modification is small_modification(graph, N); the lift takes a box
     vector, puts 1 on every chain vertex, and returns the bundle's
-    ``Multidegree`` on the source when every window of ``_lifted_rows``
-    holds, else None.  No source table is built.  The windows are compiled
-    once per stratum from the kernel at the vector that is 0 on the box
-    vertices and 1 on the chain vertices; without a cut row of two or more
-    vertices there is nothing to compile, and the box decides.
+    ``Multidegree`` on the source when every window of the rows lifted from
+    ``rows`` (``_lifted_rows``) holds, else None.  No source table is built.
+    The windows are compiled once per stratum from the kernel at the vector
+    that is 0 on the box vertices and 1 on the chain vertices; without a row
+    there is nothing to compile, and the box decides.
     """
-    cuts = [row for row in _cut_table(graph) if len(row[0]) > 1]
     scale = 2 * graph.genus - 2
     vids = graph.vertex_ids  # the sources' other vertices, in the same order
     index, zeros = {v: i for i, v in enumerate(vids)}, dict.fromkeys(vids, 0)
@@ -826,13 +828,14 @@ def _bundle_side(graph: DualGraph, d: int, ok: Callable) -> Callable:
         source = mod.source
         if classify(source) not in ("stable", "quasistable"):
             raise ValueError("balanced multidegrees live on quasistable graphs")
-        if cuts:
+        if rows:
+            lifted = _lifted_rows(mod, rows)
             ones = dict.fromkeys(mod.chain_vertices, 1)  # the exceptional vertices
-            kernel = _margins(_lifted_rows(mod, cuts), source.edge_ends, zeros | ones, (),
-                              scale, _canonical_e(source, d))
+            kernel = _margins(lifted, source.edge_ends, zeros | ones, (), scale,
+                              _canonical_e(source, d))
         else:  # no window to read: the box decides every vector
-            kernel = iter(())
-        accepts = _compiled_windows(kernel, index, scale, ok)
+            lifted, kernel = [], ()
+        accepts = _compiled_windows(lifted, kernel, scale, ok)
         # each source vertex's place in a box vector, or None for a chain vertex
         slots = tuple((v, index.get(v)) for v in source.vertex_ids)
 
@@ -856,13 +859,19 @@ def _strata(
     (N, mod, model vectors, bundle multidegrees).  Each vector of the box,
     in its order, goes to the model side (``_model_side``) when ``models``
     is set, and to the bundle side (``_bundle_side``, on its modification
-    mod) when ``bundles`` is set; without it mod is None.  The two sides
-    share nothing but the box, and a stratum's lists are the caller's to
-    drop.  The graph must be stable of genus at least 2.
+    mod) when ``bundles`` is set; without it mod is None.  Both sides read
+    the rows of the graph's cut table that the box leaves to the windows,
+    those of two or more vertices, each with its vertices' positions in a
+    box vector in place of its arms (a stable graph has no chains), built
+    here once.  The two sides share nothing else but the box, and a
+    stratum's lists are the caller's to drop.  The graph must be stable of
+    genus at least 2.
     """
     _check_enumerable(graph)
-    model_side = _model_side(graph, d, ok) if models else None
-    bundle_side = _bundle_side(graph, d, ok) if bundles else None
+    rows = [(w, chi, k, tuple(map(graph.vertex_ids.index, w)))
+            for w, chi, k, _ in _cut_table(graph).rows if len(w) > 1]
+    model_side = _model_side(graph, d, ok, rows) if models else None
+    bundle_side = _bundle_side(graph, d, ok, rows) if bundles else None
     for subset, vectors in _boxes(graph, d, ok):
         accepts = model_side(subset) if model_side else None
         mod, lift = bundle_side(subset) if bundle_side else (None, None)
@@ -897,7 +906,7 @@ def enumerate_semistable_models(
     degree d must be an ``int``.
     """
     _json_int(d, "degree")
-    ok = _stability_test(mode, base_vertex, graph, window=True)
+    ok = _stability_test(mode, base_vertex, graph)
     return [_model(graph, subset, vec)
             for subset, _, vectors, _ in _strata(graph, d, ok, bundles=False)
             for vec in vectors]
@@ -918,6 +927,6 @@ def enumerate_balanced(
     _json_int(d, "degree")
     if mode not in ("balanced", "stably_balanced"):
         raise ValueError(f"unknown balanced mode {mode!r}")
-    ok = _stability_test("semistable" if mode == "balanced" else "stable", None, window=True)
+    ok = _stability_test("semistable" if mode == "balanced" else "stable", None)
     return [(mod, deg) for _, mod, _, degs in _strata(graph, d, ok, models=False)
             for deg in degs]

@@ -43,7 +43,8 @@ from .sheaves import (
     twist,
 )
 from .stability import (
-    _ChainCuts,
+    _CutTable,
+    _canonical_e,
     _cut_table,
     _cut_windows,
     _series_cuts,
@@ -389,7 +390,7 @@ def _suite_compadm(cfg: VerifyConfig, rng: random.Random) -> SuiteResult:
 
 def _window_rows(graph: DualGraph, values: dict[str, int], noninvertible: Collection[str],
                  rank: int, e_values: dict[str, int],
-                 cuts: tuple | _ChainCuts) -> Callable[..., Sequence]:
+                 cuts: _CutTable) -> Callable[..., Sequence]:
     """The window rows of one model at a base vertex, for every mode.
 
     One decided list, built with no base vertex, serves every mode at
@@ -399,8 +400,7 @@ def _window_rows(graph: DualGraph, values: dict[str, int], noninvertible: Collec
     """
     ends = graph.edge_ends
     shared = list(_cut_windows(cuts, ends, values, noninvertible, rank, e_values))
-    on_chains = ({v for vertices, _ in cuts.chains for v in vertices}
-                 if isinstance(cuts, _ChainCuts) else ())
+    on_chains = {v for vertices, _ in cuts.chains for v in vertices}
 
     def at(base_vertex: str | None = None) -> Sequence:
         if base_vertex in on_chains:
@@ -425,25 +425,24 @@ def check_famchain2_instance(mod: Modification, deg: Multidegree) -> list[dict]:
     mode: every base vertex is a target vertex, on no registered chain.
     """
     failures = []
-    d = deg.total
-    pol = canonical_polarization(mod.target, d)
-    e_values = dict(pol.e.as_dict)
+    if mod.target.genus < 2:
+        raise ValueError("canonical polarization requires genus at least 2")
+    # the canonical polarization of the target: rank 2g - 2 and e = (g - 1 - d) omega
+    rank, e_values = 2 * mod.target.genus - 2, _canonical_e(mod.target, deg.total)
     target_cuts = _cut_table(mod.target)
-    if isinstance(target_cuts, _ChainCuts):
-        source_cuts = _cut_table(mod.source)
-    else:
-        source_cuts = _series_cuts(mod.source, mod.target, mod.chain_registry)
+    source_cuts = (_cut_table(mod.source) if target_cuts.chains
+                   else _series_cuts(mod.source, mod.target, mod.chain_registry))
     # the pulled-back polarization: the same rank, and e is 0 on the chains
-    source = _window_rows(mod.source, dict(deg.as_dict), (), pol.rank,
+    source = _window_rows(mod.source, dict(deg.as_dict), (), rank,
                           dict.fromkeys(mod.chain_vertices, 0) | e_values, source_cuts)
     flags = admissibility(mod, deg)
     if flags.admissible:  # else every target verdict below is short-circuited
         model = pushforward_model(mod, deg)
         target = _window_rows(mod.target, dict(model.multidegree.as_dict), model.noninvertible,
-                              pol.rank, e_values, target_cuts)
+                              rank, e_values, target_cuts)
 
     def holds(rows, mode, base_vertex=None):
-        ok = _stability_test(mode, base_vertex, window=True)
+        ok = _stability_test(mode, base_vertex)
         return all(starmap(ok, rows))
 
     semi = flags.admissible and holds(target(), "semistable")

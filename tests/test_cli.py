@@ -3,6 +3,7 @@
 import argparse
 import json
 from itertools import combinations
+from string import Template
 
 import pytest
 
@@ -78,7 +79,7 @@ class TestModifyAndStableModel:
     def test_modify(self, tmp_path, capsys):
         curve = write(tmp_path, "theta.json", THETA)
         mod = write(tmp_path, "mod.json", {
-            "target": json.loads(open(curve).read()),
+            "target": json.loads((tmp_path / "theta.json").read_text(encoding="utf-8")),
             "modified_edges": [{"edge": "e1", "length": 2}],
         })
         code, data = run_json(capsys, ["modify", mod])
@@ -270,6 +271,76 @@ def test_golden_check_output(tmp_path, capsys, command, payload, golden):
     assert (code, out, err) == (1, golden, "")
 
 
+# theta with e1 subdivided once
+THETA_E1_SUBDIVIDED = {
+    "vertices": [{"id": "v", "genus": 0}, {"id": "w", "genus": 0}, {"id": "e1#1", "genus": 0}],
+    "edges": [
+        {"id": "e1#0-1", "ends": ["v", "e1#1"]},
+        {"id": "e1#1-2", "ends": ["e1#1", "w"]},
+        {"id": "e2", "ends": ["v", "w"]},
+        {"id": "e3", "ends": ["v", "w"]},
+    ],
+}
+
+GOLDEN_TIE_STABILITY = Template("""\
+{
+  "base_vertex": $base,
+  "degree": 1,
+  "equality_sites": [
+    [
+      "v"
+    ]
+  ],
+  "failures": [],
+  "mode": "$mode",
+  "verdict": $verdict
+}
+""")
+
+GOLDEN_TIE_BALANCED = Template("""\
+{
+  "equality_sites": [
+    [
+      "v",
+      "w"
+    ]
+  ],
+  "exceptional_violations": [],
+  "failures": [],
+  "mode": "$mode",
+  "verdict": true
+}
+""")
+
+TIE_SHEAF = {"noninvertible": [], "multidegree": {"v": -1, "w": 2}}
+TIE_DEGREES = {"v": 0, "w": 1, "e1#1": 1}
+
+
+@pytest.mark.parametrize("command, curve, payload, options, code, golden", [
+    ("check-stability", THETA, TIE_SHEAF, [], 0,
+     GOLDEN_TIE_STABILITY.substitute(base="null", mode="semistable", verdict="true")),
+    ("check-stability", THETA, TIE_SHEAF, ["--mode", "stable"], 1,
+     GOLDEN_TIE_STABILITY.substitute(base="null", mode="stable", verdict="false")),
+    ("check-stability", THETA, TIE_SHEAF, ["--mode", "quasistable", "--base-vertex", "v"], 1,
+     GOLDEN_TIE_STABILITY.substitute(base='"v"', mode="quasistable", verdict="false")),
+    ("check-stability", THETA, TIE_SHEAF, ["--mode", "quasistable", "--base-vertex", "w"], 0,
+     GOLDEN_TIE_STABILITY.substitute(base='"w"', mode="quasistable", verdict="true")),
+    ("check-balanced", THETA_E1_SUBDIVIDED, TIE_DEGREES, [], 0,
+     GOLDEN_TIE_BALANCED.substitute(mode="balanced")),
+    ("check-balanced", THETA_E1_SUBDIVIDED, TIE_DEGREES, ["--mode", "stably-balanced"], 0,
+     GOLDEN_TIE_BALANCED.substitute(mode="stably-balanced")),
+], ids=["semistable", "stable", "quasistable_v", "quasistable_w", "balanced",
+        "stably_balanced"])
+def test_golden_check_output_at_a_tie(tmp_path, capsys, command, curve, payload, options,
+                                      code, golden):
+    # One equality site in every mode.  On theta the margin on [v] is 0, so the
+    # site passes semistable, fails stable, and passes quasistable only at a
+    # base vertex outside it.  On the subdivided theta the site [v, w] has the
+    # exceptional complement [e1#1], so it passes stably balanced too.
+    argv = [command, write(tmp_path, "curve.json", curve), write(tmp_path, "in.json", payload)]
+    assert run(capsys, argv + options) == (code, golden, "")
+
+
 class TestCorrespondenceCommands:
     def test_phi(self, tmp_path, capsys):
         mod = write(tmp_path, "mod.json", {
@@ -445,6 +516,21 @@ def test_non_integer_json_rejected(tmp_path, capsys, argv, files):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, files, named", [
+    (["modify", "in"],
+     {"in": {"target": THETA, "modified_edges": [{"edge": "e1", "length": 1},
+                                                 {"edge": "e1", "length": 2}]}},
+     "modified_edges lists edge 'e1' twice"),
+    (["phi-inv", "curve", "in"],
+     {"curve": THETA, "in": {"noninvertible": ["e1", "e1"], "multidegree": {"v": 0, "w": 1}}},
+     "sheaf 'noninvertible' lists edge 'e1' twice"),
+], ids=["repeated_modified_edge", "repeated_noninvertible"])
+def test_repeated_ids_rejected(tmp_path, capsys, argv, files, named):
+    paths = {name: write(tmp_path, f"{name}.json", data) for name, data in files.items()}
+    code, out, err = run(capsys, [paths.get(arg, arg) for arg in argv])
+    assert (code, out, err) == (2, "", f"error: {named}\n")
 
 
 class TestUsageErrors:

@@ -181,7 +181,8 @@ class TestCertify:
         # with no model accepted, all 12 images of theta at d = 2 are
         # mismatches, three of them with N empty; one order under any hash seed
         script = ("from nodalcalc import correspondence, stability, theta_graph\n"
-                  "stability._model_side = lambda graph, d, ok: lambda subset: lambda vec: False\n"
+                  "stability._model_side = (\n"
+                  "    lambda graph, d, ok, rows: lambda subset: lambda vec: False)\n"
                   "for line in correspondence.certify_bijection(theta_graph(), 2).mismatches:\n"
                   "    print(line)\n")
         src = str(Path(correspondence.__file__).resolve().parents[1])
@@ -224,7 +225,7 @@ class TestCertify:
             modifications._small_modification.__wrapped__))
         for d in range(2, 6):
             for mode, sheaf_mode in (("balanced", "semistable"), ("stably_balanced", "stable")):
-                ok = _stability_test(sheaf_mode, None, window=True)
+                ok = _stability_test(sheaf_mode, None)
                 nonempty = [frozenset(subset) for subset, _ in _boxes(K4, d, ok)]
                 built.clear()
                 report = certify_bijection(K4, d, mode)
@@ -381,8 +382,8 @@ class TestStreamedCertify:
         victim = victim.noninvertible, tuple(v for _, v in victim.multidegree.values)
         real = stability._model_side
 
-        def rejecting(graph, d, ok):
-            side = real(graph, d, ok)
+        def rejecting(graph, d, ok, rows):
+            side = real(graph, d, ok, rows)
 
             def stratum(subset):
                 accepts = side(subset)

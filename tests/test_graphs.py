@@ -257,27 +257,31 @@ class TestConnectedSubcurves:
             ]
 
     def test_table_chi_matches_chi_structure(self):
+        # and each row's k matches boundary_count
         for g in oracle_graphs():
             rows = _subcurve_table(g)
-            assert [z for z, _ in rows] == list(connected_subcurves(g, proper=True))
-            for z, chi in rows:
+            assert [z for z, _, _ in rows] == list(connected_subcurves(g, proper=True))
+            for z, chi, k in rows:
                 assert chi == chi_structure(g, z)
+                assert k == boundary_count(g, z)
 
     def test_cut_table_keeps_the_table_rows_in_order(self):
         # Oracle: the cut rows as read off the full subcurve table, the side
         # with fewer vertices or, on a tie, the one holding the first vertex,
-        # with k from boundary_count
+        # with k from boundary_count; a graph read as it is has no chains, no
+        # interval records and no arms
         checked = 0
         for g in oracle_graphs():
             table = _cut_table(g)
-            if not isinstance(table, tuple):  # a subdivision reads its series reduction
+            if table.chains:  # a subdivision reads its series reduction
                 continue
             rows = _subcurve_table(g)
-            sides, whole, first = {z for z, _ in rows}, frozenset(g.vertex_ids), g.vertex_ids[0]
-            want = tuple((z, chi, boundary_count(g, z)) for z, chi in rows
+            sides, whole, first = {z for z, _, _ in rows}, frozenset(g.vertex_ids), g.vertex_ids[0]
+            want = tuple((z, chi, boundary_count(g, z), ()) for z, chi, _ in rows
                          if whole - z in sides
                          and (2 * len(z) < len(whole) or 2 * len(z) == len(whole) and first in z))
-            assert table == want, g
+            assert table.rows == want, g
+            assert table.intervals == (), g
             checked += bool(want)
         assert checked > 30
 
@@ -449,7 +453,7 @@ class TestPerGraphMemo:
         # the subcurve table, the cut table and connected_subcurves share one enumeration
         graph = complete_graph(4)
         table = _subcurve_table(graph)
-        assert [z for z, _ in table] == list(connected_subcurves(graph, proper=True))
+        assert [z for z, _, _ in table] == list(connected_subcurves(graph, proper=True))
         _cut_table(graph)
         assert _subcurve_table(graph) is table
         assert calls == [graph]

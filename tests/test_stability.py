@@ -43,7 +43,7 @@ from nodalcalc import (
 from nodalcalc import stability
 from nodalcalc.modifications import _series_reduction
 from nodalcalc.stability import (
-    _ChainCuts, _bounded_vectors, _boxes, _bundle_side, _cut_table, _cut_windows, _lifted_rows,
+    _bounded_vectors, _boxes, _bundle_side, _cut_table, _cut_windows, _lifted_rows,
     _margins, _model_side, _series_cuts, _stability_test, _subcurve_table,
 )
 from nodalcalc.verify import random_stable_graph
@@ -79,6 +79,16 @@ class TestPolarization:
         e = Multidegree(theta_graph(), (("v", 0), ("w", 0)))
         with pytest.raises(ValueError):
             Polarization(0, e)
+
+    @pytest.mark.parametrize("rank", [True, 2.0, "2"])
+    def test_rank_must_be_an_int(self, rank):
+        e = Multidegree(theta_graph(), (("v", -1), ("w", -1)))
+        with pytest.raises(ValueError) as exc:
+            Polarization(rank, e)
+        assert str(exc.value) == f"polarization rank must be an integer, got {rank!r}"
+        with pytest.raises(ValueError) as exc:
+            Polarization.from_json_dict(theta_graph(), {"rank": rank, "e": {"v": -1, "w": -1}})
+        assert str(exc.value) == f"polarization rank must be an integer, got {rank!r}"
 
     def test_low_genus_rejected(self):
         g = DualGraph((("v", 1),), ())
@@ -566,7 +576,7 @@ class TestLiftedRows:
         for graph in graphs:
             for mod in self.modifications(graph):
                 source = mod.source
-                full = dict(_subcurve_table(source))
+                full = {z: chi for z, chi, _ in _subcurve_table(source)}
                 ends = mod.target.edge_ends
                 chains = [(ends[e], c) for e, (c,) in mod.chain_registry]
 
@@ -578,8 +588,8 @@ class TestLiftedRows:
                 reduced = {z for z in full
                            if all((a in z and b in z) == (c in z) for (a, b), c in chains)
                            and reduce(whole - z) in full}
-                rows = _lifted_rows(mod, _cut_table(mod.target))
-                sides = [(z, reduce(whole - z)) for z, _, _ in rows]
+                rows = _lifted_rows(mod, _cut_table(mod.target).rows)
+                sides = [(z, reduce(whole - z)) for z, _, _, _ in rows]
                 covered = [z for pair in sides for z in pair]
                 assert len(set(covered)) == len(covered) == len(reduced)
                 assert set(covered) == reduced, (graph, mod.modified_edges)
@@ -590,7 +600,7 @@ class TestLiftedRows:
                     graph.vertex_ids[0]: d - sum(1 for v in source.vertex_ids
                                                  if v in mod.chain_vertices)})
                 margin = dict(bundle_stability_report(deg, pol).entries)
-                for (z, chi, k), (_, other) in zip(rows, sides):
+                for (z, chi, k, _), (_, other) in zip(rows, sides):
                     assert full[z] == chi, (graph, mod.modified_edges, z)
                     assert pol.rank * k == margin[z] + margin[other], (graph, z)
 
@@ -600,14 +610,14 @@ class TestLiftedRows:
             scale = 2 * graph.genus - 2
             for mod in self.modifications(graph):
                 source = mod.source
-                rows = _lifted_rows(mod, _cut_table(mod.target))
+                rows = _lifted_rows(mod, _cut_table(mod.target).rows)
                 e_values = {v: (graph.genus - 1 - d) * source.omega_degree(v)
                             for v in source.vertex_ids}
                 for deg in self.box(mod, d):
                     report = balanced_report(deg)
                     for mode, sheaf_mode in (("balanced", "semistable"),
                                              ("stably_balanced", "stable")):
-                        ok = _stability_test(sheaf_mode, None, window=True)
+                        ok = _stability_test(sheaf_mode, None)
                         margins = _margins(rows, source.edge_ends, dict(deg.as_dict), (),
                                            scale, e_values)
                         lifted = all(ok(*row) for row in margins)
@@ -654,8 +664,8 @@ class TestCutWindows:
     def test_graphs_have_cuts_with_disconnected_complements(self):
         def disconnected(graph):
             whole = frozenset(graph.vertex_ids)
-            return sum(whole - z not in dict(_subcurve_table(graph))
-                       for z, _ in _subcurve_table(graph))
+            sides = {z for z, _, _ in _subcurve_table(graph)}
+            return sum(whole - z not in sides for z in sides)
         assert disconnected(CUT_VERTEX) == 1
         assert sum(map(disconnected, self.graphs())) >= 10
 
@@ -782,10 +792,7 @@ class TestSeriesCuts:
         """One row (Z, chi, k) per side of each chain row, one part per arm for
         every pick, then every interval of each interval record; checks that
         each arm is a path of the graph whose one edge after the part crosses
-        Z, from its end in W.  A plain table is returned as it is."""
-        if not isinstance(table, _ChainCuts):
-            yield from table
-            return
+        Z, from its end in W.  A row with no arms is its one side."""
         ends = graph.edge_ends
         for w, chi, k, arms in table.rows:
             paths = []
@@ -812,7 +819,7 @@ class TestSeriesCuts:
 
     @classmethod
     def assert_cuts_match_the_full_table(cls, graph, table=None):
-        full = dict(_subcurve_table(graph))
+        full = {z: chi for z, chi, _ in _subcurve_table(graph)}
         whole = frozenset(graph.vertex_ids)
         want = {frozenset((z, whole - z)) for z in full if whole - z in full}
         rows = list(cls.expand(graph, _cut_table(graph) if table is None else table))
@@ -874,9 +881,11 @@ class TestSeriesCuts:
                           (("ab", ("a", "b")), ("bc", ("b", "c")), ("ca", ("c", "a"))))
         for graph in (tail, cycle, theta_graph(), K4, CUT_VERTEX):
             self.assert_cuts_match_the_full_table(graph)
-            n, first = len(graph.vertex_ids), graph.vertex_ids[0]
+            table, n, first = _cut_table(graph), len(graph.vertex_ids), graph.vertex_ids[0]
+            assert table.chains == table.intervals == () and table.rows, graph
+            assert {arms for _, _, _, arms in table.rows} == {()}, graph
             assert all(2 * len(z) < n or 2 * len(z) == n and first in z
-                       for z, _, _ in _cut_table(graph)), graph
+                       for z, _, _, _ in table.rows), graph
 
     def test_bundle_verdicts_match_the_report(self):
         # every mode and every base vertex, chain vertices included, under the
@@ -1002,7 +1011,7 @@ class TestSeriesCuts:
                         checked += 1
                         held = mode[1] in inner
                         inside += held
-                        ok = _stability_test(*mode, window=True)
+                        ok = _stability_test(*mode)
                         for part, kept in (("intervals", replace(table, intervals=())),
                                            ("rows", replace(table, rows=()))):
                             rows = _cut_windows(kept, src.edge_ends, values, nodes, rank, e,
@@ -1190,9 +1199,17 @@ class TestCompiledWindows:
         yield K5, 4, [("quasistable", "a")]  # ten rows, one mode: K5 has 1,024 strata
 
     @staticmethod
-    def oracles(graph, d, subset):
+    def box_rows(graph):
+        """The cut rows of two or more vertices, each with its vertices' positions
+        in a box vector in place of its arms, as ``_strata`` hands them to both sides."""
+        vids = graph.vertex_ids
+        return [(w, chi, k, tuple(vids.index(v) for v in w))
+                for w, chi, k, _ in _cut_table(graph).rows if len(w) > 1]
+
+    @classmethod
+    def oracles(cls, graph, d, subset):
         """Fresh kernel runs on a box vector: the model side's and the bundle side's."""
-        cuts = [row for row in _cut_table(graph) if len(row[0]) > 1]
+        cuts = cls.box_rows(graph)
         rank, vids = 2 * graph.genus - 2, graph.vertex_ids
         e = canonical_polarization(graph, d).e.as_dict
         mod = small_modification(graph, subset)
@@ -1217,11 +1234,13 @@ class TestCompiledWindows:
         rng = random.Random(14)
         checked, failed_at = 0, {}
         for graph, d, modes in self.cases():
-            rows = len([row for row in _cut_table(graph) if len(row[0]) > 1])
+            cuts = self.box_rows(graph)
+            rows = len(cuts)
             positions = failed_at.setdefault(graph, ({"model": set(), "bundle": set()}, rows))[0]
             for mode, base in modes:
-                ok = _stability_test(mode, base, graph, window=True)
-                model_side, bundle_side = _model_side(graph, d, ok), _bundle_side(graph, d, ok)
+                ok = _stability_test(mode, base, graph)
+                model_side = _model_side(graph, d, ok, cuts)
+                bundle_side = _bundle_side(graph, d, ok, cuts)
                 for subset, vectors in _boxes(graph, d, ok):
                     box = list(vectors)
                     # vectors around the box, of any total, reach failures at every row
@@ -1267,12 +1286,14 @@ class TestCompiledWindows:
         # A per-stratum precompute ahead of the scan once made a benchmark's
         # median op 65% slower; a stratum pays only for the rows its vectors read.
         pulled = self.count_rows(monkeypatch)
-        ok = _stability_test("semistable", None, window=True)
+        ok = _stability_test("semistable", None)
         for graph, d in ((K4, 2), (K5, 4)):
-            rows = len([row for row in _cut_table(graph) if len(row[0]) > 1])
+            cuts = self.box_rows(graph)
+            rows = len(cuts)
             for side in ("model", "bundle"):
                 depths = set()
-                model_side, bundle_side = _model_side(graph, d, ok), _bundle_side(graph, d, ok)
+                model_side = _model_side(graph, d, ok, cuts)
+                bundle_side = _bundle_side(graph, d, ok, cuts)
                 for subset, vectors in _boxes(graph, d, ok):
                     oracle = self.oracles(graph, d, subset)[side == "bundle"]
                     for vec in list(vectors)[:3]:

@@ -206,7 +206,7 @@ class TestInstanceChecks:
             modes = [("semistable", None), ("stable", None)] + [
                 ("quasistable", p) for p in mod.target.vertex_ids]
             for mode in modes:
-                ok = _stability_test(*mode, window=True)
+                ok = _stability_test(*mode)
                 verdict = all(ok(*row) for row in rows_at(mode[1]))
                 assert verdict == report.verdict(*mode), (mod, deg, mode)
                 outcomes.add((mode[0], verdict))
