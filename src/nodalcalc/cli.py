@@ -60,14 +60,30 @@ class _InputError(Exception):
     path; reported with exit 2."""
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object as a dict; a repeated key is refused, not overwritten."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise _InputError(f"repeated key {key!r} in one object")
+        obj[key] = value
+    return obj
+
+
+# one decoder for every file: building one per file costs more than the key check
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+
+
 def _load_json(path: str):
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            return _DECODER.decode(fh.read())
     except OSError as err:
         raise _InputError(str(err)) from err
     except json.JSONDecodeError as err:
         raise _InputError(f"{path}:{err.lineno}:{err.colno}: {err.msg}") from err
+    except _InputError as err:
+        raise _InputError(f"{path}: {err}") from err
 
 
 def _load_curve(path: str) -> DualGraph:
@@ -196,9 +212,6 @@ def cmd_check_stability(args) -> tuple[dict, int]:
         pol = Polarization.from_json_dict(graph, _load_json(args.polarization))
     else:
         pol = canonical_polarization(graph, model.degree)
-    if args.mode == "quasistable" and args.base_vertex is not None:
-        if args.base_vertex not in graph.vertex_ids:
-            raise _InputError(f"--base-vertex {args.base_vertex!r} is not a vertex of the curve")
     scan = sheaf_stability_report(model, pol)
     verdict = scan.verdict(args.mode, args.base_vertex)
     payload = {

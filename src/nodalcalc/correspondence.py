@@ -33,7 +33,7 @@ from .graphs import DualGraph, _json_int, classify, exceptional_vertices
 from .modifications import Modification, is_small, small_modification
 from .pushforward import pushforward_model
 from .sheaves import Multidegree, SheafModel
-from .stability import _model, _stability_test, _strata
+from .stability import _model, _sheaf_mode, _stability_test, _strata
 
 
 def phi(mod: Modification, deg: Multidegree) -> tuple[DualGraph, SheafModel]:
@@ -103,9 +103,6 @@ class CorrespondenceReport:
         }
 
 
-_SHEAF_MODE = {"balanced": "semistable", "stably_balanced": "stable"}
-
-
 def _model_order(model: SheafModel) -> tuple:
     """Sort key fixing the order of mismatches, whatever the hash seed."""
     return sorted(model.noninvertible), model.multidegree.values
@@ -123,9 +120,7 @@ def certify_bijection(graph: DualGraph, d: int, mode: str = "balanced") -> Corre
     an ``int``.
     """
     _json_int(d, "degree")
-    if mode not in _SHEAF_MODE:
-        raise ValueError(f"unknown balanced mode {mode!r}")
-    ok = _stability_test(_SHEAF_MODE[mode], None)
+    ok = _stability_test(_sheaf_mode(mode), None, graph)
     mismatches: list[str] = []
     missing: list[SheafModel] = []
     extra: list[SheafModel] = []

@@ -347,7 +347,7 @@ def _rank(rows: list[list[int]]) -> int:
 def chain_h(degrees: Iterable[int], puncture_ends: bool = False) -> ChainCohomology:
     """Cohomology of a line bundle on a chain of rational curves.
 
-    The chain has one component per entry of ``degrees``, consecutive
+    The chain has one component per ``int`` entry of ``degrees``, consecutive
     components glued at one node each, with all gluing identifications
     normalized to 1.  Sections on a degree-d component are the d+1
     coefficients of a binary form (none when d < 0); matching conditions
@@ -361,7 +361,7 @@ def chain_h(degrees: Iterable[int], puncture_ends: bool = False) -> ChainCohomol
     point on each of the two extreme components (two distinct points on
     the single component when the chain has length one).
     """
-    degs = [int(d) for d in degrees]
+    degs = [_json_int(d, "chain degree") for d in degrees]
     if not degs:
         raise ValueError("chain must have at least one component")
     n = len(degs)
@@ -403,8 +403,8 @@ def chain_h(degrees: Iterable[int], puncture_ends: bool = False) -> ChainCohomol
 
 
 def interval_sum_range(degrees: Iterable[int]) -> tuple[int, int]:
-    """Minimum and maximum over sums of nonempty contiguous runs."""
-    degs = [int(d) for d in degrees]
+    """Minimum and maximum over sums of nonempty contiguous runs of ``int`` entries."""
+    degs = [_json_int(d, "chain degree") for d in degrees]
     if not degs:
         raise ValueError("need at least one entry")
     lo = hi = degs[0]

@@ -22,10 +22,18 @@ sides are ever built, and a verdict decides a chain row from the margin of
 one set and each chain's least prefix sums, and an interval record from
 its least interval sums, all integers (the last two lemmas).  Any other
 graph's table has no chains, no interval records and rows with no arms,
-whose windows are the kernel's.  The enumerators are one walk of the edge
-subsets, ``_strata``, that hands each vector of a stratum's box to a
-model side and a bundle side, with the second lemma below;
-certify_bijection takes both sides from one walk.  Both sides read the
+whose windows are the kernel's.  Every verdict checks a quasistable base
+vertex against the graph it reads, the reports' included.
+
+The enumerators are one walk of the edge subsets, ``_strata``, that
+hands each vector of a stratum's box to a model side and a bundle side,
+with the second lemma below; certify_bijection takes both sides from one
+walk.  There is one canonical polarization, ``_canonical``, the one place
+its rank 2g - 2 is computed: the walk reads it once and hands it to the
+box, which reads each vertex's window off the kernel on the row {v}, and
+to both sides; the bundle side reads it pulled back to each source, the
+same e with 0 on the chain vertices.  A balanced mode is read as the
+stability mode of its models by ``_sheaf_mode``.  Both sides read the
 graph's cut rows, each with its positions in a box vector found once per
 graph, compile a stratum's windows once, by the remark after the first
 lemma, and read each vector off them, one row further only when the rows
@@ -227,16 +235,17 @@ def canonical_polarization(graph: DualGraph, d: int) -> Polarization:
     Rank 2g - 2 with multidegree (g - 1 - d) times the dualizing one; it
     is compatible with degree d for every graph of genus at least 2.
     """
+    rank, e = _canonical(graph, _json_int(d, "degree"))  # e in vertex order, int values
+    return Polarization(rank, Multidegree._derived(graph, tuple(e.items())))
+
+
+def _canonical(graph: DualGraph, d: int) -> tuple[int, dict[str, int]]:
+    """The canonical polarization at degree d as (rank, e values): rank 2g - 2 and
+    e = (g - 1 - d) omega.  The one place the canonical rank is computed."""
     if graph.genus < 2:
         raise ValueError("canonical polarization requires genus at least 2")
-    e = _canonical_e(graph, _json_int(d, "degree"))  # in vertex order, int values
-    return Polarization(2 * graph.genus - 2, Multidegree._derived(graph, tuple(e.items())))
-
-
-def _canonical_e(graph: DualGraph, d: int) -> dict[str, int]:
-    """Multidegree of the canonical polarizing sheaf: (g - 1 - d) omega."""
     k = graph.genus - 1 - d
-    return {v: k * graph.omega_degree(v) for v in graph.vertex_ids}
+    return 2 * graph.genus - 2, {v: k * graph.omega_degree(v) for v in graph.vertex_ids}
 
 
 # -- subcurve scans ---------------------------------------------------------
@@ -438,8 +447,13 @@ def _cut_windows(
 
 @dataclass(frozen=True)
 class SubcurveScan:
-    """Margins of a per-subcurve inequality, exact, one entry per subcurve."""
+    """Margins of a per-subcurve inequality on ``graph``, exact, one entry per subcurve.
 
+    The graph is the one the margins were read on, so that a quasistable
+    verdict checks its base vertex as the check_* verdicts do.
+    """
+
+    graph: DualGraph
     entries: tuple[tuple[frozenset[str], int | Fraction], ...]
 
     @property
@@ -458,17 +472,15 @@ class SubcurveScan:
         """semistable: all margins >= 0.  stable: all > 0.
         quasistable: equality allowed only away from the base vertex.
         Each margin is a window with no upper end."""
-        ok = _stability_test(mode, base_vertex)
+        ok = _stability_test(mode, base_vertex, self.graph)
         return all(ok(z, m, inf) for z, m in self.entries)
 
 
-def _stability_test(
-    mode: str, base_vertex: str | None, graph: DualGraph | None = None,
-) -> Callable[..., bool]:
+def _stability_test(mode: str, base_vertex: str | None, graph: DualGraph) -> Callable[..., bool]:
     """The window predicate of a stability mode on rows (z, m, hi); the mode is checked here.
 
-    The window is the one of (c) in the first lemma.  Given the graph, a
-    quasistable base vertex must be one of its vertices.
+    The window is the one of (c) in the first lemma.  A quasistable base
+    vertex must be a vertex of the graph.
     """
     if mode == "semistable":
         return lambda z, m, hi: 0 <= m <= hi
@@ -477,7 +489,7 @@ def _stability_test(
     if mode == "quasistable":
         if base_vertex is None:
             raise ValueError("quasistable verdict needs a base vertex")
-        if graph is not None and base_vertex not in graph.vertex_ids:
+        if base_vertex not in graph.vertex_ids:
             raise ValueError(f"base vertex {base_vertex!r} is not a vertex of the graph")
         p = base_vertex
         return lambda z, m, hi: ((m > 0 or m == 0 and p not in z)
@@ -547,22 +559,24 @@ def _verdict(
 def _canonical_scan(
     graph: DualGraph, values: Mapping[str, int], noninvertible: Collection[str], d: int,
 ) -> SubcurveScan:
-    """Degree-bound margins: canonical chi margins divided by the rank 2g - 2."""
-    scale = 2 * graph.genus - 2
-    margins = _report(graph, values, noninvertible, scale, _canonical_e(graph, d))
-    return SubcurveScan(tuple((z, Fraction(m, scale)) for z, m in margins))
+    """Degree-bound margins: canonical chi margins divided by the canonical rank."""
+    scale, e_values = _canonical(graph, d)
+    margins = _report(graph, values, noninvertible, scale, e_values)
+    return SubcurveScan(graph, tuple((z, Fraction(m, scale)) for z, m in margins))
 
 
 def sheaf_stability_report(model: SheafModel, pol: Polarization) -> SubcurveScan:
     """Twisted Euler characteristic of the model on every connected proper subcurve."""
-    return SubcurveScan(tuple(_report(model.graph, model.multidegree.as_dict, model.noninvertible,
-                                      *_polarized(pol, model.graph, model.degree))))
+    graph = model.graph
+    return SubcurveScan(graph, tuple(_report(graph, model.multidegree.as_dict, model.noninvertible,
+                                             *_polarized(pol, graph, model.degree))))
 
 
 def bundle_stability_report(deg: Multidegree, pol: Polarization) -> SubcurveScan:
     """Same scan for an honest line bundle given by its multidegree."""
-    return SubcurveScan(tuple(_report(deg.graph, deg.as_dict, (),
-                                      *_polarized(pol, deg.graph, deg.total))))
+    graph = deg.graph
+    return SubcurveScan(graph, tuple(_report(graph, deg.as_dict, (),
+                                             *_polarized(pol, graph, deg.total))))
 
 
 def check_sheaf_stability(
@@ -593,7 +607,7 @@ def check_ssI2(model: SheafModel, d: int) -> SubcurveScan:
     graph = model.graph
     if graph.genus < 2:
         raise ValueError("degree bound requires genus at least 2")
-    if d != model.degree:
+    if _json_int(d, "degree") != model.degree:
         raise ValueError(f"sheaf model has degree {model.degree}, not {d}")
     return _canonical_scan(graph, model.multidegree.as_dict, model.noninvertible, d)
 
@@ -617,18 +631,25 @@ class BalancedScan:
 def _balanced_test(
     mode: str, graph: DualGraph,
 ) -> Callable[[frozenset[str], int | Fraction], bool]:
-    """The per-row predicate of a balanced mode; the mode is checked here.
+    """The per-row predicate of a balanced mode, checked by ``_sheaf_mode``.
 
     Stably balanced allows equality only on subcurves whose complement
     is exceptional.
     """
-    if mode == "balanced":
+    if _sheaf_mode(mode) == "semistable":
         return lambda z, m: m >= 0
-    if mode == "stably_balanced":
-        whole = frozenset(graph.vertex_ids)
-        exc = frozenset(exceptional_vertices(graph))
-        return lambda z, m: m > 0 or (m == 0 and whole - z <= exc)
-    raise ValueError(f"unknown balanced mode {mode!r}")
+    whole = frozenset(graph.vertex_ids)
+    exc = frozenset(exceptional_vertices(graph))
+    return lambda z, m: m > 0 or (m == 0 and whole - z <= exc)
+
+
+def _sheaf_mode(mode: str) -> str:
+    """The stability mode of the sheaf models that match a balanced mode; the one check
+    of a balanced mode.  Balanced bundles match semistable models, stably balanced
+    ones stable models."""
+    if mode not in ("balanced", "stably_balanced"):
+        raise ValueError(f"unknown balanced mode {mode!r}")
+    return "semistable" if mode == "balanced" else "stable"
 
 
 def balanced_report(deg: Multidegree) -> BalancedScan:
@@ -697,31 +718,36 @@ def _bounded_vectors(lows: list[int], highs: list[int], total: int) -> Iterator[
     yield from rec(0, total)
 
 
-def _degree_window(graph: DualGraph, d: int, v: str, low: int, high: int) -> tuple[int, int]:
-    """Integer bounds on d_v for margins >= low on {v} and >= high on its complement.
+def _vertex_windows(graph: DualGraph, ok: Callable, rank: int, e_values: dict) -> list:
+    """Bounds (low, high) on each d_v, over graph.vertex_ids, that pass ``ok`` on {v}.
 
-    Canonically, m({v}) = rank d_v + c, c = (g - 1) k_v - d omega_v, with
-    k_v = valence(v) - 2 loops_at(v): at 0, 0, ceil and floor of d omega_v /
-    (2g - 2) -/+ k_v / 2."""
-    rank = 2 * graph.genus - 2
-    k = graph.valence(v) - 2 * graph.loops_at(v)
-    c = (graph.genus - 1) * k - d * graph.omega_degree(v)
-    return -((c - low) // rank), (rank * k - c - high) // rank
+    The window of {v} is the kernel's on its singleton row at the zero
+    vector, (m0, hi) under (rank, e_values), with chi and k from the
+    graph's enumeration of its subcurves: m({v}) = m0 + rank d_v must be at
+    least 1 where the mode is strict low on {v}, else 0, and at most hi,
+    less 1 where it is strict high, as ``ok`` reads the windows (0, 1) and
+    (1, 1).  A lone vertex is the whole curve, not a row: no end is strict.
+    """
+    vids = graph.vertex_ids
+    masks, proper = _subcurve_masks(graph), len(vids) > 1
+    singles = [(frozenset((v,)), *masks[1 << i][:2]) for i, v in enumerate(vids)]
+    kernel = _margins(singles, graph.edge_ends, dict.fromkeys(vids, 0), (), rank, e_values)
+    return [(-((m0 - (proper and not ok(z, 0, 1))) // rank),
+             (hi - m0 - (proper and not ok(z, 1, 1))) // rank) for z, m0, hi in kernel]
 
 
-def _boxes(graph: DualGraph, d: int, ok: Callable) -> Iterator[tuple[tuple[str, ...], Iterator]]:
+def _boxes(graph: DualGraph, d: int, ok: Callable, rank: int, e_values: dict) -> Iterator:
     """(N, candidate vectors over graph.vertex_ids) per edge subset N, if any.
 
     The vectors sum to d - |N| and pass the window predicate ``ok`` on each
-    {v} under N (both ends drop by the loops of N at v, the upper one also
-    by its other edges in N), so no scan reads a row {v}.  By (a) and (b) of
-    the first lemma no model is lost where the complement of {v} is split.
+    {v} under N and the polarization (rank, e_values): the kernel's
+    windows of ``_vertex_windows``, both ends dropping by the loops of N at
+    v and the upper one also by its other edges in N, so no scan reads a
+    row {v}.  By (a) and (b) of the first lemma no model is lost where the
+    complement of {v} is split.
     """
-    vids = graph.vertex_ids
-    proper = len(vids) > 1  # a lone vertex is the whole curve, not a row
-    windows = [_degree_window(graph, d, v, proper and not ok(frozenset((v,)), 0, 1),
-                              proper and not ok(frozenset((v,)), 1, 1)) for v in vids]
-    place = {v: i for i, v in enumerate(vids)}
+    windows = _vertex_windows(graph, ok, rank, e_values)
+    place = {v: i for i, v in enumerate(graph.vertex_ids)}
     ends = {e: (place[a], place[b]) for e, (a, b) in graph.edge_ends.items()}
     for subset in _edge_subsets(graph):
         lows, highs = [lo for lo, _ in windows], [hi for _, hi in windows]
@@ -790,52 +816,48 @@ def _compiled_windows(
     return accepts
 
 
-def _model_side(graph: DualGraph, d: int, ok: Callable, rows: list[tuple]) -> Callable:
+def _model_side(graph: DualGraph, ok: Callable, rows: list, rank: int, e_values: dict) -> Callable:
     """The model side of ``_strata``: per stratum N, a predicate on box vectors.
 
     A vector of degrees over graph.vertex_ids passes when every window of
-    ``rows`` under N holds, read on integer chi margins up to the first
-    failing window; the box decides the rows {v}.  The windows are compiled
-    once per stratum from the kernel at the zero vector.
+    ``rows`` under N and the polarization (rank, e_values) holds, read on
+    integer chi margins up to the first failing window; the box decides the
+    rows {v}.  The windows are compiled once per stratum from the kernel at
+    the zero vector.
     """
     ends, zeros = graph.edge_ends, dict.fromkeys(graph.vertex_ids, 0)
-    scale, e_values = 2 * graph.genus - 2, _canonical_e(graph, d)
 
     def stratum(subset: tuple[str, ...]) -> Callable[[tuple[int, ...]], bool]:
-        kernel = _margins(rows, ends, zeros, subset, scale, e_values)
-        return _compiled_windows(rows, kernel, scale, ok)
+        kernel = _margins(rows, ends, zeros, subset, rank, e_values)
+        return _compiled_windows(rows, kernel, rank, ok)
 
     return stratum
 
 
-def _bundle_side(graph: DualGraph, d: int, ok: Callable, rows: list[tuple]) -> Callable:
+def _bundle_side(graph: DualGraph, ok: Callable, rows: list, rank: int, e_values: dict) -> Callable:
     """The bundle side of ``_strata``: per stratum N, its modification and a lift.
 
     The modification is small_modification(graph, N); the lift takes a box
     vector, puts 1 on every chain vertex, and returns the bundle's
     ``Multidegree`` on the source when every window of the rows lifted from
     ``rows`` (``_lifted_rows``) holds, else None.  No source table is built.
+    The polarization is (rank, e_values) pulled back to the source: the
+    same rank and values, 0 on the chain vertices (the lifted-row lemma).
     The windows are compiled once per stratum from the kernel at the vector
-    that is 0 on the box vertices and 1 on the chain vertices; without a row
-    there is nothing to compile, and the box decides.
+    that is 0 on the box vertices and 1 on the chain vertices.
     """
-    scale = 2 * graph.genus - 2
     vids = graph.vertex_ids  # the sources' other vertices, in the same order
     index, zeros = {v: i for i, v in enumerate(vids)}, dict.fromkeys(vids, 0)
 
     def stratum(subset: tuple[str, ...]) -> tuple[Modification, Callable]:
         mod = small_modification(graph, subset)
-        source = mod.source
+        source, chain = mod.source, mod.chain_vertices  # the exceptional vertices
         if classify(source) not in ("stable", "quasistable"):
             raise ValueError("balanced multidegrees live on quasistable graphs")
-        if rows:
-            lifted = _lifted_rows(mod, rows)
-            ones = dict.fromkeys(mod.chain_vertices, 1)  # the exceptional vertices
-            kernel = _margins(lifted, source.edge_ends, zeros | ones, (), scale,
-                              _canonical_e(source, d))
-        else:  # no window to read: the box decides every vector
-            lifted, kernel = [], ()
-        accepts = _compiled_windows(lifted, kernel, scale, ok)
+        lifted = _lifted_rows(mod, rows)
+        kernel = _margins(lifted, source.edge_ends, zeros | dict.fromkeys(chain, 1), (), rank,
+                          e_values | dict.fromkeys(chain, 0))
+        accepts = _compiled_windows(lifted, kernel, rank, ok)
         # each source vertex's place in a box vector, or None for a chain vertex
         slots = tuple((v, index.get(v)) for v in source.vertex_ids)
 
@@ -868,11 +890,12 @@ def _strata(
     genus at least 2.
     """
     _check_enumerable(graph)
+    rank, e_values = _canonical(graph, d)
     rows = [(w, chi, k, tuple(map(graph.vertex_ids.index, w)))
             for w, chi, k, _ in _cut_table(graph).rows if len(w) > 1]
-    model_side = _model_side(graph, d, ok, rows) if models else None
-    bundle_side = _bundle_side(graph, d, ok, rows) if bundles else None
-    for subset, vectors in _boxes(graph, d, ok):
+    model_side = _model_side(graph, ok, rows, rank, e_values) if models else None
+    bundle_side = _bundle_side(graph, ok, rows, rank, e_values) if bundles else None
+    for subset, vectors in _boxes(graph, d, ok, rank, e_values):
         accepts = model_side(subset) if model_side else None
         mod, lift = bundle_side(subset) if bundle_side else (None, None)
         kept, lifted = [], []
@@ -925,8 +948,6 @@ def enumerate_balanced(
     d must be an ``int``.
     """
     _json_int(d, "degree")
-    if mode not in ("balanced", "stably_balanced"):
-        raise ValueError(f"unknown balanced mode {mode!r}")
-    ok = _stability_test("semistable" if mode == "balanced" else "stable", None)
+    ok = _stability_test(_sheaf_mode(mode), None, graph)
     return [(mod, deg) for _, mod, _, degs in _strata(graph, d, ok, models=False)
             for deg in degs]

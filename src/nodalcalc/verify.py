@@ -15,10 +15,10 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product, starmap
-from typing import Callable, Collection, Iterator, Sequence
+from typing import Callable, Collection, Iterator
 
 from .catalog import elliptic_bridge, theta_graph
-from .graphs import DualGraph, connected_subcurves, exceptional_vertices
+from .graphs import DualGraph, _json_int, connected_subcurves, exceptional_vertices
 from .modifications import (
     Modification,
     contracted_edge_id,
@@ -44,7 +44,7 @@ from .sheaves import (
 )
 from .stability import (
     _CutTable,
-    _canonical_e,
+    _canonical,
     _cut_table,
     _cut_windows,
     _series_cuts,
@@ -75,6 +75,8 @@ class VerifyConfig:
     chain_length_max: int = 4
 
     def __post_init__(self) -> None:
+        if isinstance(self.suites, str):
+            raise ValueError(f"suites must be a sequence of suite names, got {self.suites!r}")
         unknown = set(self.suites) - set(ALL_SUITES)
         if unknown:
             raise ValueError(f"unknown suites: {sorted(unknown)}")
@@ -82,7 +84,7 @@ class VerifyConfig:
         object.__setattr__(self, "suites", ordered)
         for name in ("instance_count", "max_vertices", "max_genus",
                      "degree_window", "chain_length_max"):
-            if getattr(self, name) < 1:
+            if _json_int(getattr(self, name), name) < 1:
                 raise ValueError(f"{name} must be positive")
 
     def to_json_dict(self) -> dict:
@@ -388,27 +390,27 @@ def _suite_compadm(cfg: VerifyConfig, rng: random.Random) -> SuiteResult:
     return SuiteResult(cases, failures)
 
 
-def _window_rows(graph: DualGraph, values: dict[str, int], noninvertible: Collection[str],
-                 rank: int, e_values: dict[str, int],
-                 cuts: _CutTable) -> Callable[..., Sequence]:
-    """The window rows of one model at a base vertex, for every mode.
+def _window_verdicts(graph: DualGraph, values: dict[str, int], noninvertible: Collection[str],
+                     rank: int, e_values: dict[str, int],
+                     cuts: _CutTable) -> Callable[..., bool]:
+    """The verdict of one model in a mode at a base vertex, read on its cut windows.
 
     One decided list, built with no base vertex, serves every mode at
-    every base vertex off the chains of ``cuts``; a base vertex on one of
-    them is decided afresh (the chain-window and interval lemmas of
-    ``stability``).
+    every base vertex off the chains of ``cuts``; at a base vertex on one of
+    them the windows are decided afresh (the chain-window and interval
+    lemmas of ``stability``), up to the first failing one.
     """
     ends = graph.edge_ends
     shared = list(_cut_windows(cuts, ends, values, noninvertible, rank, e_values))
     on_chains = {v for vertices, _ in cuts.chains for v in vertices}
 
-    def at(base_vertex: str | None = None) -> Sequence:
-        if base_vertex in on_chains:
-            return list(_cut_windows(cuts, ends, values, noninvertible, rank, e_values,
-                                     base_vertex))
-        return shared
+    def holds(mode: str, base_vertex: str | None = None) -> bool:
+        ok = _stability_test(mode, base_vertex, graph)
+        rows = (_cut_windows(cuts, ends, values, noninvertible, rank, e_values, base_vertex)
+                if base_vertex in on_chains else shared)
+        return all(starmap(ok, rows))
 
-    return at
+    return holds
 
 
 def check_famchain2_instance(mod: Modification, deg: Multidegree) -> list[dict]:
@@ -425,38 +427,30 @@ def check_famchain2_instance(mod: Modification, deg: Multidegree) -> list[dict]:
     mode: every base vertex is a target vertex, on no registered chain.
     """
     failures = []
-    if mod.target.genus < 2:
-        raise ValueError("canonical polarization requires genus at least 2")
-    # the canonical polarization of the target: rank 2g - 2 and e = (g - 1 - d) omega
-    rank, e_values = 2 * mod.target.genus - 2, _canonical_e(mod.target, deg.total)
+    rank, e_values = _canonical(mod.target, deg.total)  # the target's canonical polarization
     target_cuts = _cut_table(mod.target)
     source_cuts = (_cut_table(mod.source) if target_cuts.chains
                    else _series_cuts(mod.source, mod.target, mod.chain_registry))
     # the pulled-back polarization: the same rank, and e is 0 on the chains
-    source = _window_rows(mod.source, dict(deg.as_dict), (), rank,
-                          dict.fromkeys(mod.chain_vertices, 0) | e_values, source_cuts)
+    source = _window_verdicts(mod.source, dict(deg.as_dict), (), rank,
+                              dict.fromkeys(mod.chain_vertices, 0) | e_values, source_cuts)
     flags = admissibility(mod, deg)
     if flags.admissible:  # else every target verdict below is short-circuited
         model = pushforward_model(mod, deg)
-        target = _window_rows(mod.target, dict(model.multidegree.as_dict), model.noninvertible,
-                              rank, e_values, target_cuts)
+        target = _window_verdicts(mod.target, dict(model.multidegree.as_dict),
+                                  model.noninvertible, rank, e_values, target_cuts)
 
-    def holds(rows, mode, base_vertex=None):
-        ok = _stability_test(mode, base_vertex)
-        return all(starmap(ok, rows))
-
-    semi = flags.admissible and holds(target(), "semistable")
-    stab = flags.admissible and holds(target(), "stable")
-    if holds(source(), "semistable") != semi:
+    semi = flags.admissible and target("semistable")
+    stab = flags.admissible and target("stable")
+    if source("semistable") != semi:
         failures.append(_repro("semistable equivalence failed",
                                graph=mod.target, mod=mod, deg=deg))
-    if holds(source(), "stable") != (flags.invertible and stab):
+    if source("stable") != (flags.invertible and stab):
         failures.append(_repro("stable equivalence failed",
                                graph=mod.target, mod=mod, deg=deg))
     for p in mod.target.vertex_ids:
-        left = holds(source(p), "quasistable", p)
-        right = flags.admissible and flags.negatively and holds(target(p), "quasistable", p)
-        if left != right:
+        right = flags.admissible and flags.negatively and target("quasistable", p)
+        if source("quasistable", p) != right:
             failures.append(_repro(f"quasistable equivalence failed at base {p!r}",
                                    graph=mod.target, mod=mod, deg=deg))
     return failures

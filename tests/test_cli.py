@@ -533,6 +533,22 @@ def test_repeated_ids_rejected(tmp_path, capsys, argv, files, named):
     assert (code, out, err) == (2, "", f"error: {named}\n")
 
 
+@pytest.mark.parametrize("argv, text, key", [
+    (["check-stability", "curve", "in"],
+     '{"noninvertible": [], "multidegree": {"v": 1, "w": 1, "v": 3}}', "v"),
+    (["classify", "in"],
+     json.dumps(THETA).replace('"id": "w"', '"id": "w", "genus": 0, "id": "x"', 1), "id"),
+], ids=["sheaf_multidegree", "curve_vertex"])
+def test_repeated_json_keys_rejected(tmp_path, capsys, argv, text, key):
+    # json would keep the last value of a repeated key: {"v": 1, "w": 1, "v": 3}
+    # once read as degree 4
+    curve = write(tmp_path, "curve.json", THETA)
+    path = tmp_path / "in.json"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, [{"curve": curve, "in": str(path)}.get(a, a) for a in argv])
+    assert (code, out, err) == (2, "", f"error: {path}: repeated key {key!r} in one object\n")
+
+
 class TestUsageErrors:
     def test_unknown_command(self, capsys):
         with pytest.raises(SystemExit):

@@ -26,7 +26,7 @@ from nodalcalc import (
     theta_graph,
 )
 from nodalcalc import correspondence, modifications, stability
-from nodalcalc.stability import _boxes, _stability_test
+from nodalcalc.stability import _boxes, _canonical, _stability_test
 from nodalcalc.verify import random_stable_graph
 
 
@@ -182,7 +182,7 @@ class TestCertify:
         # mismatches, three of them with N empty; one order under any hash seed
         script = ("from nodalcalc import correspondence, stability, theta_graph\n"
                   "stability._model_side = (\n"
-                  "    lambda graph, d, ok, rows: lambda subset: lambda vec: False)\n"
+                  "    lambda graph, ok, rows, rank, e_values: lambda subset: lambda vec: False)\n"
                   "for line in correspondence.certify_bijection(theta_graph(), 2).mismatches:\n"
                   "    print(line)\n")
         src = str(Path(correspondence.__file__).resolve().parents[1])
@@ -225,8 +225,9 @@ class TestCertify:
             modifications._small_modification.__wrapped__))
         for d in range(2, 6):
             for mode, sheaf_mode in (("balanced", "semistable"), ("stably_balanced", "stable")):
-                ok = _stability_test(sheaf_mode, None)
-                nonempty = [frozenset(subset) for subset, _ in _boxes(K4, d, ok)]
+                ok = _stability_test(sheaf_mode, None, K4)
+                nonempty = [frozenset(subset)
+                            for subset, _ in _boxes(K4, d, ok, *_canonical(K4, d))]
                 built.clear()
                 report = certify_bijection(K4, d, mode)
                 assert report.bijection and report.balanced_count
@@ -308,9 +309,9 @@ class TestStreamedCertify:
         walks = []
         real = stability._boxes
 
-        def counting(graph, d, ok):
+        def counting(graph, d, ok, rank, e_values):
             walks.append(d)
-            return real(graph, d, ok)
+            return real(graph, d, ok, rank, e_values)
 
         monkeypatch.setattr(stability, "_boxes", counting)
         for mode in MODES:
@@ -382,8 +383,8 @@ class TestStreamedCertify:
         victim = victim.noninvertible, tuple(v for _, v in victim.multidegree.values)
         real = stability._model_side
 
-        def rejecting(graph, d, ok, rows):
-            side = real(graph, d, ok, rows)
+        def rejecting(graph, ok, rows, rank, e_values):
+            side = real(graph, ok, rows, rank, e_values)
 
             def stratum(subset):
                 accepts = side(subset)

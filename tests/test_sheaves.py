@@ -467,6 +467,16 @@ class TestChainCohomology:
         with pytest.raises(ValueError):
             chain_h(())
 
+    def test_non_int_degrees_rejected(self):
+        # int() once read 2.7 as 2 and True as 1, and [1.9, -0.5] as (0, 1) intervals
+        for degs, bad in (([2.7], 2.7), ([True], True), ([0, "1"], "1"), ([1, None], None),
+                          ([1.9, -0.5], 1.9)):
+            for call in (lambda: chain_h(degs), lambda: chain_h(degs, puncture_ends=True),
+                         lambda: interval_sum_range(degs)):
+                with pytest.raises(ValueError) as exc:
+                    call()
+                assert str(exc.value) == f"chain degree must be an integer, got {bad!r}"
+
     def test_euler_characteristic(self):
         for n in (1, 2, 3):
             for degs in product(range(-2, 3), repeat=n):
@@ -529,7 +539,6 @@ class TestIntervalSums:
 
     def test_single(self):
         assert interval_sum_range((0,)) == (0, 0)
-
     def test_matches_brute_force(self):
         for n in (1, 2, 3, 4):
             for degs in product(range(-2, 3), repeat=n):

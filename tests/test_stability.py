@@ -21,6 +21,7 @@ from nodalcalc import (
     boundary_count,
     bundle_stability_report,
     canonical_polarization,
+    certify_bijection,
     check_balanced,
     check_bundle_stability,
     check_sheaf_stability,
@@ -44,7 +45,8 @@ from nodalcalc import stability
 from nodalcalc.modifications import _series_reduction
 from nodalcalc.stability import (
     _bounded_vectors, _boxes, _bundle_side, _cut_table, _cut_windows, _lifted_rows,
-    _margins, _model_side, _series_cuts, _stability_test, _subcurve_table,
+    _canonical, _margins, _model_side, _series_cuts, _stability_test, _subcurve_table,
+    _vertex_windows,
 )
 from nodalcalc.verify import random_stable_graph
 
@@ -155,6 +157,24 @@ class TestSheafStability:
         deg = Multidegree(theta_graph(), (("v", -1), ("w", 2)))
         with pytest.raises(ValueError, match="not a vertex"):
             check_bundle_stability(deg, pol, "quasistable", "nosuch")
+
+    def test_report_verdicts_check_the_base_vertex(self):
+        # a report verdict once read an unknown id as lying in no subcurve,
+        # and so gave the semistable verdict where check_* refuses the call
+        pol = canonical_polarization(theta_graph(), 1)
+        model = theta_model((), -1, 2)
+        deg = Multidegree(theta_graph(), (("v", -1), ("w", 2)))
+        for value, report, check in ((model, sheaf_stability_report, check_sheaf_stability),
+                                     (deg, bundle_stability_report, check_bundle_stability)):
+            scan = report(value, pol)
+            assert scan.graph == theta_graph()
+            assert scan.verdict("semistable") and not scan.verdict("quasistable", "v")
+            with pytest.raises(ValueError) as want:
+                check(value, pol, "quasistable", "zz")
+            with pytest.raises(ValueError) as got:
+                scan.verdict("quasistable", "zz")
+            assert str(got.value) == str(want.value)
+            assert str(got.value) == "base vertex 'zz' is not a vertex of the graph"
 
     def test_unknown_mode(self):
         pol = canonical_polarization(theta_graph(), 2)
@@ -348,9 +368,14 @@ class TestBalanced:
             balanced_report(deg)
 
     def test_unknown_mode(self):
+        # one message wherever a balanced mode is read
         deg = Multidegree(theta_graph(), (("v", 1), ("w", 1)))
-        with pytest.raises(ValueError):
-            check_balanced(deg, "perfectly_balanced")
+        for call in (lambda: check_balanced(deg, "perfectly_balanced"),
+                     lambda: enumerate_balanced(theta_graph(), 2, "perfectly_balanced"),
+                     lambda: certify_bijection(theta_graph(), 2, "perfectly_balanced")):
+            with pytest.raises(ValueError) as exc:
+                call()
+            assert str(exc.value) == "unknown balanced mode 'perfectly_balanced'"
 
 
 class TestEnumeration:
@@ -360,7 +385,9 @@ class TestEnumeration:
                          lambda: enumerate_semistable_models(K4, d, "quasistable", "a"),
                          lambda: enumerate_balanced(theta_graph(), d),
                          lambda: enumerate_balanced(K4, d, "stably_balanced"),
-                         lambda: canonical_polarization(theta_graph(), d)):
+                         lambda: canonical_polarization(theta_graph(), d),
+                         # 2.0 == 2 once passed its degree check, then Fraction raised TypeError
+                         lambda: check_ssI2(theta_model((), 1, 1), d)):
                 with pytest.raises(ValueError) as exc:
                     call()
                 assert str(exc.value) == f"degree must be an integer, got {d!r}"
@@ -617,7 +644,7 @@ class TestLiftedRows:
                     report = balanced_report(deg)
                     for mode, sheaf_mode in (("balanced", "semistable"),
                                              ("stably_balanced", "stable")):
-                        ok = _stability_test(sheaf_mode, None)
+                        ok = _stability_test(sheaf_mode, None, source)
                         margins = _margins(rows, source.edge_ends, dict(deg.as_dict), (),
                                            scale, e_values)
                         lifted = all(ok(*row) for row in margins)
@@ -1011,7 +1038,7 @@ class TestSeriesCuts:
                         checked += 1
                         held = mode[1] in inner
                         inside += held
-                        ok = _stability_test(*mode)
+                        ok = _stability_test(*mode, src)
                         for part, kept in (("intervals", replace(table, intervals=())),
                                            ("rows", replace(table, rows=()))):
                             rows = _cut_windows(kept, src.edge_ends, values, nodes, rank, e,
@@ -1153,6 +1180,54 @@ K5 = DualGraph(tuple((v, 0) for v in "abcde"),
                tuple((a + b, (a, b)) for a, b in combinations("abcde", 2)))
 
 
+class TestVertexWindows:
+    """The box's window on each d_v, read off the kernel on the row {v}.
+
+    Oracle: the closed canonical formula m({v}) = rank d_v + c, with
+    c = (g - 1) k_v - d omega_v and k_v = valence(v) - 2 loops_at(v); the
+    window asks m({v}) >= low and m({v}) <= rank k_v - high.
+    """
+
+    @staticmethod
+    def degree_window(graph, d, v, low, high):
+        rank = 2 * graph.genus - 2
+        k = graph.valence(v) - 2 * graph.loops_at(v)
+        c = (graph.genus - 1) * k - d * graph.omega_degree(v)
+        return -((c - low) // rank), (rank * k - c - high) // rank
+
+    def test_windows_match_the_canonical_formula(self):
+        rng = random.Random(19)
+        graphs = [K4, K5] + [random_stable_graph(rng, 5, 4) for _ in range(100)]
+        checked, empty, lone, looped, boxes = 0, 0, 0, 0, 0
+        for graph in graphs:
+            vids = graph.vertex_ids
+            lone += len(vids) == 1
+            looped += any(graph.loops_at(v) for v in vids)
+            # (low, high) per vertex: 1 where the mode is strict there; none on a lone vertex
+            modes = [("semistable", None, lambda v: (0, 0)), ("stable", None, lambda v: (1, 1))]
+            modes += [("quasistable", p, lambda v, p=p: (int(v == p), int(v != p)))
+                      for p in vids]
+            for d in range(-2, 2 * (2 * graph.genus - 2) + 1):
+                for mode, base, strict in modes:
+                    ok = _stability_test(mode, base, graph)
+                    want = [self.degree_window(graph, d, v, *(strict(v) if len(vids) > 1
+                                                             else (0, 0))) for v in vids]
+                    assert _vertex_windows(graph, ok, *_canonical(graph, d)) == want, (
+                        graph, d, mode, base)
+                    checked += 1
+                    empty += any(lo > hi for lo, hi in want)
+                    if mode == "quasistable":
+                        continue
+                    # the stratum N = () is exactly these windows at total d
+                    box = [vec for vec in product(*(range(lo, hi + 1) for lo, hi in want))
+                           if sum(vec) == d]
+                    first = next(_boxes(graph, d, ok, *_canonical(graph, d)), ((), iter(())))
+                    assert (list(first[1]) if first[0] == () else []) == box, (graph, d, mode)
+                    boxes += bool(box)
+        assert checked > 8000 and empty > 100 and boxes > 2000, (checked, empty, boxes)
+        assert lone > 5 and looped > 20, (lone, looped)
+
+
 class TestBoundedVectors:
     """Oracle: ``itertools.product`` over the box, filtered by the total."""
 
@@ -1239,9 +1314,9 @@ class TestCompiledWindows:
             positions = failed_at.setdefault(graph, ({"model": set(), "bundle": set()}, rows))[0]
             for mode, base in modes:
                 ok = _stability_test(mode, base, graph)
-                model_side = _model_side(graph, d, ok, cuts)
-                bundle_side = _bundle_side(graph, d, ok, cuts)
-                for subset, vectors in _boxes(graph, d, ok):
+                model_side = _model_side(graph, ok, cuts, *_canonical(graph, d))
+                bundle_side = _bundle_side(graph, ok, cuts, *_canonical(graph, d))
+                for subset, vectors in _boxes(graph, d, ok, *_canonical(graph, d)):
                     box = list(vectors)
                     # vectors around the box, of any total, reach failures at every row
                     vecs = box + [tuple(x + rng.randint(-2, 2) for x in vec) for vec in box]
@@ -1286,15 +1361,15 @@ class TestCompiledWindows:
         # A per-stratum precompute ahead of the scan once made a benchmark's
         # median op 65% slower; a stratum pays only for the rows its vectors read.
         pulled = self.count_rows(monkeypatch)
-        ok = _stability_test("semistable", None)
+        ok = _stability_test("semistable", None, K4)
         for graph, d in ((K4, 2), (K5, 4)):
             cuts = self.box_rows(graph)
             rows = len(cuts)
             for side in ("model", "bundle"):
                 depths = set()
-                model_side = _model_side(graph, d, ok, cuts)
-                bundle_side = _bundle_side(graph, d, ok, cuts)
-                for subset, vectors in _boxes(graph, d, ok):
+                model_side = _model_side(graph, ok, cuts, *_canonical(graph, d))
+                bundle_side = _bundle_side(graph, ok, cuts, *_canonical(graph, d))
+                for subset, vectors in _boxes(graph, d, ok, *_canonical(graph, d)):
                     oracle = self.oracles(graph, d, subset)[side == "bundle"]
                     for vec in list(vectors)[:3]:
                         fail = self.first_failure(ok, list(oracle(vec)))

@@ -21,7 +21,6 @@ from nodalcalc import (
     theta_graph,
     verify,
 )
-from nodalcalc.stability import _stability_test
 from nodalcalc.verify import (
     admissible_sequences,
     chain_twister_options,
@@ -58,6 +57,22 @@ class TestConfig:
             VerifyConfig(instance_count=0)
         with pytest.raises(ValueError, match="max_vertices"):
             VerifyConfig(max_vertices=-1)
+
+    def test_non_int_counts_rejected(self):
+        # a float count once failed later, inside a suite
+        for name in ("instance_count", "max_vertices", "max_genus", "degree_window",
+                     "chain_length_max"):
+            for value in (2.5, 2.0, True, "3", None):
+                with pytest.raises(ValueError) as exc:
+                    VerifyConfig(**{name: value})
+                assert str(exc.value) == f"{name} must be an integer, got {value!r}"
+
+    def test_string_suites_rejected(self):
+        # a string was once read as its characters: "unknown suites: ['b', 'i', 's']"
+        with pytest.raises(ValueError) as exc:
+            VerifyConfig(suites="biss")
+        assert str(exc.value) == "suites must be a sequence of suite names, got 'biss'"
+        assert VerifyConfig(suites=["biss"]).suites == ("biss",)
 
     def test_json_round(self):
         cfg = VerifyConfig(seed=7, degree_window=3)
@@ -174,17 +189,18 @@ class TestInstanceChecks:
         # once, with no base vertex.  A target with an exceptional vertex has
         # chain rows of its own, so the source keeps its own table, and the
         # windows are decided again at a base vertex on one of its chains.
-        window_rows, cut_windows, seen, decided = verify._window_rows, verify._cut_windows, [], []
+        window_verdicts, cut_windows = verify._window_verdicts, verify._cut_windows
+        seen, decided = [], []
 
-        def spy_rows(graph, *args):
-            seen.append((graph, window_rows(graph, *args)))
+        def spy_verdicts(graph, *args):
+            seen.append((graph, window_verdicts(graph, *args)))
             return seen[-1][1]
 
         def spy_windows(cuts, ends, values, nodes, rank, e_values, base_vertex=None):
             decided.append(base_vertex)
             return cut_windows(cuts, ends, values, nodes, rank, e_values, base_vertex)
 
-        monkeypatch.setattr(verify, "_window_rows", spy_rows)
+        monkeypatch.setattr(verify, "_window_verdicts", spy_verdicts)
         monkeypatch.setattr(verify, "_cut_windows", spy_windows)
         quasistable_target = modify(theta_graph(), {"e1": 1}).source
         families = [exhaustive_instances(theta_graph(), max_eta=2, plain_window=1),
@@ -200,14 +216,13 @@ class TestInstanceChecks:
                 decided_again += sum(p is not None for p in decided)
             else:
                 assert decided == [None] * len(seen)
-            [rows_at] = [at for graph, at in seen if graph is mod.source]
+            [holds] = [at for graph, at in seen if graph is mod.source]
             pol = canonical_polarization(mod.target, deg.total).pullback(mod)
             report = bundle_stability_report(deg, pol)
             modes = [("semistable", None), ("stable", None)] + [
                 ("quasistable", p) for p in mod.target.vertex_ids]
             for mode in modes:
-                ok = _stability_test(*mode)
-                verdict = all(ok(*row) for row in rows_at(mode[1]))
+                verdict = holds(*mode)
                 assert verdict == report.verdict(*mode), (mod, deg, mode)
                 outcomes.add((mode[0], verdict))
                 checked += 1
