@@ -77,7 +77,9 @@ _DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
 def _load_json(path: str):
     try:
         with open(path, encoding="utf-8") as fh:
-            return _DECODER.decode(fh.read())
+            text = fh.read()
+        # json.loads refuses a byte order mark by name, where the decoder reads no value
+        return json.loads(text) if text.startswith("\ufeff") else _DECODER.decode(text)
     except OSError as err:
         raise _InputError(str(err)) from err
     except json.JSONDecodeError as err:

@@ -69,6 +69,13 @@ class TestClassify:
         assert code == 2
         assert f"{path}:2:" in err
 
+    def test_byte_order_mark_named(self, tmp_path, capsys):
+        path = tmp_path / "bom.json"
+        path.write_text("\ufeff" + json.dumps(THETA), encoding="utf-8")
+        code, out, err = run(capsys, ["classify", str(path)])
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}:1:1: Unexpected UTF-8 BOM (decode using utf-8-sig)\n"
+
     def test_missing_file(self, tmp_path, capsys):
         code, _, err = run(capsys, ["classify", str(tmp_path / "nope.json")])
         assert code == 2
