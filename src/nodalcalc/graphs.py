@@ -10,6 +10,7 @@ contractions, stability scans) work purely at this level.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, fields
 from functools import wraps
 from types import MappingProxyType
@@ -22,6 +23,21 @@ def _json_int(value, what: str) -> int:
     if type(value) is not int:
         raise ValueError(f"{what} must be an integer, got {value!r}")
     return value
+
+
+def _read_ints(pairs, what: str, repeated: str) -> dict[str, int]:
+    """An id -> ``int`` assignment read from a mapping or from ``(id, value)`` pairs.
+
+    Each id becomes a ``str``.  A value whose type is not ``int`` is refused
+    by ``_json_int`` with the message ``what.format(id)``, formatted only
+    then; two ids that read the same raise ``ValueError(repeated)``.
+    """
+    items = pairs.items() if isinstance(pairs, Mapping) else tuple(pairs)
+    read = {str(k): v if type(v) is int else _json_int(v, what.format(str(k)))
+            for k, v in items}
+    if len(read) != len(items):
+        raise ValueError(repeated)
+    return read
 
 
 def _reduce_to_fields(obj):
@@ -65,13 +81,12 @@ class ExceptionalCycleError(ValueError):
 def _check_graph(verts: tuple, edges: tuple) -> None:
     """Check normalized vertex and edge lists, all but connectivity.
 
-    Both are sorted by id, so a repeated id shrinks its dict.
+    The vertex ids are distinct; the edges are sorted by id, so a repeated
+    edge id shrinks their dict.
     """
     if not verts:
         raise ValueError("graph needs at least one vertex")
     genus_map = dict(verts)
-    if len(genus_map) != len(verts):
-        raise ValueError("duplicate vertex id")
     for v, g in verts:
         if g < 0:
             raise ValueError(f"vertex {v!r} has negative genus")
@@ -91,7 +106,7 @@ class DualGraph:
     Input order is irrelevant: the constructor sorts vertices and edges
     by id and sorts the two ends of every edge, so equality and hashing
     are canonical.  A genus must be an ``int``; a bool, a float or a
-    string is refused.
+    string is refused with a message that names its vertex.
 
     The derived views are computed once, on construction, and are
     read-only: ``vertex_ids`` (sorted), ``genus_map``, ``edge_ends``,
@@ -108,12 +123,8 @@ class DualGraph:
     edges: tuple[tuple[str, tuple[str, str]], ...] = ()
 
     def __post_init__(self) -> None:
-        verts = []
-        for v, g in self.vertices:
-            v = str(v)
-            # only a refused genus pays for formatting its message
-            verts.append((v, g if type(g) is int else _json_int(g, f"genus of vertex {v!r}")))
-        verts = tuple(sorted(verts))
+        verts = tuple(sorted(_read_ints(self.vertices, "genus of vertex {!r}",
+                                        "duplicate vertex id").items()))
         edges = []
         for eid, ends in self.edges:
             a, b = ends
@@ -221,8 +232,7 @@ class DualGraph:
         if not isinstance(data, dict):
             raise ValueError("curve data must be a JSON object")
         try:
-            vertices = [(entry["id"], _json_int(entry.get("genus", 0), "vertex genus"))
-                        for entry in data["vertices"]]
+            vertices = [(entry["id"], entry.get("genus", 0)) for entry in data["vertices"]]
             edges = [(entry["id"], entry["ends"]) for entry in data.get("edges", [])]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed curve data: {exc}") from exc

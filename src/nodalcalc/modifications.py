@@ -49,11 +49,11 @@ class Modification:
     this is checked on construction, except in ``modify``, which builds
     that subdivision itself.
 
-    A registry already in canonical form, a tuple of ``(str, tuple of
-    str)`` pairs with increasing edge ids, is kept as it is; any other is
-    normalized first.  ``chains`` (edge to chain), ``lengths`` (edge to
-    chain length), ``chain_vertices`` and ``modified_edges`` are computed
-    once, on construction, and are read-only.
+    The registry, a mapping or ``(edge, chain)`` pairs, is normalized to
+    a tuple of ``(str, tuple of str)`` pairs sorted by edge id; an edge
+    listed twice is refused.  ``chains`` (edge to chain), ``lengths``
+    (edge to chain length), ``chain_vertices`` and ``modified_edges`` are
+    computed once, on construction, and are read-only.
     """
 
     target: DualGraph
@@ -62,9 +62,11 @@ class Modification:
 
     def __post_init__(self) -> None:
         reg = self.chain_registry
-        if not _is_canonical_registry(reg):
-            reg = tuple(sorted((str(e), tuple(str(c) for c in chain))
-                               for e, chain in dict(reg).items()))
+        reg = tuple(sorted((str(e), tuple(str(c) for c in chain))
+                           for e, chain in (reg.items() if isinstance(reg, Mapping) else reg)))
+        for (e, _), (f, _) in zip(reg, reg[1:]):
+            if e == f:
+                raise ValueError(f"chain registry lists edge {e!r} twice")
         self._set_views(reg)
         self._validate()
 
@@ -190,22 +192,6 @@ class Modification:
                 raise ValueError("modification chain data disagrees with modified_edges")
             return mod
         return modify(target, lengths)
-
-
-def _is_canonical_registry(registry) -> bool:
-    """Whether ``registry`` is a tuple of (str, tuple of str) tuples with increasing edge ids."""
-    if type(registry) is not tuple:
-        return False
-    last = None
-    for item in registry:
-        if type(item) is not tuple or len(item) != 2:
-            return False
-        e, chain = item
-        if (type(e) is not str or type(chain) is not tuple or (last is not None and e <= last)
-                or any(type(c) is not str for c in chain)):
-            return False
-        last = e
-    return True
 
 
 def modify(graph: DualGraph, lengths: Mapping[str, int]) -> Modification:

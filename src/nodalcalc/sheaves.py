@@ -13,13 +13,11 @@ rational curves by explicit linear algebra over the rationals; that
 computation is deliberately independent of the interval-sum shortcuts
 used elsewhere, so the two can be checked against each other.
 
-Value assignments are checked in canonical form.  A ``tuple`` of
-``(str, int)`` tuples listing exactly ``graph.vertex_ids`` in that order,
-every value of type ``int``, is accepted as it is, with one comparison
-of its keys; every other input (a dict, a list of pairs, an unsorted or
-partial tuple) is normalized and checked entry by entry.  A degree,
-coefficient or genus whose type is not ``int`` (a bool, a float, a
-string) is refused, never truncated.  Derived values such as
+Value assignments, a mapping or ``(vertex, value)`` pairs in any order,
+are read by the one reader ``graphs._read_ints`` that also reads a
+graph's genera: each vertex id becomes a ``str``, a repeated vertex is
+refused, and a degree or coefficient whose type is not ``int`` (a bool,
+a float, a string) is refused, never truncated.  Derived values such as
 ``as_dict``, ``total`` and ``degree_changes`` are computed once, on
 construction, and are read-only.
 
@@ -44,45 +42,19 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, NamedTuple
 
-from .graphs import DualGraph, _check_members, _json_int, _reduce_to_fields
-
-
-def _is_canonical(graph: DualGraph, values) -> bool:
-    """Whether ``values`` is a tuple of (str, int) tuples keyed by exactly ``graph.vertex_ids``."""
-    if type(values) is not tuple:
-        return False
-    keys = []
-    for item in values:
-        if (type(item) is not tuple or len(item) != 2
-                or type(item[0]) is not str or type(item[1]) is not int):
-            return False
-        keys.append(item[0])
-    return tuple(keys) == graph.vertex_ids
+from .graphs import DualGraph, _check_members, _json_int, _read_ints, _reduce_to_fields
 
 
 def _vertex_values(graph: DualGraph, values) -> tuple[tuple[str, int], ...]:
-    """Normalize a value assignment to cover exactly the vertices.
-
-    Sorted vertex ids are distinct, so keys equal to ``graph.vertex_ids``
-    repeat none, name no unknown vertex and miss none.
-    """
-    if _is_canonical(graph, values):
-        return values
-    items = []
-    for k, v in values.items() if isinstance(values, Mapping) else values:
-        k = str(k)
-        # only a refused degree pays for formatting its message
-        items.append((k, v if type(v) is int else _json_int(v, f"degree at {k!r}")))
-    keys = [k for k, _ in items]
-    if len(set(keys)) != len(keys):
-        raise ValueError("repeated vertex id in value assignment")
-    extra = set(keys) - set(graph.vertex_ids)
+    """A value assignment covering exactly the vertices, in ``graph.vertex_ids`` order."""
+    given = _read_ints(values, "degree at {!r}", "repeated vertex id in value assignment")
+    known = graph.genus_map
+    extra = given.keys() - known.keys()
     if extra:
         raise ValueError(f"values given for unknown vertices: {sorted(extra)}")
-    missing = set(graph.vertex_ids) - set(keys)
-    if missing:
-        raise ValueError(f"values missing for vertices: {sorted(missing)}")
-    return tuple(sorted(items))
+    if len(given) != len(known):
+        raise ValueError(f"values missing for vertices: {sorted(known.keys() - given.keys())}")
+    return tuple((v, given[v]) for v in graph.vertex_ids)
 
 
 @dataclass(frozen=True)
@@ -91,10 +63,9 @@ class Multidegree:
 
     ``values`` may be any mapping or iterable of ``(vertex, degree)``
     pairs covering every vertex once, each degree an ``int``; it is
-    stored sorted by vertex id.  Input already in that canonical form, a
-    tuple of ``(str, int)`` tuples in ``graph.vertex_ids`` order, is kept
-    without rebuilding.  ``as_dict``, a read-only mapping, and ``total``,
-    the sum of the degrees, are computed once, on construction.
+    stored as a tuple of ``(str, int)`` tuples in ``graph.vertex_ids``
+    order.  ``as_dict``, a read-only mapping, and ``total``, the sum of
+    the degrees, are computed once, on construction.
 
     The constructor checks the values; only the library's own canonical
     constructions (the module docstring lists them) go through
@@ -134,8 +105,7 @@ class Multidegree:
         return sum(self.as_dict[v] for v in sub)
 
     def replace(self, **updates: int) -> "Multidegree":
-        new = self.as_dict | {str(k): v for k, v in updates.items()}
-        return Multidegree(self.graph, tuple(new.items()))
+        return Multidegree(self.graph, self.as_dict | {str(k): v for k, v in updates.items()})
 
     def to_json_dict(self) -> dict[str, int]:
         return dict(self.values)
@@ -144,7 +114,7 @@ class Multidegree:
     def from_json_dict(cls, graph: DualGraph, data: Mapping) -> "Multidegree":
         if not isinstance(data, Mapping):
             raise ValueError("multidegree data must be a JSON object")
-        return cls(graph, tuple(data.items()))  # the constructor refuses a non-int degree
+        return cls(graph, data)  # the constructor refuses a non-int degree
 
 
 def omega_multidegree(graph: DualGraph) -> Multidegree:
@@ -156,8 +126,9 @@ def omega_multidegree(graph: DualGraph) -> Multidegree:
 class Twister:
     """Integer coefficient vector for twisting by component divisors.
 
-    Coefficients may be given for any subset of the vertices, each an
-    ``int``; missing ones default to 0.  Every construction checks them.
+    Coefficients may be given for any subset of the vertices, once each
+    and each an ``int``; missing ones default to 0.  Every construction
+    checks them.
 
     ``as_dict`` and ``degree_changes`` are read-only mappings computed
     once, on construction.  ``degree_changes`` is the per-vertex degree
@@ -174,12 +145,8 @@ class Twister:
 
     def __post_init__(self) -> None:
         graph = self.graph
-        given = {}
-        for k, v in (self.coefficients.items() if isinstance(self.coefficients, Mapping)
-                     else self.coefficients):
-            k = str(k)
-            # only a refused coefficient pays for formatting its message
-            given[k] = v if type(v) is int else _json_int(v, f"twister coefficient at {k!r}")
+        given = _read_ints(self.coefficients, "twister coefficient at {!r}",
+                           "repeated vertex id in value assignment")
         extra = given.keys() - graph.genus_map.keys()
         if extra:
             raise ValueError(f"twister names unknown vertices: {sorted(extra)}")
@@ -221,10 +188,10 @@ class SheafModel:
     at those nodes, recorded on the same vertex set.  The total degree
     adds one unit per non-invertible node.
 
-    The constructor checks that the edges are the graph's (a string is
-    refused, not read as its characters) and that the multidegree lives
-    on the graph; ``_derived``, for the library's own canonical
-    constructions, does not.
+    The constructor checks that the edges are the graph's, each listed
+    once (a string is refused, not read as its characters), and that the
+    multidegree lives on the graph; ``_derived``, for the library's own
+    canonical constructions, does not.
     """
 
     graph: DualGraph
@@ -237,7 +204,11 @@ class SheafModel:
                 f"non-invertible set must be a collection of edge ids, not the string "
                 f"{self.noninvertible!r}"
             )
-        edges = frozenset(str(e) for e in self.noninvertible)
+        ids = [str(e) for e in self.noninvertible]
+        edges = frozenset(ids)
+        if len(edges) < len(ids):
+            twice = next(e for i, e in enumerate(ids) if e in ids[:i])
+            raise ValueError(f"sheaf 'noninvertible' lists edge {twice!r} twice")
         unknown = [e for e in edges if e not in self.graph.edge_ends]
         if unknown:
             raise ValueError(f"non-invertible set names unknown edges: {sorted(unknown)}")
@@ -281,11 +252,7 @@ class SheafModel:
         try:
             if not isinstance(data["noninvertible"], list):
                 raise ValueError("sheaf 'noninvertible' must be a JSON list of edge ids")
-            ids = [str(e) for e in data["noninvertible"]]
-            edges = frozenset(ids)
-            if len(edges) < len(ids):
-                twice = next(e for i, e in enumerate(ids) if e in ids[:i])
-                raise ValueError(f"sheaf 'noninvertible' lists edge {twice!r} twice")
+            edges = data["noninvertible"]
             deg = Multidegree.from_json_dict(graph, data["multidegree"])
         except KeyError as exc:
             raise ValueError(f"sheaf data missing key {exc}") from exc

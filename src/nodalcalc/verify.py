@@ -82,6 +82,7 @@ class VerifyConfig:
             raise ValueError(f"unknown suites: {sorted(unknown)}")
         ordered = tuple(s for s in ALL_SUITES if s in set(self.suites))
         object.__setattr__(self, "suites", ordered)
+        _json_int(self.seed, "seed")  # any int, negative too
         for name in ("instance_count", "max_vertices", "max_genus",
                      "degree_window", "chain_length_max"):
             if _json_int(getattr(self, name), name) < 1:
@@ -154,19 +155,23 @@ def exhaustive_instances(
             yield mod, deg
 
 
+# Chain twister coefficients are drawn from [-_TWISTER_BOUND, _TWISTER_BOUND].
+_TWISTER_BOUND = 2
+
+
 @lru_cache(maxsize=None)
 def chain_twister_options(
-    seq: tuple[int, ...], entry_bound: int = 2
+    seq: tuple[int, ...]
 ) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
     """Per-chain twisters keeping the chain admissible.
 
     Returns (coefficients, twisted sequence) pairs for every coefficient
-    vector with entries in [-entry_bound, entry_bound] whose twist of
-    ``seq`` is again admissible.  The zero vector is always included.
+    vector with entries in [-_TWISTER_BOUND, _TWISTER_BOUND] whose twist
+    of ``seq`` is again admissible.  The zero vector is always included.
     """
     k = len(seq)
     out = []
-    for c in product(range(-entry_bound, entry_bound + 1), repeat=k):
+    for c in product(range(-_TWISTER_BOUND, _TWISTER_BOUND + 1), repeat=k):
         twisted = tuple(
             seq[i] + (c[i - 1] if i else 0) - 2 * c[i] + (c[i + 1] if i + 1 < k else 0)
             for i in range(k)
@@ -378,7 +383,8 @@ def _suite_compadm(cfg: VerifyConfig, rng: random.Random) -> SuiteResult:
         mod, deg = _random_pushforward_instance(rng, cfg)
         if not mod.chain_vertices:
             continue
-        coeffs = {v: rng.randint(-2, 2) for v in sorted(mod.chain_vertices)}
+        coeffs = {v: rng.randint(-_TWISTER_BOUND, _TWISTER_BOUND)
+                  for v in sorted(mod.chain_vertices)}
         other = _twisted_instance(mod, deg, coeffs)
         if not admissibility(mod, other).admissible:
             continue

@@ -134,6 +134,15 @@ class TestConstruction:
         )
         assert g.genus_of("v") == 0
 
+    def test_json_non_int_genus_names_its_vertex(self):
+        # the constructor's one genus rule, read from JSON
+        for genus in (0.5, True, "1", None):
+            data = {"vertices": [{"id": "v", "genus": 1}, {"id": "w", "genus": genus}],
+                    "edges": [{"id": "e", "ends": ["v", "w"]}]}
+            with pytest.raises(ValueError) as exc:
+                DualGraph.from_json_dict(data)
+            assert str(exc.value) == f"genus of vertex 'w' must be an integer, got {genus!r}"
+
     def test_json_malformed(self):
         with pytest.raises(ValueError, match="curve data"):
             DualGraph.from_json_dict([1, 2])

@@ -352,6 +352,15 @@ class TestModificationValidation:
         with pytest.raises(ValueError):
             Modification(mod.target, mod.source, (("zzz", ("e1#1",)),))
 
+    def test_repeated_registry_edge_is_refused(self):
+        # once accepted, the second entry silently kept
+        mod = modify(theta_graph(), {"e1": 1})
+        for registry in ((("e1", ("e1#1",)), ("e1", ("e1#1",))),
+                         [["e1", ["e1#1"]], ["e2", []], ["e1", ["e1#1"]]]):
+            with pytest.raises(ValueError) as exc:
+                Modification(mod.target, mod.source, registry)
+            assert str(exc.value) == "chain registry lists edge 'e1' twice"
+
     def test_chain_vertices_must_form_path(self):
         # swapping in a genus-carrying vertex breaks the chain contract
         bad_source = DualGraph(
@@ -435,11 +444,12 @@ class TestStoredFacts:
     def test_canonical_registry_is_kept(self):
         for mod, _ in self.random_objects():
             again = Modification(mod.target, mod.source, mod.chain_registry)
-            assert again.chain_registry is mod.chain_registry
+            assert again.chain_registry == mod.chain_registry and again == mod
         mod = modify(K4, {"cd": 2, "ab": 1})
         for spelling in ((("cd", ("cd#1", "cd#2")), ("ab", ("ab#1",))),
                          (("ab", ["ab#1"]), ("cd", ("cd#1", "cd#2"))),
-                         {"ab": ("ab#1",), "cd": ("cd#1", "cd#2")}):
+                         {"ab": ("ab#1",), "cd": ("cd#1", "cd#2")},
+                         ((e, list(chain)) for e, chain in reversed(mod.chain_registry))):
             assert Modification(K4, mod.source, spelling).chain_registry == mod.chain_registry
 
     def test_chain_vertex_with_wrong_neighbours(self):

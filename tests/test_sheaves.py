@@ -9,6 +9,7 @@ from itertools import product
 
 import pytest
 
+from conftest import is_canonical
 from nodalcalc import (
     DualGraph,
     Multidegree,
@@ -87,29 +88,47 @@ def canonical_form_graphs():
 
 
 def full_normalization(pairs):
-    """The value normalization every non-canonical input goes through."""
+    """The sorted ``(str, int)`` tuples an assignment is stored as."""
     return tuple(sorted((str(k), int(v)) for k, v in pairs))
 
 
+def spellings(rng, canonical):
+    """``canonical`` pairs spelled every way a caller may: in order, shuffled, as a
+    dict, as lists, and as a generator."""
+    shuffled = list(canonical)
+    rng.shuffle(shuffled)
+    return [canonical, tuple(shuffled), dict(shuffled), [list(pair) for pair in shuffled],
+            tuple(list(p) for p in canonical), (pair for pair in shuffled)]
+
+
 class TestCanonicalForm:
-    """The canonical-form fast path against the full normalization."""
+    """Every spelling of an assignment, read by the one reader, against the sorted
+    normalization and the canonical predicate of ``conftest``."""
 
     def test_every_spelling_builds_the_same_multidegree(self):
         rng = random.Random(7)
         for graph in canonical_form_graphs():
             canonical = tuple((v, rng.randint(-3, 3)) for v in graph.vertex_ids)
-            shuffled = list(canonical)
-            rng.shuffle(shuffled)
-            spellings = [canonical, tuple(shuffled), dict(shuffled),
-                         [list(pair) for pair in shuffled], tuple(list(p) for p in canonical)]
-            built = [Multidegree(graph, spelling) for spelling in spellings]
-            assert built[0].values is canonical
+            built = [Multidegree(graph, spelling) for spelling in spellings(rng, canonical)]
+            assert built[0].values == canonical
             for deg in built:
                 assert deg == built[0] and hash(deg) == hash(built[0])
-                assert type(deg.values) is tuple
-                assert all(type(pair) is tuple for pair in deg.values)
+                assert is_canonical(graph, deg.values)
                 assert deg.values == full_normalization(canonical)
                 assert deg.as_dict == dict(canonical)
+
+    def test_every_spelling_builds_the_same_twister(self):
+        rng = random.Random(8)
+        for graph in canonical_form_graphs():
+            full = tuple((v, rng.randint(-2, 2)) for v in graph.vertex_ids)
+            given = tuple(pair for pair in full if pair[1] or rng.random() < 0.5)
+            built = [Twister(graph, spelling) for spelling in spellings(rng, given)]
+            for tw in built:
+                assert tw == built[0] and hash(tw) == hash(built[0])
+                assert is_canonical(graph, tw.coefficients)
+                assert tw.coefficients == full_normalization(full)
+                assert tw.as_dict == dict(full)
+                assert tw.degree_changes == all_edges_laplacian(graph, full)
 
     def test_non_int_degrees_are_refused(self):
         """A degree whose type is not int is refused, never truncated."""
@@ -144,6 +163,18 @@ class TestCanonicalForm:
                     with pytest.raises(ValueError) as exc:
                         Multidegree(graph, spelling)
                     assert str(exc.value) == message
+
+    def test_repeated_vertices_are_refused(self):
+        """By both readers; 1 and "1" both read as the vertex "1".  A repeat in a
+        twister once kept its last coefficient silently."""
+        graph = DualGraph((("1", 0), ("v", 0)), (("a", ("1", "v")), ("b", ("1", "v"))))
+        for values in ({1: 0, "1": 0, "v": 2}, ((1, 0), ("1", 0), ("v", 2)),
+                       (("1", 0), ("v", 1), ("v", 2)), [["v", 1], ["1", 0], ["v", 1]]):
+            for build in (Multidegree, Twister):
+                with pytest.raises(ValueError) as exc:
+                    build(graph, values)
+                assert str(exc.value) == "repeated vertex id in value assignment"
+        assert Multidegree(graph, {1: 0, "v": 2}) == Multidegree(graph, {"1": 0, "v": 2})
 
 
 # every caller of Multidegree._derived and SheafModel._derived in the package
@@ -404,6 +435,19 @@ class TestSheafModel:
         deg = Multidegree(theta_graph(), (("v", 0), ("w", 1)))
         model = SheafModel(theta_graph(), frozenset({"e1", "e3"}), deg)
         assert SheafModel.from_json_dict(theta_graph(), model.to_json_dict()) == model
+
+    def test_repeated_edge_is_refused(self):
+        # the constructor's rule, with the message JSON input has always had
+        deg = Multidegree(theta_graph(), (("v", 0), ("w", 0)))
+        for edges in (["e1", "e1"], ("e2", "e1", "e2")):
+            twice = edges[-1]
+            with pytest.raises(ValueError) as exc:
+                SheafModel(theta_graph(), edges, deg)
+            assert str(exc.value) == f"sheaf 'noninvertible' lists edge {twice!r} twice"
+            with pytest.raises(ValueError) as exc:
+                SheafModel.from_json_dict(theta_graph(), {"noninvertible": list(edges),
+                                                          "multidegree": {"v": 0, "w": 0}})
+            assert str(exc.value) == f"sheaf 'noninvertible' lists edge {twice!r} twice"
 
     def test_string_edge_set_is_refused(self):
         g = DualGraph((("v", 1), ("w", 1)),

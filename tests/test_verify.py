@@ -67,6 +67,14 @@ class TestConfig:
                     VerifyConfig(**{name: value})
                 assert str(exc.value) == f"{name} must be an integer, got {value!r}"
 
+    def test_non_int_seed_rejected(self):
+        # a float or list seed was once accepted and reached random.Random
+        for value in (2.5, 2.0, True, [1], "3", None):
+            with pytest.raises(ValueError) as exc:
+                VerifyConfig(seed=value)
+            assert str(exc.value) == f"seed must be an integer, got {value!r}"
+        assert VerifyConfig(seed=-3).seed == -3
+
     def test_string_suites_rejected(self):
         # a string was once read as its characters: "unknown suites: ['b', 'i', 's']"
         with pytest.raises(ValueError) as exc:
