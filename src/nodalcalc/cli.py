@@ -378,15 +378,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", default="balanced", choices=["balanced", "stably-balanced"])
 
     p = sub("verify", cmd_verify, "run the verification suites")
+    defaults = VerifyConfig()
     p.add_argument("--suite", action="append", choices=list(ALL_SUITES),
                    help="repeatable; default is every suite")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--instances", type=int, default=50,
+    p.add_argument("--seed", type=int, default=defaults.seed)
+    p.add_argument("--instances", type=int, default=defaults.instance_count,
                    help="randomized cases per suite")
-    p.add_argument("--max-vertices", type=int, default=6)
-    p.add_argument("--max-genus", type=int, default=4)
-    p.add_argument("--degree-window", type=int, default=2)
-    p.add_argument("--chain-length-max", type=int, default=4)
+    p.add_argument("--max-vertices", type=int, default=defaults.max_vertices)
+    p.add_argument("--max-genus", type=int, default=defaults.max_genus)
+    p.add_argument("--degree-window", type=int, default=defaults.degree_window)
+    p.add_argument("--chain-length-max", type=int, default=defaults.chain_length_max)
     p.add_argument("--dump-dir", default=".",
                    help="where failing suites write counterexample files")
 

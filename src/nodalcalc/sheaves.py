@@ -264,19 +264,14 @@ def sheaf_degree(model: SheafModel, members: Iterable[str]) -> int:
 
     Sums the multidegree over the subcurve and adds one for every
     non-invertible node internal to it.  Loops at a member vertex are
-    internal.
+    internal.  It is the independent reference the tests read the scan
+    kernel of ``stability`` against, which counts the nodes itself.
     """
     sub = _check_members(model.graph, members)
-    return _restricted_degree(
-        model.multidegree.as_dict, model.graph.edge_ends, model.noninvertible, sub
-    )
-
-
-def _restricted_degree(values, ends, noninvertible, members) -> int:
-    """Multidegree sum over the members plus the non-invertible nodes internal to them."""
-    degree = sum(map(values.__getitem__, members))
-    for e in noninvertible:
-        degree += ends[e][0] in members and ends[e][1] in members
+    ends = model.graph.edge_ends
+    degree = sum(map(model.multidegree.as_dict.__getitem__, sub))
+    for e in model.noninvertible:
+        degree += ends[e][0] in sub and ends[e][1] in sub
     return degree
 
 

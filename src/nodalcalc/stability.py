@@ -13,17 +13,20 @@ m(Z), rank (k - |dZ & N|)), and each verdict mode is one window predicate
 (``_stability_test``, (c) of the first lemma).  There is one report path
 and one verdict path.  The reports read a graph's full subcurve table and
 keep (Z, m(Z)); a report's verdict reads each margin as a window with no
-upper end.  The check_* verdicts read one two-sided window per cut
-(Caporaso's basic inequality) and stop at the first failing window.  Each
-graph has one cut table.  A graph with exceptional chains reads its cuts
-off the graph with each chain contracted to one edge: one chain row per
-cut and one interval record per chain, so neither its subcurves nor its
-sides are ever built, and a verdict decides a chain row from the margin of
-one set and each chain's least prefix sums, and an interval record from
-its least interval sums, all integers (the last two lemmas).  Any other
-graph's table has no chains, no interval records and rows with no arms,
-whose windows are the kernel's.  Every verdict checks a quasistable base
-vertex against the graph it reads, the reports' included.
+upper end.  The verdict path is one reader, ``_verdicts``, which the
+check_* verdicts and the famchain2 check of ``verify`` call: it reads one
+two-sided window per cut (Caporaso's basic inequality), decides one
+model's windows with no base vertex lazily and once for every mode, and
+stops each verdict at its first failing window.  Each graph has one cut
+table.  A graph with exceptional chains reads its cuts off the graph with
+each chain contracted to one edge: one chain row per cut and one interval
+record per chain, so neither its subcurves nor its sides are ever built,
+and a verdict decides a chain row from the margin of one set and each
+chain's least prefix sums, and an interval record from its least interval
+sums, all integers (the last two lemmas).  Any other graph's table has no
+chains, no interval records and rows with no arms, whose windows are the
+kernel's.  Every verdict checks a quasistable base vertex against the
+graph it reads, the reports' included.
 
 The enumerators are one walk of the edge subsets, ``_strata``, that
 hands each vector of a stratum's box to a model side and a bundle side,
@@ -174,9 +177,10 @@ before it pass.
 
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, starmap, tee
 from math import inf
 from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
@@ -316,13 +320,16 @@ def _series_cuts(
 ) -> _CutTable:
     """The cut table of ``graph``, the subdivision of ``base`` along the chains of ``registry``.
 
-    Its rows are those of the cut table of ``base``, which has no chains,
-    with the chains' vertices and arms added; each chain reads from the
-    first end of its edge, and its edges are read off ``graph``.  A chain
-    whose edge crosses a cut with k = 1 is a bridge.  The table holds one
-    record per row and per interval record: more than
-    ``graphs._MAX_SUBCURVES`` raise ValueError.
+    Its rows are those of the cut table of ``base`` with the chains'
+    vertices and arms added; each chain reads from the first end of its
+    edge, and its edges are read off ``graph``.  A chain whose edge crosses
+    a cut with k = 1 is a bridge.  A ``base`` whose own table has chains
+    leaves ``graph`` its own table.  The table holds one record per row and
+    per interval record: more than ``graphs._MAX_SUBCURVES`` raise
+    ValueError.
     """
+    if _cut_table(base).chains:
+        return _cut_table(graph)
     ends, incidence = base.edge_ends, graph.incidence
     chains, sides = [], []
     for e, c in registry:
@@ -545,15 +552,31 @@ def _report(
     return ((z, m) for z, m, _ in margins)
 
 
-def _verdict(
-    graph: DualGraph, d: int, values: Mapping[str, int], noninvertible: Collection[str],
-    pol: Polarization, mode: str, base_vertex: str | None,
-) -> bool:
-    """The verdict path: the graph's cut windows under ``pol``, up to the first failing one."""
-    ok = _stability_test(mode, base_vertex, graph)
-    windows = _cut_windows(_cut_table(graph), graph.edge_ends, dict(values), noninvertible,
-                           *_polarized(pol, graph, d), base_vertex)
-    return all(ok(z, m, hi) for z, m, hi in windows)
+def _verdicts(
+    graph: DualGraph, values: Mapping[str, int], noninvertible: Collection[str], rank: int,
+    e_values: dict[str, int], cuts: _CutTable | None = None,
+) -> Callable[..., bool]:
+    """The verdict path: holds(mode, base_vertex=None) of one model on its cut windows.
+
+    The windows are those of ``cuts``, the graph's own cut table by
+    default, under the polarization (rank, e_values).  The windows with no
+    base vertex are decided lazily and at most once, and serve every mode
+    at every base vertex off the chains of ``cuts``; at a base vertex on
+    one of them the windows are decided afresh (the chain-window and
+    interval lemmas).  Each verdict stops at its first failing window.
+    """
+    cuts = _cut_table(graph) if cuts is None else cuts
+    ends, values = graph.edge_ends, dict(values)
+    (shared,) = tee(_cut_windows(cuts, ends, values, noninvertible, rank, e_values), 1)
+    on_chains = {v for vertices, _ in cuts.chains for v in vertices}
+
+    def holds(mode: str, base_vertex: str | None = None) -> bool:
+        ok = _stability_test(mode, base_vertex, graph)
+        rows = (_cut_windows(cuts, ends, values, noninvertible, rank, e_values, base_vertex)
+                if base_vertex in on_chains else copy(shared))
+        return all(starmap(ok, rows))
+
+    return holds
 
 
 def _canonical_scan(
@@ -584,8 +607,10 @@ def check_sheaf_stability(
     base_vertex: str | None = None,
 ) -> bool:
     """Verdict of sheaf_stability_report, on the cut windows, stopping at the first failure."""
-    return _verdict(model.graph, model.degree, model.multidegree.as_dict, model.noninvertible,
-                    pol, mode, base_vertex)
+    graph = model.graph
+    _stability_test(mode, base_vertex, graph)  # refused before a bad polarization
+    return _verdicts(graph, model.multidegree.as_dict, model.noninvertible,
+                     *_polarized(pol, graph, model.degree))(mode, base_vertex)
 
 
 def check_bundle_stability(
@@ -593,7 +618,9 @@ def check_bundle_stability(
     base_vertex: str | None = None,
 ) -> bool:
     """Verdict of bundle_stability_report, on the cut windows, stopping at the first failure."""
-    return _verdict(deg.graph, deg.total, deg.as_dict, (), pol, mode, base_vertex)
+    graph = deg.graph
+    _stability_test(mode, base_vertex, graph)  # refused before a bad polarization
+    return _verdicts(graph, deg.as_dict, (), *_polarized(pol, graph, deg.total))(mode, base_vertex)
 
 
 def check_ssI2(model: SheafModel, d: int) -> SubcurveScan:

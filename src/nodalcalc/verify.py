@@ -1,21 +1,24 @@
-"""Verification suites behind the command line.
+"""Verification suites behind the command line: instance families, checks and oracles.
 
 Each suite checks one family of facts the library relies on, with an
 exhaustive core that always runs and a randomized extension that is
-reproducible from the seed.  Random graphs are built from a spanning
-tree plus extra edges (loops and parallel edges allowed), with the
-leftover genus budget sprinkled over the vertices; every draw comes
-from a Random instance seeded by the configured seed and the suite
-name, so a report is a pure function of its configuration.
+reproducible from the seed.  A suite yields one list of failures per
+case, and one loop, ``run_suite``, counts the cases and gathers the
+failures.  Random graphs are built from a spanning tree plus extra edges
+(loops and parallel edges allowed), with the leftover genus budget
+sprinkled over the vertices; every draw comes from a Random instance
+seeded by the configured seed and the suite name, so a report is a pure
+function of its configuration.  The stability verdicts are read through
+the one verdict reader of ``stability``.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from itertools import combinations, product, starmap
-from typing import Callable, Collection, Iterator
+from typing import Callable, Iterator
 
 from .catalog import elliptic_bridge, theta_graph
 from .graphs import DualGraph, _json_int, connected_subcurves, exceptional_vertices
@@ -43,61 +46,13 @@ from .sheaves import (
     twist,
 )
 from .stability import (
-    _CutTable,
     _canonical,
-    _cut_table,
-    _cut_windows,
     _series_cuts,
-    _stability_test,
+    _verdicts,
     balanced_report,
     canonical_polarization,
     sheaf_stability_report,
 )
-
-ALL_SUITES = (
-    "chain-cohomology",
-    "pushforward",
-    "compadm",
-    "famchain2",
-    "biss",
-    "roundtrip",
-)
-
-
-@dataclass(frozen=True)
-class VerifyConfig:
-    suites: tuple[str, ...] = ALL_SUITES
-    seed: int = 0
-    instance_count: int = 50
-    max_vertices: int = 6
-    max_genus: int = 4
-    degree_window: int = 2
-    chain_length_max: int = 4
-
-    def __post_init__(self) -> None:
-        if isinstance(self.suites, str):
-            raise ValueError(f"suites must be a sequence of suite names, got {self.suites!r}")
-        unknown = set(self.suites) - set(ALL_SUITES)
-        if unknown:
-            raise ValueError(f"unknown suites: {sorted(unknown)}")
-        ordered = tuple(s for s in ALL_SUITES if s in set(self.suites))
-        object.__setattr__(self, "suites", ordered)
-        _json_int(self.seed, "seed")  # any int, negative too
-        for name in ("instance_count", "max_vertices", "max_genus",
-                     "degree_window", "chain_length_max"):
-            if _json_int(getattr(self, name), name) < 1:
-                raise ValueError(f"{name} must be positive")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "suites": list(self.suites),
-            "seed": self.seed,
-            "instance_count": self.instance_count,
-            "max_vertices": self.max_vertices,
-            "max_genus": self.max_genus,
-            "degree_window": self.degree_window,
-            "chain_length_max": self.chain_length_max,
-        }
 
 
 @dataclass
@@ -272,27 +227,22 @@ def _repro(detail: str, graph: DualGraph | None = None, mod: Modification | None
 # -- suites -------------------------------------------------------------------
 
 
-def _suite_chain_cohomology(cfg: VerifyConfig, rng: random.Random) -> SuiteResult:
-    cases = 0
-    failures = []
+def _suite_chain_cohomology(cfg: VerifyConfig, rng: random.Random) -> Iterator[list[dict]]:
     for n in range(1, cfg.chain_length_max + 1):
         for degs in product(range(-3, 4), repeat=n):
-            cases += 1
             lo, hi = interval_sum_range(degs)
             plain = chain_h(degs)
             punctured = chain_h(degs, puncture_ends=True)
-            if min(plain.h0, plain.h1, punctured.h0, punctured.h1) < 0:
-                failures.append(_repro(f"negative cohomology for {list(degs)}",
-                                       chain_degrees=list(degs)))
-            if (plain.h1 == 0) != (lo >= -1):
-                failures.append(_repro(
-                    f"h1 vanishing disagrees with interval sums for {list(degs)}",
-                    chain_degrees=list(degs)))
-            if (punctured.h0 == 0) != (hi <= 1):
-                failures.append(_repro(
-                    f"punctured h0 vanishing disagrees with interval sums for {list(degs)}",
-                    chain_degrees=list(degs)))
-    return SuiteResult(cases, failures)
+            checks = (
+                (min(plain.h0, plain.h1, punctured.h0, punctured.h1) < 0,
+                 "negative cohomology for {}"),
+                ((plain.h1 == 0) != (lo >= -1),
+                 "h1 vanishing disagrees with interval sums for {}"),
+                ((punctured.h0 == 0) != (hi <= 1),
+                 "punctured h0 vanishing disagrees with interval sums for {}"),
+            )
+            yield [_repro(detail.format(list(degs)), chain_degrees=list(degs))
+                   for failed, detail in checks if failed]
 
 
 def check_pushforward_instance(mod: Modification, deg: Multidegree) -> list[dict]:
@@ -325,31 +275,19 @@ def _random_pushforward_instance(
     return mod, deg
 
 
-def _suite_pushforward(cfg: VerifyConfig, rng: random.Random) -> SuiteResult:
-    cases = 0
-    failures = []
+def _suite_pushforward(cfg: VerifyConfig, rng: random.Random) -> Iterator[list[dict]]:
     for graph in (theta_graph(), elliptic_bridge()):
-        for mod, deg in exhaustive_instances(graph, max_eta=2, plain_window=2):
-            cases += 1
-            failures.extend(check_pushforward_instance(mod, deg))
+        yield from starmap(check_pushforward_instance,
+                           exhaustive_instances(graph, max_eta=2, plain_window=2))
     for _ in range(cfg.instance_count):
-        mod, deg = _random_pushforward_instance(rng, cfg)
-        cases += 1
-        failures.extend(check_pushforward_instance(mod, deg))
-    return SuiteResult(cases, failures)
+        yield check_pushforward_instance(*_random_pushforward_instance(rng, cfg))
 
 
-def _twisted_instance(mod: Modification, deg: Multidegree,
-                      coefficients: dict[str, int]) -> Multidegree:
-    return twist(deg, Twister(mod.source, tuple(coefficients.items())))
-
-
-def _suite_compadm(cfg: VerifyConfig, rng: random.Random) -> SuiteResult:
-    cases = 0
-    failures = []
+def _suite_compadm(cfg: VerifyConfig, rng: random.Random) -> Iterator[list[dict]]:
     # exhaustive core: all chain shapes on the standard graphs, twisters
     # with entries in [-2, 2]; plain degrees are held at 0 since the
     # comparison is insensitive to them (the acceptance tests sweep them)
+    cases = 0  # every 97th case also runs same_pushforward
     for graph in (theta_graph(), elliptic_bridge()):
         for mod, deg in exhaustive_instances(graph, max_eta=2, plain_window=0):
             base = pushforward_model(mod, deg)
@@ -366,15 +304,17 @@ def _suite_compadm(cfg: VerifyConfig, rng: random.Random) -> SuiteResult:
                 if not any(coeffs.values()):
                     continue
                 cases += 1
-                other = _twisted_instance(mod, deg, coeffs)
+                other = twist(deg, Twister(mod.source, coeffs))
+                found = []
                 if pushforward_model(mod, other) != base:
-                    failures.append(_repro(
+                    found.append(_repro(
                         f"twist by {coeffs} changed the model",
                         graph=mod.target, mod=mod, deg=deg, twister=coeffs))
                 elif cases % 97 == 0 and not same_pushforward(mod, deg, other):
-                    failures.append(_repro(
+                    found.append(_repro(
                         "twister equivalence not recognized",
                         graph=mod.target, mod=mod, deg=deg, twister=coeffs))
+                yield found
     # random extension; rejection sampling with a deterministic attempt cap
     tries = 0
     attempts = 0
@@ -385,38 +325,13 @@ def _suite_compadm(cfg: VerifyConfig, rng: random.Random) -> SuiteResult:
             continue
         coeffs = {v: rng.randint(-_TWISTER_BOUND, _TWISTER_BOUND)
                   for v in sorted(mod.chain_vertices)}
-        other = _twisted_instance(mod, deg, coeffs)
+        other = twist(deg, Twister(mod.source, coeffs))
         if not admissibility(mod, other).admissible:
             continue
         tries += 1
-        cases += 1
-        if not same_pushforward(mod, deg, other):
-            failures.append(_repro("twister equivalence not recognized",
-                                   graph=mod.target, mod=mod, deg=deg, twister=coeffs))
-    return SuiteResult(cases, failures)
-
-
-def _window_verdicts(graph: DualGraph, values: dict[str, int], noninvertible: Collection[str],
-                     rank: int, e_values: dict[str, int],
-                     cuts: _CutTable) -> Callable[..., bool]:
-    """The verdict of one model in a mode at a base vertex, read on its cut windows.
-
-    One decided list, built with no base vertex, serves every mode at
-    every base vertex off the chains of ``cuts``; at a base vertex on one of
-    them the windows are decided afresh (the chain-window and interval
-    lemmas of ``stability``), up to the first failing one.
-    """
-    ends = graph.edge_ends
-    shared = list(_cut_windows(cuts, ends, values, noninvertible, rank, e_values))
-    on_chains = {v for vertices, _ in cuts.chains for v in vertices}
-
-    def holds(mode: str, base_vertex: str | None = None) -> bool:
-        ok = _stability_test(mode, base_vertex, graph)
-        rows = (_cut_windows(cuts, ends, values, noninvertible, rank, e_values, base_vertex)
-                if base_vertex in on_chains else shared)
-        return all(starmap(ok, rows))
-
-    return holds
+        yield [] if same_pushforward(mod, deg, other) else [_repro(
+            "twister equivalence not recognized",
+            graph=mod.target, mod=mod, deg=deg, twister=coeffs)]
 
 
 def check_famchain2_instance(mod: Modification, deg: Multidegree) -> list[dict]:
@@ -425,26 +340,25 @@ def check_famchain2_instance(mod: Modification, deg: Multidegree) -> list[dict]:
     Bundle stability on the source against the pulled-back canonical
     polarization must match admissibility plus model stability on the
     target, in all three modes.  Non-admissible bundles must fail.  Both
-    sides read the target's cut table: the source is the subdivision of
-    the target along the registered chains, so by the bond lemma of
-    ``stability`` its cuts are the target's with chain rows.  A target
-    whose own table has chain rows leaves the source its own table.  Each
-    side decides its windows once, as integers, and reads them in every
-    mode: every base vertex is a target vertex, on no registered chain.
+    sides read their verdicts off the one verdict reader of ``stability``.
+    The source is the subdivision of the target along the registered
+    chains, so by the bond lemma of ``stability`` its cuts are the
+    target's with chain rows (``_series_cuts``, which leaves the source its
+    own table when the target's has chains).  Each side decides its
+    windows once, as integers, and reads them in every mode: every base
+    vertex is a target vertex, on no registered chain.
     """
     failures = []
     rank, e_values = _canonical(mod.target, deg.total)  # the target's canonical polarization
-    target_cuts = _cut_table(mod.target)
-    source_cuts = (_cut_table(mod.source) if target_cuts.chains
-                   else _series_cuts(mod.source, mod.target, mod.chain_registry))
     # the pulled-back polarization: the same rank, and e is 0 on the chains
-    source = _window_verdicts(mod.source, dict(deg.as_dict), (), rank,
-                              dict.fromkeys(mod.chain_vertices, 0) | e_values, source_cuts)
+    source = _verdicts(mod.source, deg.as_dict, (), rank,
+                       dict.fromkeys(mod.chain_vertices, 0) | e_values,
+                       _series_cuts(mod.source, mod.target, mod.chain_registry))
     flags = admissibility(mod, deg)
     if flags.admissible:  # else every target verdict below is short-circuited
         model = pushforward_model(mod, deg)
-        target = _window_verdicts(mod.target, dict(model.multidegree.as_dict),
-                                  model.noninvertible, rank, e_values, target_cuts)
+        target = _verdicts(mod.target, model.multidegree.as_dict, model.noninvertible, rank,
+                           e_values)
 
     semi = flags.admissible and target("semistable")
     stab = flags.admissible and target("stable")
@@ -462,21 +376,15 @@ def check_famchain2_instance(mod: Modification, deg: Multidegree) -> list[dict]:
     return failures
 
 
-def _suite_famchain2(cfg: VerifyConfig, rng: random.Random) -> SuiteResult:
-    cases = 0
-    failures = []
+def _suite_famchain2(cfg: VerifyConfig, rng: random.Random) -> Iterator[list[dict]]:
     for graph, window in ((theta_graph(), 1), (elliptic_bridge(), 2)):
-        for mod, deg in exhaustive_instances(graph, max_eta=2, plain_window=window):
-            cases += 1
-            failures.extend(check_famchain2_instance(mod, deg))
+        yield from starmap(check_famchain2_instance,
+                           exhaustive_instances(graph, max_eta=2, plain_window=window))
     for _ in range(cfg.instance_count):
         graph = random_stable_graph(rng, cfg.max_vertices, cfg.max_genus)
         mod = random_modification(rng, graph, cfg.chain_length_max)
         # chain degrees beyond the admissible range are deliberately allowed
-        deg = random_multidegree(rng, mod.source, cfg.degree_window)
-        cases += 1
-        failures.extend(check_famchain2_instance(mod, deg))
-    return SuiteResult(cases, failures)
+        yield check_famchain2_instance(mod, random_multidegree(rng, mod.source, cfg.degree_window))
 
 
 def check_biss_instance(mod: Modification, deg: Multidegree) -> list[dict]:
@@ -525,13 +433,10 @@ def quasistable_models(
                 yield mod, Multidegree(mod.source, chain + tuple(zip(plain, vals)))
 
 
-def _suite_biss(cfg: VerifyConfig, rng: random.Random) -> SuiteResult:
-    cases = 0
-    failures = []
+def _suite_biss(cfg: VerifyConfig, rng: random.Random) -> Iterator[list[dict]]:
     for graph in (theta_graph(), elliptic_bridge()):
-        for mod, deg in quasistable_models(graph, degree_bound=2, plain_window=3):
-            cases += 1
-            failures.extend(check_biss_instance(mod, deg))
+        yield from starmap(check_biss_instance,
+                           quasistable_models(graph, degree_bound=2, plain_window=3))
     for _ in range(cfg.instance_count):
         graph = random_stable_graph(rng, cfg.max_vertices, cfg.max_genus)
         lengths = {e: 1 for e, _ in graph.edges if rng.random() < 0.5}
@@ -539,9 +444,7 @@ def _suite_biss(cfg: VerifyConfig, rng: random.Random) -> SuiteResult:
         values = [(c, 1) for c in mod.chain_vertices]
         for v in graph.vertex_ids:
             values.append((v, rng.randint(-cfg.degree_window, cfg.degree_window)))
-        cases += 1
-        failures.extend(check_biss_instance(mod, Multidegree(mod.source, tuple(values))))
-    return SuiteResult(cases, failures)
+        yield check_biss_instance(mod, Multidegree(mod.source, tuple(values)))
 
 
 def expected_contraction(mod: Modification) -> Modification:
@@ -597,14 +500,12 @@ def check_roundtrip_instance(rng: random.Random, cfg: VerifyConfig) -> list[dict
     return failures
 
 
-def _suite_roundtrip(cfg: VerifyConfig, rng: random.Random) -> SuiteResult:
-    failures = []
+def _suite_roundtrip(cfg: VerifyConfig, rng: random.Random) -> Iterator[list[dict]]:
     for _ in range(cfg.instance_count):
-        failures.extend(check_roundtrip_instance(rng, cfg))
-    return SuiteResult(cfg.instance_count, failures)
+        yield check_roundtrip_instance(rng, cfg)
 
 
-SUITES: dict[str, Callable[[VerifyConfig, random.Random], SuiteResult]] = {
+SUITES: dict[str, Callable[[VerifyConfig, random.Random], Iterator[list[dict]]]] = {
     "chain-cohomology": _suite_chain_cohomology,
     "pushforward": _suite_pushforward,
     "compadm": _suite_compadm,
@@ -613,12 +514,48 @@ SUITES: dict[str, Callable[[VerifyConfig, random.Random], SuiteResult]] = {
     "roundtrip": _suite_roundtrip,
 }
 
+ALL_SUITES = tuple(SUITES)
+
+
+@dataclass(frozen=True)
+class VerifyConfig:
+    suites: tuple[str, ...] = ALL_SUITES
+    seed: int = 0
+    instance_count: int = 50
+    max_vertices: int = 6
+    max_genus: int = 4
+    degree_window: int = 2
+    chain_length_max: int = 4
+
+    def __post_init__(self) -> None:
+        if isinstance(self.suites, str):
+            raise ValueError(f"suites must be a sequence of suite names, got {self.suites!r}")
+        unknown = set(self.suites) - set(ALL_SUITES)
+        if unknown:
+            raise ValueError(f"unknown suites: {sorted(unknown)}")
+        ordered = tuple(s for s in ALL_SUITES if s in set(self.suites))
+        object.__setattr__(self, "suites", ordered)
+        _json_int(self.seed, "seed")  # any int, negative too
+        for name in ("instance_count", "max_vertices", "max_genus",
+                     "degree_window", "chain_length_max"):
+            if _json_int(getattr(self, name), name) < 1:
+                raise ValueError(f"{name} must be positive")
+
+    def to_json_dict(self) -> dict:
+        return asdict(self) | {"suites": list(self.suites)}
+
+
 MAX_REPORTED_FAILURES = 3
 
 
 def run_suite(name: str, cfg: VerifyConfig) -> SuiteResult:
-    rng = random.Random(f"{cfg.seed}:{name}")
-    return SUITES[name](cfg, rng)
+    """The one case loop: count a suite's cases and gather their failures."""
+    cases = SUITES[name](cfg, random.Random(f"{cfg.seed}:{name}"))
+    result = SuiteResult(0, [])
+    for failures in cases:
+        result.cases += 1
+        result.failures.extend(failures)
+    return result
 
 
 def run_verification(cfg: VerifyConfig) -> dict:

@@ -754,6 +754,42 @@ class TestCutWindows:
         assert len(outcomes) == 6
 
 
+    def test_verdicts_stop_at_the_first_failing_window(self, monkeypatch):
+        # all of K6's degree on one vertex fails its first cut window; an eager
+        # list of the windows would read all 31 cuts, in every mode
+        k6 = DualGraph(tuple((v, 0) for v in "abcdef"),
+                       tuple((a + b, (a, b)) for a, b in combinations("abcdef", 2)))
+        cut_windows, read = stability._cut_windows, []
+
+        def spy(*args):
+            for window in cut_windows(*args):
+                read.append(window)
+                yield window
+
+        monkeypatch.setattr(stability, "_cut_windows", spy)
+        assert len(_cut_table(k6).rows) == 31
+        pol = canonical_polarization(k6, 20)
+        deg = Multidegree(k6, dict.fromkeys(k6.vertex_ids, 0) | {"a": 20})
+        model = SheafModel(k6, frozenset({"bc"}), Multidegree(k6, deg.as_dict | {"a": 19}))
+        for value, check in ((deg, check_bundle_stability), (model, check_sheaf_stability)):
+            for mode in self.modes(k6):
+                read.clear()
+                assert not check(value, pol, *mode)
+                assert len(read) == 1, (check, mode)
+
+    def test_mode_refused_before_the_polarization(self):
+        pol = canonical_polarization(theta_graph(), 3)  # incompatible with degree 2
+        model = theta_model((), 1, 1)
+        deg = model.multidegree
+        for value, check in ((model, check_sheaf_stability), (deg, check_bundle_stability)):
+            with pytest.raises(ValueError, match="unknown stability mode"):
+                check(value, pol, "unstable")
+            with pytest.raises(ValueError, match="not a vertex"):
+                check(value, pol, "quasistable", "nosuch")
+            with pytest.raises(ValueError, match="incompatible"):
+                check(value, pol, "stable")
+
+
 class TestSingleVertexEnumeration:
     def test_irreducible_genus_two(self):
         g = DualGraph((("v", 2),), ())
@@ -878,6 +914,17 @@ class TestSeriesCuts:
             self.assert_cuts_match_the_full_table(mod.source, rows)
             checked += bool(mod.chain_registry)
         assert checked > 40
+
+    def test_a_target_with_chains_leaves_the_source_its_own_table(self):
+        # the bond lemma reads a modification's source off a target with no
+        # chains; a quasistable target's exceptional vertex lies on a chain of
+        # the source's own table, which the source keeps
+        target = modify(theta_graph(), {"e1": 1}).source
+        mod = modify(target, {"e2": 1})
+        assert _cut_table(target).chains
+        rows = _series_cuts(mod.source, mod.target, mod.chain_registry)
+        assert rows == _cut_table(mod.source)
+        self.assert_cuts_match_the_full_table(mod.source, rows)
 
     def test_intervals_and_bridges(self):
         # the elliptic bridge's edge is a bridge: its chain has no interval record,

@@ -17,6 +17,7 @@ from nodalcalc import (
     modify,
     run_suite,
     run_verification,
+    stability,
     stable_model,
     theta_graph,
     verify,
@@ -191,25 +192,26 @@ class TestInstanceChecks:
             assert check_famchain2_instance(mod, deg) == []
 
     def test_source_verdicts_match_the_report(self, monkeypatch):
-        # the source windows check_famchain2_instance reads, against the
-        # full-table report in every mode and at every target vertex.  On the
-        # exhaustive theta and bridge families each side's windows are decided
-        # once, with no base vertex.  A target with an exceptional vertex has
-        # chain rows of its own, so the source keeps its own table, and the
-        # windows are decided again at a base vertex on one of its chains.
-        window_verdicts, cut_windows = verify._window_verdicts, verify._cut_windows
+        # the source verdicts check_famchain2_instance reads through the
+        # verdict reader of stability, against the full-table report in every
+        # mode and at every target vertex.  On the exhaustive theta and bridge
+        # families each side's windows are decided once, with no base vertex.
+        # A target with an exceptional vertex has chain rows of its own, so the
+        # source keeps its own table, and the windows are decided again at a
+        # base vertex on one of its chains.
+        verdicts, cut_windows = stability._verdicts, stability._cut_windows
         seen, decided = [], []
 
         def spy_verdicts(graph, *args):
-            seen.append((graph, window_verdicts(graph, *args)))
+            seen.append((graph, verdicts(graph, *args)))
             return seen[-1][1]
 
         def spy_windows(cuts, ends, values, nodes, rank, e_values, base_vertex=None):
             decided.append(base_vertex)
             return cut_windows(cuts, ends, values, nodes, rank, e_values, base_vertex)
 
-        monkeypatch.setattr(verify, "_window_verdicts", spy_verdicts)
-        monkeypatch.setattr(verify, "_cut_windows", spy_windows)
+        monkeypatch.setattr(verify, "_verdicts", spy_verdicts)
+        monkeypatch.setattr(stability, "_cut_windows", spy_windows)
         quasistable_target = modify(theta_graph(), {"e1": 1}).source
         families = [exhaustive_instances(theta_graph(), max_eta=2, plain_window=1),
                     exhaustive_instances(elliptic_bridge(), max_eta=2, plain_window=2),
