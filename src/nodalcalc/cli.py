@@ -6,6 +6,10 @@ reports print with sorted keys so the same inputs give byte-identical
 output.  Exit status: 0 pass, 1 a check or verification failed, 2 bad
 input or usage.
 
+One writer, ``_dumps``, writes stdout, ``--output`` files and verify's
+counterexample files, byte-identical to ``json.dumps(payload, indent=2,
+sort_keys=True)`` plus a newline.
+
 ``main`` may be called repeatedly in one process: it builds its argument
 parser on the first call and reuses it, and each call parses into a
 fresh namespace, so no option or default carries over between calls.
@@ -18,6 +22,7 @@ import json
 import sys
 from fractions import Fraction
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii as _ascii
 from pathlib import Path
 
 from .correspondence import certify_bijection, phi, phi_inverse
@@ -31,10 +36,11 @@ from .graphs import (
 from .modifications import Modification
 from .modifications import stable_model as _stable_model
 from .pushforward import (
-    admissibility,
+    _chain_scans,
+    _diagnostics_of,
+    _flags_of,
+    _model_of,
     pushforward_degree_oracle,
-    pushforward_diagnostics,
-    pushforward_model,
 )
 from .sheaves import (
     Multidegree,
@@ -96,8 +102,84 @@ def _load_modification(path: str) -> Modification:
     return Modification.from_json_dict(_load_json(path))
 
 
+def _json_key(key) -> str:
+    """A dict key that is not a ``str``, coerced as ``json`` coerces it."""
+    if isinstance(key, str):
+        return key
+    if key is None or isinstance(key, (int, float)):
+        return json.dumps(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
 def _dumps(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(payload, indent=2, sort_keys=True) + "\\n"``, byte for byte.
+
+    ``indent`` sends ``json`` to its pure-Python encoder, which yields
+    every piece through a chain of generators; this writer appends the
+    pieces to one list instead, inlining the common leaves (exact ``str``
+    and ``int``).  Strings go through ``json``'s own C escaper.  Any other
+    leaf (a float, a ``str`` or ``int`` subclass, an unserializable
+    object) is handed to ``json.dumps``, which writes it or raises the
+    same ``TypeError``.  Reports are trees, so there is no cycle check.
+    """
+    pieces: list[str] = []
+    put = pieces.append
+
+    def write(obj, indent: str) -> None:
+        if isinstance(obj, dict):
+            if not obj:
+                put("{}")
+                return
+            inner = indent + "  "
+            sep, comma = "{" + inner, "," + inner
+            # sorted keys give json's order of sorted items: no two keys compare equal
+            for key in sorted(obj):
+                item = obj[key]
+                if type(key) is not str:
+                    key = _json_key(key)
+                kind = type(item)
+                if kind is str:
+                    put(f"{sep}{_ascii(key)}: {_ascii(item)}")
+                elif kind is int:
+                    put(f"{sep}{_ascii(key)}: {item}")
+                else:
+                    put(f"{sep}{_ascii(key)}: ")
+                    write(item, inner)
+                sep = comma
+            put(indent + "}")
+        elif isinstance(obj, (list, tuple)):
+            if not obj:
+                put("[]")
+                return
+            inner = indent + "  "
+            sep, comma = "[" + inner, "," + inner
+            for item in obj:
+                kind = type(item)
+                if kind is str:
+                    put(sep + _ascii(item))
+                elif kind is int:
+                    put(f"{sep}{item}")
+                else:
+                    put(sep)
+                    write(item, inner)
+                sep = comma
+            put(indent + "]")
+        elif type(obj) is str:
+            put(_ascii(obj))
+        elif type(obj) is int:
+            put(f"{obj}")
+        elif obj is None:
+            put("null")
+        elif obj is True:
+            put("true")
+        elif obj is False:
+            put("false")
+        else:
+            put(json.dumps(obj))
+
+    write(payload, "\n")
+    put("\n")
+    return "".join(pieces)
 
 
 def _write(path: str | Path, text: str) -> None:
@@ -162,8 +244,9 @@ def cmd_modify(args) -> tuple[dict, int]:
 def cmd_pushforward(args) -> tuple[dict, int]:
     mod = _load_modification(args.modification)
     deg = Multidegree.from_json_dict(mod.source, _load_json(args.multidegree))
-    flags = admissibility(mod, deg)
-    diag = pushforward_diagnostics(mod, deg)
+    scans = _chain_scans(mod, deg)
+    flags = _flags_of(scans)
+    diag = _diagnostics_of(scans)
     payload: dict = {
         "admissibility": {
             "admissible": flags.admissible,
@@ -180,7 +263,7 @@ def cmd_pushforward(args) -> tuple[dict, int]:
         "oracle_agrees": None,
     }
     if flags.admissible:
-        model = pushforward_model(mod, deg)
+        model = _model_of(mod, deg, scans)
         payload["model"] = model.to_json_dict()
         payload["oracle_agrees"] = all(
             sheaf_degree(model, w) == pushforward_degree_oracle(mod, deg, w)

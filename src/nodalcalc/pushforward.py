@@ -61,7 +61,10 @@ def chain_degrees(mod: Modification, deg: Multidegree) -> list[tuple[str, tuple[
     return [(e, tuple(values[c] for c in chain)) for e, chain in mod.chain_registry]
 
 
-def _chain_scans(mod: Modification, deg: Multidegree) -> list[tuple[str, int, int, int, int, int]]:
+_Scans = list[tuple[str, int, int, int, int, int]]
+
+
+def _chain_scans(mod: Modification, deg: Multidegree) -> _Scans:
     """(e, lo, hi, total, head, tail) per chain, side 0 first, in one pass each.
 
     lo and hi bound the sums of nonempty contiguous runs, read off running
@@ -70,6 +73,10 @@ def _chain_scans(mod: Modification, deg: Multidegree) -> list[tuple[str, int, in
     included).  head and tail are the first and last nonzero entries, 0
     when there is none.  ``interval_sum_range`` is the independent
     reference.
+
+    ``admissibility``, ``pushforward_diagnostics`` and ``pushforward_model``
+    read their answers off this list (``_flags_of``, ``_diagnostics_of``,
+    ``_model_of``), so a caller that wants more than one scans once.
     """
     if deg.graph != mod.source:
         raise ValueError("multidegree does not live on the modification source")
@@ -99,8 +106,12 @@ def _chain_scans(mod: Modification, deg: Multidegree) -> list[tuple[str, int, in
 
 
 def admissibility(mod: Modification, deg: Multidegree) -> AdmissibilityFlags:
+    return _flags_of(_chain_scans(mod, deg))
+
+
+def _flags_of(scans: _Scans) -> AdmissibilityFlags:
     admissible = negatively = positively = invertible = True
-    for _, lo, hi, _, _, _ in _chain_scans(mod, deg):
+    for _, lo, hi, _, _, _ in scans:
         admissible &= -1 <= lo and hi <= 1
         negatively &= -1 <= lo and hi <= 0
         positively &= 0 <= lo and hi <= 1
@@ -125,9 +136,13 @@ def pushforward_model(mod: Modification, deg: Multidegree) -> SheafModel:
     Each chain is read in one pass (``_chain_scans``).  The model is
     built in canonical form, through the ``_derived`` constructors.
     """
+    return _model_of(mod, deg, _chain_scans(mod, deg))
+
+
+def _model_of(mod: Modification, deg: Multidegree, scans: _Scans) -> SheafModel:
     values = deg.as_dict
     corrections = []
-    for e, lo, hi, delta, head, tail in _chain_scans(mod, deg):
+    for e, lo, hi, delta, head, tail in scans:
         if lo < -1 or hi > 1:
             raise NotAdmissibleError(
                 f"chain over {e!r} has a contiguous run of degree "
@@ -219,9 +234,13 @@ class PushforwardDiagnostics:
 
 
 def pushforward_diagnostics(mod: Modification, deg: Multidegree) -> PushforwardDiagnostics:
+    return _diagnostics_of(_chain_scans(mod, deg))
+
+
+def _diagnostics_of(scans: _Scans) -> PushforwardDiagnostics:
     torsion = drops = False
     bad = []
-    for e, lo, hi, _, head, _ in _chain_scans(mod, deg):
+    for e, lo, hi, _, head, _ in scans:
         torsion |= hi >= 2
         drops |= lo <= -2
         if head:

@@ -30,9 +30,12 @@ from .modifications import (
     stable_model,
 )
 from .pushforward import (
+    _chain_scans,
+    _diagnostics_of,
+    _flags_of,
+    _model_of,
     admissibility,
     pushforward_degree_oracle,
-    pushforward_diagnostics,
     pushforward_model,
     same_pushforward,
 )
@@ -248,11 +251,12 @@ def _suite_chain_cohomology(cfg: VerifyConfig, rng: random.Random) -> Iterator[l
 def check_pushforward_instance(mod: Modification, deg: Multidegree) -> list[dict]:
     """Degree identity, oracle agreement, and the non-invertibility locus."""
     failures = []
-    model = pushforward_model(mod, deg)
+    scans = _chain_scans(mod, deg)
+    model = _model_of(mod, deg, scans)
     if model.degree != deg.total:
         failures.append(_repro("pushforward changed the total degree",
                                graph=mod.target, mod=mod, deg=deg))
-    diag = pushforward_diagnostics(mod, deg)
+    diag = _diagnostics_of(scans)
     if model.noninvertible != frozenset(diag.noninvertible_edges):
         failures.append(_repro("non-invertible locus disagrees with diagnostics",
                                graph=mod.target, mod=mod, deg=deg))
@@ -354,9 +358,10 @@ def check_famchain2_instance(mod: Modification, deg: Multidegree) -> list[dict]:
     source = _verdicts(mod.source, deg.as_dict, (), rank,
                        dict.fromkeys(mod.chain_vertices, 0) | e_values,
                        _series_cuts(mod.source, mod.target, mod.chain_registry))
-    flags = admissibility(mod, deg)
+    scans = _chain_scans(mod, deg)
+    flags = _flags_of(scans)
     if flags.admissible:  # else every target verdict below is short-circuited
-        model = pushforward_model(mod, deg)
+        model = _model_of(mod, deg, scans)
         target = _verdicts(mod.target, model.multidegree.as_dict, model.noninvertible, rank,
                            e_values)
 

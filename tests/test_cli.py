@@ -2,6 +2,9 @@
 
 import argparse
 import json
+import math
+import random
+from fractions import Fraction
 from itertools import combinations
 from string import Template
 
@@ -414,9 +417,140 @@ class TestOutputHandling:
         assert a.read_bytes() == b.read_bytes()
 
     def test_keys_sorted(self, tmp_path, capsys):
-        curve = write(tmp_path, "theta.json", THETA)
-        _, out, _ = run(capsys, ["classify", curve])
-        assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+        # every command prints its report as json.dumps(indent=2, sort_keys=True)
+        # re-renders it, in ASCII, and writes the same bytes to an --output file
+        report = tmp_path / "report.json"
+        commands = every_command(tmp_path)
+        assert {argv[0] for argv in commands} == set(cli._build_parser()._actions[-1].choices)
+        for argv in commands:
+            code, out, err = run(capsys, argv)
+            assert (code, err) == (0, ""), argv
+            assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n", argv
+            assert run(capsys, argv + ["--output", str(report)]) == (0, "", ""), argv
+            assert report.read_bytes() == out.encode("ascii"), argv
+        _, out, _ = run(capsys, commands[2])  # modify: both ids, and the chain vertex
+        assert '"\\u00fc"' in out and '"\\u540d"' in out and '"\\u540d#1"' in out
+
+
+# theta with a non-ASCII vertex id and a non-ASCII edge id
+UNICODE_THETA = {
+    "vertices": [{"id": "v", "genus": 0}, {"id": "\u00fc", "genus": 0}],
+    "edges": [
+        {"id": "e1", "ends": ["v", "\u00fc"]},
+        {"id": "e2", "ends": ["v", "\u00fc"]},
+        {"id": "\u540d", "ends": ["v", "\u00fc"]},
+    ],
+}
+
+
+def every_command(tmp_path):
+    """One passing request per command, on the non-ASCII theta where it reads a curve."""
+    curve = write(tmp_path, "curve.json", UNICODE_THETA)
+    mod = write(tmp_path, "mod.json", {"target": UNICODE_THETA,
+                                       "modified_edges": [{"edge": "\u540d", "length": 1}]})
+    deg = write(tmp_path, "deg.json", {"v": 0, "\u00fc": 1, "\u540d#1": 1})
+    sheaf = write(tmp_path, "sheaf.json",
+                  {"noninvertible": ["\u540d"], "multidegree": {"v": 0, "\u00fc": 1}})
+    plain = write(tmp_path, "plain.json", {"v": 1, "\u00fc": 1})
+    return [
+        ["classify", curve],
+        ["stable-model", curve],
+        ["modify", mod],
+        ["pushforward", mod, deg],
+        ["chain-h", "--degrees=1,-1"],
+        ["check-stability", curve, sheaf],
+        ["check-balanced", curve, plain],
+        ["phi", mod, deg],
+        ["phi-inv", curve, sheaf],
+        ["enumerate", curve, "--degree", "2"],
+        ["enumerate", curve, "--degree", "2", "--mode", "semistable"],
+        ["certify", curve, "--degree", "2"],
+        TestVerifyCommand.ARGS + ["--dump-dir", str(tmp_path)],
+    ]
+
+
+class _Name(str):
+    pass
+
+
+class _Count(int):
+    pass
+
+
+# escapes of every kind: non-ASCII, astral, quote, backslash, control, separators, lone surrogate
+STRINGS = ("", "v", "e1#2", "\u00fc", "\u540d", "\U0001f600", '"', "\\", "\n\t\x00\x1f\x7f",
+           "\u2028\u2029", "\ud800", 'a"b\\c')
+
+
+def random_leaf(rng):
+    pick = rng.randrange(9)
+    if pick == 0:
+        return rng.choice(STRINGS) + rng.choice(STRINGS)
+    if pick == 1:
+        return rng.choice((-3, -1, 0, 1, 2, 10 ** 30, -2 ** 70))
+    if pick == 2:
+        return rng.choice((True, False, None))
+    if pick == 3:
+        return rng.choice((0.5, -0.0, 1e300, math.nan, math.inf, -math.inf))
+    if pick == 4:
+        return _Name(rng.choice(STRINGS))
+    if pick == 5:
+        return _Count(rng.randint(-2, 2))
+    return rng.choice(([True, 1, False, 0], {"a": True, "b": 1, "c": False, "d": 0},
+                       {}, [], (), ("x", 1)))
+
+
+def random_keys(rng):
+    """Keys json can sort and coerce: all strings, all numbers, or None alone."""
+    pick = rng.randrange(3)
+    if pick == 0:
+        return [rng.choice(STRINGS) + rng.choice(STRINGS) for _ in range(rng.randint(0, 4))]
+    if pick == 1:
+        return rng.sample([-2, 0, 3, 10 ** 20, True, False, 0.5, -1.5, math.nan, math.inf,
+                           -math.inf, _Count(7)], rng.randint(1, 4))
+    return [None]
+
+
+def random_payload(rng, depth):
+    if depth == 0 or rng.random() < 0.3:
+        return random_leaf(rng)
+    if rng.random() < 0.5:
+        return {key: random_payload(rng, depth - 1) for key in random_keys(rng)}
+    items = [random_payload(rng, depth - 1) for _ in range(rng.randint(0, 4))]
+    return tuple(items) if rng.random() < 0.3 else items
+
+
+def reference_dumps(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+class TestReportWriter:
+    """``cli._dumps`` against ``json.dumps(indent=2, sort_keys=True)``, the reference."""
+
+    def test_random_payloads(self):
+        rng = random.Random(2210)
+        for _ in range(3000):
+            payload = random_payload(rng, 4)
+            assert cli._dumps(payload) == reference_dumps(payload), payload
+
+    @pytest.mark.parametrize("payload", [
+        {}, [], (), "", "\u00fc", 0, -2 ** 70, True, False, None, math.nan, -0.0, _Name("x"),
+        _Count(3), {"": {}, "a": [], "b": (), "c": [{}, [[]]]},
+        {"x": [True, 1, False, 0, None, 1.0]}, {_Name("b"): _Count(1), "a": 0},
+    ])
+    def test_edge_payloads(self, payload):
+        assert cli._dumps(payload) == reference_dumps(payload)
+
+    @pytest.mark.parametrize("payload", [
+        {"a": [1, {"b": object()}]}, [Fraction(1, 2)], {"s": {1, 2}}, [b"bytes"], 1j,
+        {("a",): 1}, {"a": {frozenset(): 1}}, {"a": 1, 2: 3}, {None: 1, "a": 2},
+    ])
+    def test_unserializable_payloads(self, payload):
+        with pytest.raises(TypeError) as want:
+            reference_dumps(payload)
+        with pytest.raises(TypeError) as got:
+            cli._dumps(payload)
+        assert str(got.value) == str(want.value)
 
 
 class TestVerifyCommand:
@@ -439,6 +573,8 @@ class TestVerifyCommand:
 
     @pytest.fixture
     def failing_roundtrip(self, monkeypatch):
+        """The planted first failure of a failing roundtrip suite."""
+        failure = {"detail": "planted", "curve": UNICODE_THETA, "margin": (-1, "1/2")}
         bad = {
             "config": {"suites": ["roundtrip"]},
             "suites": {
@@ -446,21 +582,23 @@ class TestVerifyCommand:
                     "status": "fail",
                     "cases": 1,
                     "failure_count": 1,
-                    "failures": [{"detail": "planted", "curve": {}}],
+                    "failures": [failure],
                 }
             },
             "ok": False,
         }
         monkeypatch.setattr(cli, "run_verification", lambda cfg: bad)
+        return failure
 
-    @pytest.mark.usefixtures("failing_roundtrip")
-    def test_failure_dumps_counterexample(self, tmp_path, capsys):
+    def test_failure_dumps_counterexample(self, tmp_path, capsys, failing_roundtrip):
         code, data = run_json(capsys, ["verify", "--suite", "roundtrip",
                                        "--dump-dir", str(tmp_path)])
         assert code == 1
         assert data["reproduction_files"] == {"roundtrip": "counterexample-roundtrip.json"}
-        dumped = json.loads((tmp_path / "counterexample-roundtrip.json").read_text())
-        assert dumped["detail"] == "planted"
+        # the bytes stdout would hold for the failure itself
+        dumped = (tmp_path / "counterexample-roundtrip.json").read_bytes()
+        assert dumped == reference_dumps(failing_roundtrip).encode("ascii")
+        assert json.loads(dumped)["detail"] == "planted"
 
     @pytest.mark.usefixtures("failing_roundtrip")
     def test_unwritable_dump_dir(self, tmp_path, capsys):

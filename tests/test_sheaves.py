@@ -178,7 +178,7 @@ class TestCanonicalForm:
 
 
 # every caller of Multidegree._derived and SheafModel._derived in the package
-DERIVED_SITES = {"twist", "pushforward_model", "phi_inverse", "lift", "_model",
+DERIVED_SITES = {"twist", "_model_of", "phi_inverse", "lift", "_model",
                  "pullback_multidegree", "canonical_polarization", "omega_multidegree"}
 
 
