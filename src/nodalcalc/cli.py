@@ -164,10 +164,6 @@ def _dumps(payload) -> str:
                     write(item, inner)
                 sep = comma
             put(indent + "]")
-        elif type(obj) is str:
-            put(_ascii(obj))
-        elif type(obj) is int:
-            put(f"{obj}")
         elif obj is None:
             put("null")
         elif obj is True:
