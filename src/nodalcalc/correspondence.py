@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graphs import DualGraph, _json_int, classify, exceptional_vertices
-from .modifications import Modification, is_small, small_modification
+from .modifications import Modification, small_modification
 from .pushforward import pushforward_model
 from .sheaves import Multidegree, SheafModel
 from .stability import _model, _sheaf_mode, _stability_test, _strata
@@ -39,8 +39,9 @@ from .stability import _model, _sheaf_mode, _stability_test, _strata
 def phi(mod: Modification, deg: Multidegree) -> tuple[DualGraph, SheafModel]:
     """Push a bundle with degree 1 on every exceptional vertex down.
 
-    The source must be quasistable, the modification small, and the
-    multidegree must be 1 on every exceptional vertex of the source.
+    The source must be quasistable, which makes the modification small (a
+    chain of two or more vertices has two exceptional vertices that meet),
+    and the multidegree must be 1 on every exceptional vertex of the source.
     The resulting model keeps the degrees away from the chains and marks
     every modified edge non-invertible.
     """
@@ -48,8 +49,6 @@ def phi(mod: Modification, deg: Multidegree) -> tuple[DualGraph, SheafModel]:
         raise ValueError("multidegree does not live on the modification source")
     if classify(mod.source) not in ("stable", "quasistable"):
         raise ValueError("source of the modification is not quasistable")
-    if not is_small(mod):
-        raise ValueError("modification is not small")
     off = [v for v in exceptional_vertices(mod.source) if deg[v] != 1]
     if off:
         raise ValueError(f"degree must be 1 on exceptional vertices, violated at {off}")
@@ -64,10 +63,11 @@ def phi_inverse(graph: DualGraph, model: SheafModel) -> tuple[Modification, Mult
 
     Subdivides each non-invertible edge once and puts degree 1 on the
     new vertices; the total degree of the bundle equals the degree of
-    the model.  The modification is the shared one ``small_modification``
-    builds for the non-invertible set.  The bundle lists the source's
-    vertices in order with ``int`` degrees, so it is built through
-    ``Multidegree._derived``.
+    the model.  The modification is ``small_modification`` of the
+    non-invertible set: the object that answered any of the 512 most
+    recent requests for this graph (or an equal one) and edge set, and an
+    equal object always.  The bundle lists the source's vertices in order
+    with ``int`` degrees, so it is built through ``Multidegree._derived``.
     """
     if model.graph != graph:
         raise ValueError("sheaf model does not live on the given graph")

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from types import MappingProxyType
 from typing import Iterable, Mapping
-from weakref import WeakValueDictionary
 
 from .graphs import (
     DualGraph,
@@ -106,9 +105,6 @@ class Modification:
                 image[c] = (e, pos)
         return MappingProxyType(image)
 
-    def chain_of(self, edge: str) -> tuple[str, ...]:
-        return self.chains[edge]
-
     # -- validation --------------------------------------------------------
 
     def _validate(self) -> None:
@@ -147,8 +143,6 @@ class Modification:
         expected = tuple((eid, ends) for eid, ends in target.edges if eid not in self.chains)
         if untouched != expected:
             raise ValueError("source edges away from the chains do not match the target")
-        if len(source.edges) != len(expected) + sum(self.lengths.values()) + len(self.chains):
-            raise ValueError("wrong number of chain edges in source")
 
     # -- serialization -----------------------------------------------------
 
@@ -245,36 +239,28 @@ def modify(graph: DualGraph, lengths: Mapping[str, int]) -> Modification:
     return Modification._derived(graph, source, tuple(registry))
 
 
-# Distinct (graph, edge set) pairs whose small modifications are kept even
-# when no caller holds them.  Equal graphs built separately, such as K4
-# certified at several degrees or small random graphs that repeat, share
-# modifications across calls only through this cache: without it, a benchmark
-# pass of certify_bijection on K4 and 3-5 vertex graphs took 5-10% longer in
-# 6 of 6 paired runs (2 vCPUs, Python 3.11).
+# The small modifications of the 512 most recently requested (graph, edge set)
+# pairs, the one place they are shared.  Equal graphs built separately, such as
+# K4 certified at several degrees or small random graphs that repeat, share
+# modifications across calls through this cache: without it, a benchmark pass
+# of certify_bijection on K4 and 3-5 vertex graphs took 5-10% longer in 6 of 6
+# paired runs (2 vCPUs, Python 3.11).  certify_bijection asks for a stratum's
+# modification again in its round trip while it walks that stratum, so the
+# newest entry answers.
 _SMALL_CACHE_SIZE = 512
-
-# Every small modification still referenced anywhere, kept or not by the
-# bounded cache.  certify_bijection asks for a modification again in its round
-# trip while it walks that modification's stratum, and holds it meanwhile.  A
-# caller of enumerate_balanced gets the pairs of every edge set at once (1,024
-# on K5) and may lift their images long after; each pair holds its own.
-_live_small: WeakValueDictionary = WeakValueDictionary()
 
 
 def small_modification(graph: DualGraph, edges: Iterable[str]) -> Modification:
     """Chain length 1 on every listed edge.
 
-    Modifications are immutable, so one is built per graph and edge set
-    and shared by every caller while any of them holds it.  A string is
-    refused, not read as its characters.
+    Modifications are immutable, so the same object answers every request
+    for a graph and edge set (equal graphs included) among the 512 most
+    recent ones, and an equal object answers always.  A string is refused,
+    not read as its characters.
     """
     if isinstance(edges, str):
         raise ValueError(f"edge set must be a collection of edge ids, not the string {edges!r}")
-    key = (graph, frozenset(edges))
-    mod = _live_small.get(key)
-    if mod is None:
-        mod = _live_small[key] = _small_modification(*key)
-    return mod
+    return _small_modification(graph, frozenset(edges))
 
 
 @lru_cache(maxsize=_SMALL_CACHE_SIZE)

@@ -17,7 +17,6 @@ every connected subcurve; tests enforce that.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable
 
 from .graphs import is_connected_subcurve, _check_members
@@ -253,19 +252,19 @@ def _chain_twister_coefficients(deltas: list[int]) -> list[int] | None:
 
     Solves c[i-1] - 2c[i] + c[i+1] = deltas[i] for i = 1..k with
     c[0] = c[k+1] = 0; the solution over the rationals is unique, and
-    None is returned when it is not integral.
+    None is returned when it is not integral.  With c[0] = 0 and c[1] = t
+    the recurrence gives c[i] = i*t + beta[i], beta integral, so
+    c[k+1] = 0 fixes t = -beta[k+1] / (k+1), and the solution is integral
+    exactly when k+1 divides beta[k+1].
     """
     k = len(deltas)
-    alpha = [Fraction(0), Fraction(1)]
-    beta = [Fraction(0), Fraction(0)]
+    beta = [0, 0]
     for i in range(1, k + 1):
-        alpha.append(2 * alpha[i] - alpha[i - 1])
         beta.append(2 * beta[i] - beta[i - 1] + deltas[i - 1])
-    t = -beta[k + 1] / alpha[k + 1]
-    coeffs = [alpha[i] * t + beta[i] for i in range(1, k + 1)]
-    if any(c.denominator != 1 for c in coeffs):
+    t, rest = divmod(-beta[k + 1], k + 1)
+    if rest:
         return None
-    return [int(c) for c in coeffs]
+    return [i * t + beta[i] for i in range(1, k + 1)]
 
 
 def same_pushforward(mod: Modification, deg: Multidegree, other: Multidegree) -> bool:

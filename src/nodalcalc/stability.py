@@ -864,10 +864,12 @@ def _model_side(graph: DualGraph, ok: Callable, rows: list, rank: int, e_values:
 def _bundle_side(graph: DualGraph, ok: Callable, rows: list, rank: int, e_values: dict) -> Callable:
     """The bundle side of ``_strata``: per stratum N, its modification and a lift.
 
-    The modification is small_modification(graph, N); the lift takes a box
-    vector, puts 1 on every chain vertex, and returns the bundle's
-    ``Multidegree`` on the source when every window of the rows lifted from
-    ``rows`` (``_lifted_rows``) holds, else None.  No source table is built.
+    The modification is small_modification(graph, N); its source is not
+    classified, as it is quasistable: the graph is stable and each chain
+    vertex has genus 0 and two edges into it.  The lift takes a box vector,
+    puts 1 on every chain vertex, and returns the bundle's ``Multidegree``
+    on the source when every window of the rows lifted from ``rows``
+    (``_lifted_rows``) holds, else None.  No source table is built.
     The polarization is (rank, e_values) pulled back to the source: the
     same rank and values, 0 on the chain vertices (the lifted-row lemma).
     The windows are compiled once per stratum from the kernel at the vector
@@ -879,8 +881,6 @@ def _bundle_side(graph: DualGraph, ok: Callable, rows: list, rank: int, e_values
     def stratum(subset: tuple[str, ...]) -> tuple[Modification, Callable]:
         mod = small_modification(graph, subset)
         source, chain = mod.source, mod.chain_vertices  # the exceptional vertices
-        if classify(source) not in ("stable", "quasistable"):
-            raise ValueError("balanced multidegrees live on quasistable graphs")
         lifted = _lifted_rows(mod, rows)
         kernel = _margins(lifted, source.edge_ends, zeros | dict.fromkeys(chain, 1), (), rank,
                           e_values | dict.fromkeys(chain, 0))

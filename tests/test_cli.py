@@ -1,6 +1,7 @@
 """End-to-end command line coverage driven through main()."""
 
 import argparse
+import hashlib
 import json
 import math
 import random
@@ -11,6 +12,7 @@ from string import Template
 import pytest
 
 from nodalcalc import cli, graphs, stability
+from nodalcalc import verify as verify_module
 
 THETA = {
     "vertices": [{"id": "v", "genus": 0}, {"id": "w", "genus": 0}],
@@ -614,6 +616,36 @@ class TestVerifyCommand:
         assert code == 2
         assert "instance_count" in err
 
+    # sha256 of the default run's stdout followed by "exit 0\n", the bytes CI pins
+    DEFAULT_RUN_SHA256 = "c5cc9a13a83d95e11fdf13308041431160cbb915f40b72e10a43760b3f451ce4"
+
+    def test_default_run_matches_its_pin(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # where a failing suite would dump
+        code, out, err = run(capsys, ["verify"])
+        assert (code, err) == (0, "")
+        pinned = f"{out}exit {code}\n".encode("ascii")
+        assert hashlib.sha256(pinned).hexdigest() == self.DEFAULT_RUN_SHA256
+        assert list(tmp_path.iterdir()) == []
+
+    def test_counterexample_replays_through_the_cli(self, tmp_path, capsys, monkeypatch):
+        # a planted fault: the unit chain twist leaves the bundle as it is, so
+        # the biss suite fails on a real modification and multidegree
+        monkeypatch.setattr(verify_module, "twist", lambda deg, tw: deg)
+        code, data = run_json(capsys, ["verify", "--suite", "biss", "--instances", "1",
+                                       "--dump-dir", str(tmp_path)])
+        assert code == 1 and data["suites"]["biss"]["status"] == "fail"
+        assert data["reproduction_files"] == {"biss": "counterexample-biss.json"}
+        failure = json.loads((tmp_path / "counterexample-biss.json").read_text("ascii"))
+        assert failure["modification"]["chains"]
+        mod = write(tmp_path, "mod.json", failure["modification"])
+        deg = write(tmp_path, "deg.json", failure["multidegree"])
+        code, image = run_json(capsys, ["phi", mod, deg])
+        assert code == 0 and image["curve"] == failure["curve"]
+        code, pushed = run_json(capsys, ["pushforward", mod, deg])
+        assert code == 0 and pushed["admissibility"]["admissible"] is True
+        assert pushed["model"] == image["model"]
+        assert image["model"]["noninvertible"] == sorted(failure["modification"]["chains"])
+
 
 MOD_WITH_CHAINS = {
     "target": THETA,
@@ -694,6 +726,60 @@ def test_repeated_json_keys_rejected(tmp_path, capsys, argv, text, key):
     assert (code, out, err) == (2, "", f"error: {path}: repeated key {key!r} in one object\n")
 
 
+SOURCE = MOD_WITH_CHAINS["source"]
+SHEAF = {"noninvertible": [], "multidegree": {"v": 1, "w": 1}}
+
+
+@pytest.mark.parametrize("argv, files, message", [
+    (["modify", "in"], {"in": {**MOD_WITH_CHAINS, "chains": {"e1": []}}},
+     "empty chain registered for edge 'e1'"),
+    (["modify", "in"], {"in": {**MOD_WITH_CHAINS, "chains": {"e1": ["e1#1"], "e2": ["e1#1"]}}},
+     "chain registries share a vertex"),
+    (["modify", "in"], {"in": {**MOD_WITH_CHAINS, "source": {
+        "vertices": SOURCE["vertices"] + [{"id": "x"}],
+        "edges": SOURCE["edges"] + [{"id": "f", "ends": ["v", "x"]}]}}},
+     "source vertices do not match target plus chains"),
+    (["modify", "in"], {"in": {**MOD_WITH_CHAINS, "source": {
+        "vertices": SOURCE["vertices"],
+        "edges": [{"id": "e1#0-1", "ends": ["v", "e1#1"]},
+                  {"id": "e1#1-2", "ends": ["e1#1", "v"]}, *SOURCE["edges"][2:]]}}},
+     "chain over 'e1' is not a path from 'v' to 'w'"),
+    (["modify", "in"], {"in": [THETA]}, "modification data must be a JSON object"),
+    (["pushforward", "mod", "in"],
+     {"mod": {"target": THETA, "modified_edges": []}, "in": [1, 1]},
+     "multidegree data must be a JSON object"),
+    (["phi-inv", "curve", "in"], {"curve": THETA, "in": [SHEAF]},
+     "sheaf data must be a JSON object"),
+    (["check-stability", "curve", "sheaf", "--polarization", "in"],
+     {"curve": THETA, "sheaf": SHEAF, "in": 2}, "polarization data must be a JSON object"),
+    (["check-stability", "curve", "in"], {"curve": THETA, "in": {"noninvertible": []}},
+     "sheaf data missing key 'multidegree'"),
+    (["check-stability", "curve", "sheaf", "--polarization", "in"],
+     {"curve": THETA, "sheaf": SHEAF, "in": {"rank": 2}},
+     "polarization data missing key 'e'"),
+], ids=["empty_chain", "shared_chain_vertex", "extra_source_vertex", "chain_not_a_path",
+        "modification_list", "multidegree_list", "sheaf_list", "polarization_int",
+        "sheaf_missing_key", "polarization_missing_key"])
+def test_refusal_names_its_cause(tmp_path, capsys, argv, files, message):
+    paths = {name: write(tmp_path, f"{name}.json", data) for name, data in files.items()}
+    code, out, err = run(capsys, [paths.get(arg, arg) for arg in argv])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("curve, chains, klass", [
+    ({"vertices": [{"id": v, "genus": 0} for v in "abc"],
+      "edges": [{"id": a + b, "ends": [a, b]} for a, b in ("ab", "bc", "ac")]},
+     "cycle", "semistable"),
+    ({"vertices": [{"id": "v", "genus": 2}, {"id": "w", "genus": 0}],
+      "edges": [{"id": "e", "ends": ["v", "w"]}]},
+     None, "none"),
+], ids=["exceptional_cycle", "genus_0_leaf"])
+def test_classify_reports_chains_it_cannot_list(tmp_path, capsys, curve, chains, klass):
+    code, data = run_json(capsys, ["classify", write(tmp_path, "curve.json", curve)])
+    assert code == 0
+    assert (data["chains"], data["class"]) == (chains, klass)
+
+
 class TestUsageErrors:
     def test_unknown_command(self, capsys):
         with pytest.raises(SystemExit):
@@ -705,9 +791,9 @@ class TestUsageErrors:
             "modified_edges": [{"edge": "e1", "length": 2}],
         })
         deg = write(tmp_path, "deg.json", {"v": 0, "w": 0, "e1#1": 1, "e1#2": 0})
-        code, _, err = run(capsys, ["phi", mod, deg])
-        assert code == 2
-        assert "error:" in err
+        # two chain vertices meet, so the source is not quasistable
+        assert run(capsys, ["phi", mod, deg]) == (
+            2, "", "error: source of the modification is not quasistable\n")
 
     def test_too_many_subcurves(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(graphs, "_MAX_SUBCURVES", 10)

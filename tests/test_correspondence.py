@@ -7,7 +7,6 @@ import sys
 from functools import lru_cache
 from itertools import combinations
 from pathlib import Path
-from weakref import WeakValueDictionary
 
 import pytest
 
@@ -211,8 +210,10 @@ class TestCertify:
 
     def test_round_trip_reuses_each_enumerated_modification(self, monkeypatch):
         # A bounded cache of 4 is far below K4's 64 edge sets, as 512 is below
-        # K5's 1,024, so the round trip asks for modifications long evicted
-        # from it; each balanced pair still holds its own.
+        # K5's 1,024.  certify asks for a stratum's modification again while it
+        # walks that stratum, so it still builds each one once.  A pair lifted
+        # after its edge set left the cache gets an equal modification; the
+        # last 4 pairs, whose edge sets are the cache's newest, get their own.
         built = []
 
         def counting(graph, lengths):
@@ -220,7 +221,6 @@ class TestCertify:
             return modify(graph, lengths)
 
         monkeypatch.setattr(modifications, "modify", counting)
-        monkeypatch.setattr(modifications, "_live_small", WeakValueDictionary())
         monkeypatch.setattr(modifications, "_small_modification", lru_cache(maxsize=4)(
             modifications._small_modification.__wrapped__))
         for d in range(2, 6):
@@ -232,8 +232,11 @@ class TestCertify:
                 report = certify_bijection(K4, d, mode)
                 assert report.bijection and report.balanced_count
                 assert sorted(built, key=sorted) == sorted(nonempty, key=sorted), (d, mode)
+                pairs = enumerate_balanced(K4, d, mode)
                 assert all(phi_inverse(K4, phi(mod, deg)[1])[0] is mod
-                           for mod, deg in enumerate_balanced(K4, d, mode))
+                           for mod, deg in pairs[-4:])
+                assert all(phi_inverse(K4, phi(mod, deg)[1])[0] == mod
+                           for mod, deg in pairs)
 
     def test_json_payload(self):
         data = certify_bijection(elliptic_bridge(), 2).to_json_dict()

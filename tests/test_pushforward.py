@@ -1,6 +1,7 @@
 """Direct image normal form, admissibility, the min-formula oracle."""
 
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -26,6 +27,7 @@ from nodalcalc import (
     interval_sum_range,
     twist,
 )
+from nodalcalc.pushforward import _chain_twister_coefficients
 from nodalcalc.verify import exhaustive_instances
 
 
@@ -362,3 +364,37 @@ class TestSamePushforward:
                 continue
             assert pushforward_model(mod, other) == base
             assert same_pushforward(mod, deg, other)
+
+
+def fraction_twister_coefficients(deltas):
+    """The rational solve: c[i] = alpha[i]*t + beta[i], t from c[k+1] = 0."""
+    k = len(deltas)
+    alpha = [Fraction(0), Fraction(1)]
+    beta = [Fraction(0), Fraction(0)]
+    for i in range(1, k + 1):
+        alpha.append(2 * alpha[i] - alpha[i - 1])
+        beta.append(2 * beta[i] - beta[i - 1] + deltas[i - 1])
+    t = -beta[k + 1] / alpha[k + 1]
+    coeffs = [alpha[i] * t + beta[i] for i in range(1, k + 1)]
+    if any(c.denominator != 1 for c in coeffs):
+        return None
+    return [int(c) for c in coeffs]
+
+
+class TestChainTwisterCoefficients:
+    """The integer solve; oracle: the same recurrence in exact fractions."""
+
+    def test_matches_the_rational_solve(self):
+        integral = 0
+        for k in range(5):
+            for deltas in product(range(-4, 5), repeat=k):
+                want = fraction_twister_coefficients(list(deltas))
+                got = _chain_twister_coefficients(list(deltas))
+                assert got == want, deltas
+                if got is not None:
+                    integral += 1
+                    assert all(type(c) is int for c in got)
+                    c = [0, *got, 0]
+                    assert [c[i - 1] - 2 * c[i] + c[i + 1]
+                            for i in range(1, k + 1)] == list(deltas)
+        assert integral > 0
