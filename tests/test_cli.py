@@ -5,6 +5,8 @@ import hashlib
 import json
 import math
 import random
+import sys
+import time
 from fractions import Fraction
 from itertools import combinations
 from string import Template
@@ -832,6 +834,7 @@ def test_parser_reused_without_leaking_state(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
     cli._build_parser.cache_clear()
+    cli._command_parser.cache_clear()
     curve = write(tmp_path, "theta.json", THETA)
     sheaf = write(tmp_path, "sheaf.json", {"noninvertible": [], "multidegree": {"v": 1, "w": 1}})
     stable = ["check-stability", curve, sheaf, "--mode", "stable"]
@@ -854,4 +857,234 @@ def test_parser_reused_without_leaking_state(tmp_path, capsys, monkeypatch):
     assert data["config"]["suites"] == ["roundtrip"]
 
     assert run(capsys, stable) == first
-    assert built.count("nodalcalc") == 1
+    # each command's parser is built once; a command request never builds the top-level one
+    assert sorted(built) == sorted(set(built)) == ["nodalcalc check-stability", "nodalcalc verify"]
+    assert "nodalcalc" not in built
+
+
+# -- each command's own parser against its subparser in the top-level parser --
+
+def subparser(name):
+    return cli._build_parser()._actions[-1].choices[name]
+
+
+def test_command_table_names_every_subcommand():
+    assert list(cli._COMMANDS) == list(cli._build_parser()._actions[-1].choices)
+
+
+@pytest.mark.parametrize("name", list(cli._COMMANDS))
+def test_command_parser_matches_its_subparser(name):
+    alone, sub = cli._command_parser(name), subparser(name)
+    assert alone.prog == sub.prog == f"nodalcalc {name}"
+    assert alone.format_usage() == sub.format_usage()
+    assert alone.format_help() == sub.format_help()
+
+
+def parse_exit(parse, argv, capsys):
+    """Exit code, stdout and stderr of a parse that ends the program."""
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify"],
+    ["classify", "--"],
+    ["classify", "--output"],
+    ["stable-model"],
+    ["modify"],
+    ["pushforward", "mod.json"],
+    ["chain-h"],
+    ["chain-h", "--degrees", "-1,2"],
+    ["check-stability", "curve.json", "sheaf.json", "--mode", "bogus"],
+    ["check-stability", "curve.json"],
+    ["check-balanced", "curve.json", "deg.json", "--mode", "stable"],
+    ["phi", "mod.json"],
+    ["phi-inv", "curve.json"],
+    ["enumerate", "curve.json", "--degree", "two"],
+    ["enumerate", "curve.json", "--degree", "2", "--mode", "quasistable"],
+    ["certify", "curve.json"],
+    ["certify", "curve.json", "--degree", "2.5"],
+    ["verify", "--suite", "nosuch"],
+    ["verify", "--seed", "x"],
+])
+def test_usage_errors_match_the_top_level_parser(argv, capsys):
+    through_main = parse_exit(cli.main, argv, capsys)
+    assert through_main[0] == 2
+    assert through_main == parse_exit(cli._build_parser().parse_args, argv, capsys)
+
+
+@pytest.mark.parametrize("argv, code", [
+    ([], 2), (["-h"], 0), (["--help"], 0), (["frobnicate"], 2), (["--", "classify"], 2),
+    (["--output", "x", "classify", "curve.json"], 2),
+])
+def test_requests_without_a_command_go_to_the_top_level_parser(argv, code, capsys):
+    through_main = parse_exit(cli.main, argv, capsys)
+    assert through_main[0] == code
+    assert through_main == parse_exit(cli._build_parser().parse_args, argv, capsys)
+
+
+@pytest.mark.parametrize("name", list(cli._COMMANDS))
+def test_command_help_matches_the_top_level_parser(name, capsys):
+    through_main = parse_exit(cli.main, [name, "--help"], capsys)
+    assert through_main[0] == 0 and through_main[1].startswith(f"usage: nodalcalc {name} ")
+    assert through_main == parse_exit(cli._build_parser().parse_args, [name, "--help"], capsys)
+
+
+def test_unrecognized_arguments_name_the_command(capsys):
+    # the one usage error that reads differently: the top-level parser reports it
+    # with its own usage line, the command's parser with the command's
+    assert parse_exit(cli.main, ["classify", "curve.json", "extra"], capsys) == (
+        2, "", "usage: nodalcalc classify [-h] [--output OUTPUT] curve\n"
+        "nodalcalc classify: error: unrecognized arguments: extra\n")
+    assert parse_exit(cli.main, ["verify", "--nosuch", "x"], capsys) == (
+        2, "", subparser("verify").format_usage()
+        + "nodalcalc verify: error: unrecognized arguments: --nosuch x\n")
+    assert parse_exit(cli._build_parser().parse_args, ["verify", "--nosuch"], capsys)[2] == (
+        cli._build_parser().format_usage() + "nodalcalc: error: unrecognized arguments: --nosuch\n")
+
+
+VALID_ARGV = [
+    ["classify", "curve.json"],
+    ["classify", "--", "curve.json"],
+    ["stable-model", "curve.json", "--output", "out.json"],
+    ["modify", "--output=out.json", "mod.json"],
+    ["pushforward", "mod.json", "deg.json"],
+    ["chain-h", "--degrees=-1,2", "--punctured"],
+    ["check-stability", "curve.json", "sheaf.json", "--polarization", "pol.json",
+     "--mode", "quasistable", "--base-vertex", "v"],
+    ["check-balanced", "curve.json", "deg.json", "--mode", "stably-balanced"],
+    ["phi", "mod.json", "deg.json"],
+    ["phi-inv", "curve.json", "sheaf.json"],
+    ["enumerate", "curve.json", "--degree", "3", "--mode", "semistable"],
+    ["certify", "--degree", "-2", "curve.json"],
+    ["verify", "--suite", "biss", "--suite", "roundtrip", "--seed", "-3", "--instances", "4",
+     "--max-vertices", "5", "--max-genus", "2", "--degree-window", "1",
+     "--chain-length-max", "2", "--dump-dir", "dumps"],
+    ["verify"],
+]
+
+
+def test_valid_argv_covers_every_command():
+    assert {argv[0] for argv in VALID_ARGV} == set(cli._COMMANDS)
+
+
+@pytest.mark.parametrize("argv", VALID_ARGV)
+def test_command_parser_gives_the_top_level_namespace(argv):
+    alone = vars(cli._command_parser(argv[0]).parse_args(argv[1:]))
+    full = vars(cli._build_parser().parse_args(argv))
+    assert full.pop("command") == argv[0]
+    assert alone == full
+
+
+def test_main_reads_sys_argv(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["nodalcalc", "chain-h", "--degrees=2,0"])
+    code, data = run_json(capsys, None)
+    assert (code, data["h0"], data["h1"]) == (0, 3, 0)
+
+
+# -- input files read as bytes, against text-mode reading --
+
+def text_mode_error(path):
+    """The ``path:line:col`` message of a JSON file read in text mode, or None."""
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    try:
+        json.loads(text)
+    except json.JSONDecodeError as err:
+        return f"error: {path}:{err.lineno}:{err.colno}: {err.msg}\n"
+    return None
+
+
+THETA_LINES = json.dumps(THETA, indent=2)
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r", "\r\r\n", "\n\r"],
+                         ids=["crlf", "cr", "cr_crlf", "lf_cr"])
+@pytest.mark.parametrize("cut", [None, 17, 230, -3], ids=["whole", "cut17", "cut230", "cut_end"])
+def test_line_endings_read_as_in_text_mode(tmp_path, capsys, newline, cut):
+    text = THETA_LINES.replace("\n", newline)
+    path = tmp_path / "theta.json"
+    path.write_bytes(text[:cut].encode("utf-8"))
+    expected = text_mode_error(path)
+    code, out, err = run(capsys, ["classify", str(path)])
+    if expected is None:
+        assert (code, err) == (0, "")
+        assert out == run(capsys, ["classify", write(tmp_path, "lf.json", THETA)])[1]
+    else:
+        assert (code, out, err) == (2, "", expected)
+
+
+def test_carriage_return_inside_a_string_is_refused_as_in_text_mode(tmp_path, capsys):
+    path = tmp_path / "theta.json"
+    path.write_bytes(b'{"vertices": [{"id": "v\r\nw", "genus": 0}],\r\n "edges": []}')
+    expected = text_mode_error(path)
+    assert expected.startswith(f"error: {path}:1:")
+    assert run(capsys, ["classify", str(path)]) == (2, "", expected)
+
+
+def test_undecodable_file_is_named(tmp_path, capsys):
+    curve = write(tmp_path, "curve.json", THETA)
+    sheaf = tmp_path / "sheaf.json"
+    data = b'{"noninvertible": [], "multidegree": {"v": 1, "\xff": 1}}'
+    sheaf.write_bytes(data)
+    with pytest.raises(UnicodeDecodeError) as exc:
+        data.decode("utf-8")
+    assert run(capsys, ["check-stability", curve, str(sheaf)]) == (
+        2, "", f"error: {sheaf}: {exc.value}\n")
+    assert str(exc.value) == "'utf-8' codec can't decode byte 0xff in position 47: invalid start byte"
+
+
+def reference_unique_keys(pairs):
+    """The key check as a plain loop: the first key already seen is named."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise cli._InputError(f"repeated key {key!r} in one object")
+        obj[key] = value
+    return obj
+
+
+@pytest.mark.parametrize("pairs", [
+    [], [("a", 1)], [("a", 1), ("b", [1])], [("a", 1), ("a", 2)],
+    [("a", 1), ("b", 2), ("b", 3), ("a", 4)], [("a", 1), ("b", 2), ("a", 3), ("b", 4)],
+    [(str(i % 7), i) for i in range(20)],
+])
+def test_unique_keys_matches_the_loop(pairs):
+    try:
+        expected = reference_unique_keys(pairs)
+    except cli._InputError as err:
+        with pytest.raises(cli._InputError) as exc:
+            cli._unique_keys(pairs)
+        assert str(exc.value) == str(err)
+    else:
+        assert cli._unique_keys(pairs) == expected
+
+
+@pytest.mark.parametrize("text, key", [
+    ('{"noninvertible": [], "noninvertible": [], "multidegree": {"v": 1, "w": 1}}',
+     "noninvertible"),
+    ('{"noninvertible": [], "multidegree": {"v": 1, "w": 1, "w": 1, "v": 1}}', "w"),
+], ids=["top_level", "nested"])
+def test_repeated_key_message_kept(tmp_path, capsys, text, key):
+    curve = write(tmp_path, "curve.json", THETA)
+    path = tmp_path / "sheaf.json"
+    path.write_text(text, encoding="utf-8")
+    assert run(capsys, ["check-stability", curve, str(path)]) == (
+        2, "", f"error: {path}: repeated key {key!r} in one object\n")
+
+
+# -- modifications too large to build are refused before any id is built --
+
+@pytest.mark.parametrize("length", [10 ** 6, 2 ** 70])
+@pytest.mark.parametrize("command", ["modify", "pushforward"])
+def test_oversized_modification_refused_at_once(tmp_path, capsys, command, length):
+    mod = write(tmp_path, "mod.json", {"target": THETA,
+                                       "modified_edges": [{"edge": "e1", "length": length}]})
+    deg = write(tmp_path, "deg.json", {"v": 1, "w": 1})
+    start = time.perf_counter()
+    code, out, err = run(capsys, [command, mod] + [deg] * (command == "pushforward"))
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (2, "", f"error: modification inserts {length} chain vertices, "
+                                       "more than 65536; too many to build\n")

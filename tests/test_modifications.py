@@ -121,6 +121,18 @@ class TestModify:
                 modify(g, lengths)
             assert str(exc.value) == f"generated chain {what} collides with the graph"
 
+    def test_chain_vertex_bound(self, monkeypatch):
+        monkeypatch.setattr(modifications, "_MAX_CHAIN_VERTICES", 10)
+        assert len(modify(theta_graph(), {"e1": 4, "e2": 5, "e3": 1}).chain_vertices) == 10
+        for lengths in ({"e1": 4, "e2": 6, "e3": 1}, {"e1": 11}, {"e1": 2 ** 70}):
+            with pytest.raises(ValueError) as exc:
+                modify(theta_graph(), lengths)
+            assert str(exc.value) == (f"modification inserts {sum(lengths.values())} chain "
+                                      "vertices, more than 10; too many to build")
+        # a length of the wrong type or sign is named before the total is read
+        with pytest.raises(ValueError, match="'e2' must be positive"):
+            modify(theta_graph(), {"e1": 11, "e2": -1})
+
     def test_unknown_and_nonpositive_messages(self):
         with pytest.raises(ValueError) as exc:
             modify(theta_graph(), {"e1": 1, "zzz": 1})
