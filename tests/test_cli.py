@@ -868,10 +868,6 @@ def subparser(name):
     return cli._build_parser()._actions[-1].choices[name]
 
 
-def test_command_table_names_every_subcommand():
-    assert list(cli._COMMANDS) == list(cli._build_parser()._actions[-1].choices)
-
-
 @pytest.mark.parametrize("name", list(cli._COMMANDS))
 def test_command_parser_matches_its_subparser(name):
     alone, sub = cli._command_parser(name), subparser(name)
