@@ -10,11 +10,11 @@ One writer, ``_dumps``, writes stdout, ``--output`` files and verify's
 counterexample files, byte-identical to ``json.dumps(payload, indent=2,
 sort_keys=True)`` plus a newline.
 
-``main`` may be called repeatedly in one process.  It parses a request
-with that command's own parser, built on the command's first request and
-reused after; the top-level parser is built only for help, usage errors
-before a command, and unknown commands.  Each call parses into a fresh
-namespace, so no option or default carries over between calls.
+``main`` may be called repeatedly in one process: it builds its argument
+parser on the first call and reuses it, and each call parses into a
+fresh namespace, so no option or default carries over between calls.
+A request that names a command is parsed by that command's subparser
+alone, in one pass; anything else goes to the top-level parser.
 """
 
 from __future__ import annotations
@@ -71,10 +71,12 @@ class _InputError(Exception):
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     """A JSON object as a dict; a repeated key is refused, not overwritten."""
     obj = dict(pairs)
-    if len(obj) < len(pairs):  # name the first key that repeats
+    if len(obj) < len(pairs):  # some key repeats: name the first one
         seen: set[str] = set()
-        key = next(key for key, _ in pairs if key in seen or seen.add(key))
-        raise _InputError(f"repeated key {key!r} in one object")
+        for key, _ in pairs:
+            if key in seen:
+                raise _InputError(f"repeated key {key!r} in one object")
+            seen.add(key)
     return obj
 
 
@@ -396,93 +398,98 @@ def cmd_verify(args) -> tuple[dict, int]:
 # -- parser ------------------------------------------------------------------
 
 
-def _arg(*flags: str, **kwargs) -> tuple[tuple[str, ...], dict]:
-    """The arguments of one ``add_argument`` call."""
-    return flags, kwargs
-
-
-_CURVE = _arg("curve", help="curve JSON file")
-_STABLE_CURVE = _arg("curve", help="stable curve JSON file")
-_SHEAF = _arg("sheaf", help="sheaf model JSON file")
-_MODIFICATION = _arg("modification", help="modification JSON file")
-_BALANCED_MODE = _arg("--mode", default="balanced", choices=["balanced", "stably-balanced"])
-
-# Every command once: name -> (handler, help text, arguments after --output),
-# read by the top-level parser and by each command's own parser.
-_COMMANDS = {
-    "classify": (cmd_classify, "genus, classification, chains, dualizing degree", [_CURVE]),
-    "stable-model": (cmd_stable_model, "contract exceptional chains", [_CURVE]),
-    "modify": (cmd_modify, "insert chains, materializing the new curve", [_MODIFICATION]),
-    "pushforward": (cmd_pushforward, "direct image normal form with diagnostics", [
-        _MODIFICATION, _arg("multidegree", help="multidegree JSON file on the modified curve")]),
-    "chain-h": (cmd_chain_h, "cohomology of a multidegree on a rational chain", [
-        _arg("--degrees", required=True, help="comma-separated integers; a list that starts "
-             "with a negative number needs the = form, as in --degrees=-1,2"),
-        _arg("--punctured", action="store_true", help="impose vanishing at both free ends")]),
-    "check-stability": (cmd_check_stability, "scan a sheaf model against a polarization", [
-        _CURVE, _SHEAF, _arg("--polarization", help="polarization JSON file (default: canonical)"),
-        _arg("--mode", default="semistable", choices=["semistable", "stable", "quasistable"]),
-        _arg("--base-vertex", help="required for quasistable mode")]),
-    "check-balanced": (cmd_check_balanced, "balanced inequalities for a multidegree", [
-        _arg("curve", help="curve JSON file (quasistable)"),
-        _arg("multidegree", help="multidegree JSON file"), _BALANCED_MODE]),
-    "phi": (cmd_phi, "direct image of a chain-degree-1 bundle", [
-        _arg("modification", help="modification JSON file (all chains length 1)"),
-        _arg("multidegree", help="multidegree JSON file, degree 1 on chains")]),
-    "phi-inv": (cmd_phi_inv, "bundle on a small modification from a sheaf model", [_CURVE, _SHEAF]),
-    "enumerate": (cmd_enumerate, "all balanced bundles or semistable models", [
-        _STABLE_CURVE, _arg("--degree", type=int, required=True),
-        _arg("--mode", default="balanced",
-             choices=["balanced", "stably-balanced", "semistable", "stable"])]),
-    "certify": (cmd_certify, "certify the balanced/semistable bijection",
-                [_STABLE_CURVE, _arg("--degree", type=int, required=True), _BALANCED_MODE]),
-    "verify": (cmd_verify, "run the verification suites", [
-        _arg("--suite", action="append", choices=list(ALL_SUITES),
-             help="repeatable; default is every suite"),
-        _arg("--seed", type=int, default=VerifyConfig.seed),
-        _arg("--instances", type=int, default=VerifyConfig.instance_count,
-             help="randomized cases per suite"),
-        _arg("--max-vertices", type=int, default=VerifyConfig.max_vertices),
-        _arg("--max-genus", type=int, default=VerifyConfig.max_genus),
-        _arg("--degree-window", type=int, default=VerifyConfig.degree_window),
-        _arg("--chain-length-max", type=int, default=VerifyConfig.chain_length_max),
-        _arg("--dump-dir", default=".", help="where failing suites write counterexample files")]),
-}
-
-
-def _add_arguments(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
-    parser.set_defaults(fn=_COMMANDS[name][0])
-    parser.add_argument("--output", help="write the JSON report here instead of stdout")
-    for flags, kwargs in _COMMANDS[name][2]:
-        parser.add_argument(*flags, **kwargs)
-    return parser
-
-
 @lru_cache(maxsize=1)
-def _build_parser() -> argparse.ArgumentParser:
-    """Every command under one parser: for help, usage and unknown commands."""
-    parser = argparse.ArgumentParser(prog="nodalcalc", description="Dual graphs of nodal "
-                                     "curves: classification, chain modifications, pushforward "
-                                     "normal forms, stability checks, and the balanced/semistable "
-                                     "correspondence.")
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser, and each command's subparser by name."""
+    parser = argparse.ArgumentParser(
+        prog="nodalcalc",
+        description="Dual graphs of nodal curves: classification, chain "
+        "modifications, pushforward normal forms, stability checks, and "
+        "the balanced/semistable correspondence.",
+    )
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text, _) in _COMMANDS.items():
-        _add_arguments(subs.add_parser(name, help=help_text), name)
-    return parser
 
+    def sub(name: str, fn, help_text: str):
+        p = subs.add_parser(name, help=help_text)
+        p.set_defaults(fn=fn)
+        p.add_argument("--output", help="write the JSON report here instead of stdout")
+        return p
 
-@lru_cache(maxsize=None)
-def _command_parser(name: str) -> argparse.ArgumentParser:
-    """One command's parser alone, with the prog, usage and help of its
-    subparser in ``_build_parser``."""
-    return _add_arguments(argparse.ArgumentParser(prog=f"nodalcalc {name}"), name)
+    p = sub("classify", cmd_classify, "genus, classification, chains, dualizing degree")
+    p.add_argument("curve", help="curve JSON file")
+
+    p = sub("stable-model", cmd_stable_model, "contract exceptional chains")
+    p.add_argument("curve", help="curve JSON file")
+
+    p = sub("modify", cmd_modify, "insert chains, materializing the new curve")
+    p.add_argument("modification", help="modification JSON file")
+
+    p = sub("pushforward", cmd_pushforward, "direct image normal form with diagnostics")
+    p.add_argument("modification", help="modification JSON file")
+    p.add_argument("multidegree", help="multidegree JSON file on the modified curve")
+
+    p = sub("chain-h", cmd_chain_h, "cohomology of a multidegree on a rational chain")
+    p.add_argument("--degrees", required=True,
+                   help="comma-separated integers; a list that starts with a "
+                   "negative number needs the = form, as in --degrees=-1,2")
+    p.add_argument("--punctured", action="store_true",
+                   help="impose vanishing at both free ends")
+
+    p = sub("check-stability", cmd_check_stability, "scan a sheaf model against a polarization")
+    p.add_argument("curve", help="curve JSON file")
+    p.add_argument("sheaf", help="sheaf model JSON file")
+    p.add_argument("--polarization", help="polarization JSON file (default: canonical)")
+    p.add_argument("--mode", default="semistable",
+                   choices=["semistable", "stable", "quasistable"])
+    p.add_argument("--base-vertex", help="required for quasistable mode")
+
+    p = sub("check-balanced", cmd_check_balanced, "balanced inequalities for a multidegree")
+    p.add_argument("curve", help="curve JSON file (quasistable)")
+    p.add_argument("multidegree", help="multidegree JSON file")
+    p.add_argument("--mode", default="balanced", choices=["balanced", "stably-balanced"])
+
+    p = sub("phi", cmd_phi, "direct image of a chain-degree-1 bundle")
+    p.add_argument("modification", help="modification JSON file (all chains length 1)")
+    p.add_argument("multidegree", help="multidegree JSON file, degree 1 on chains")
+
+    p = sub("phi-inv", cmd_phi_inv, "bundle on a small modification from a sheaf model")
+    p.add_argument("curve", help="curve JSON file")
+    p.add_argument("sheaf", help="sheaf model JSON file")
+
+    p = sub("enumerate", cmd_enumerate, "all balanced bundles or semistable models")
+    p.add_argument("curve", help="stable curve JSON file")
+    p.add_argument("--degree", type=int, required=True)
+    p.add_argument("--mode", default="balanced",
+                   choices=["balanced", "stably-balanced", "semistable", "stable"])
+
+    p = sub("certify", cmd_certify, "certify the balanced/semistable bijection")
+    p.add_argument("curve", help="stable curve JSON file")
+    p.add_argument("--degree", type=int, required=True)
+    p.add_argument("--mode", default="balanced", choices=["balanced", "stably-balanced"])
+
+    p = sub("verify", cmd_verify, "run the verification suites")
+    defaults = VerifyConfig()
+    p.add_argument("--suite", action="append", choices=list(ALL_SUITES),
+                   help="repeatable; default is every suite")
+    p.add_argument("--seed", type=int, default=defaults.seed)
+    p.add_argument("--instances", type=int, default=defaults.instance_count,
+                   help="randomized cases per suite")
+    p.add_argument("--max-vertices", type=int, default=defaults.max_vertices)
+    p.add_argument("--max-genus", type=int, default=defaults.max_genus)
+    p.add_argument("--degree-window", type=int, default=defaults.degree_window)
+    p.add_argument("--chain-length-max", type=int, default=defaults.chain_length_max)
+    p.add_argument("--dump-dir", default=".",
+                   help="where failing suites write counterexample files")
+
+    return parser, subs.choices
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    named = bool(argv) and argv[0] in _COMMANDS
-    parser = _command_parser(argv[0]) if named else _build_parser()
-    args = parser.parse_args(argv[1:] if named else argv)
+    parser, commands = _build_parser()
+    if argv and argv[0] in commands:  # one pass, by the command's subparser alone
+        parser, argv = commands[argv[0]], argv[1:]
+    args = parser.parse_args(argv)
     try:
         payload, code = args.fn(args)
         _emit(payload, args.output)

@@ -425,7 +425,7 @@ class TestOutputHandling:
         # re-renders it, in ASCII, and writes the same bytes to an --output file
         report = tmp_path / "report.json"
         commands = every_command(tmp_path)
-        assert {argv[0] for argv in commands} == set(cli._build_parser()._actions[-1].choices)
+        assert {argv[0] for argv in commands} == set(cli._build_parser()[1])
         for argv in commands:
             code, out, err = run(capsys, argv)
             assert (code, err) == (0, ""), argv
@@ -834,7 +834,6 @@ def test_parser_reused_without_leaking_state(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
     cli._build_parser.cache_clear()
-    cli._command_parser.cache_clear()
     curve = write(tmp_path, "theta.json", THETA)
     sheaf = write(tmp_path, "sheaf.json", {"noninvertible": [], "multidegree": {"v": 1, "w": 1}})
     stable = ["check-stability", curve, sheaf, "--mode", "stable"]
@@ -857,23 +856,13 @@ def test_parser_reused_without_leaking_state(tmp_path, capsys, monkeypatch):
     assert data["config"]["suites"] == ["roundtrip"]
 
     assert run(capsys, stable) == first
-    # each command's parser is built once; a command request never builds the top-level one
-    assert sorted(built) == sorted(set(built)) == ["nodalcalc check-stability", "nodalcalc verify"]
-    assert "nodalcalc" not in built
+    assert built.count("nodalcalc") == 1
 
 
-# -- each command's own parser against its subparser in the top-level parser --
+# -- a command's request parsed by its subparser alone, against the top-level parser --
 
-def subparser(name):
-    return cli._build_parser()._actions[-1].choices[name]
-
-
-@pytest.mark.parametrize("name", list(cli._COMMANDS))
-def test_command_parser_matches_its_subparser(name):
-    alone, sub = cli._command_parser(name), subparser(name)
-    assert alone.prog == sub.prog == f"nodalcalc {name}"
-    assert alone.format_usage() == sub.format_usage()
-    assert alone.format_help() == sub.format_help()
+def top_level_parse(argv):
+    return cli._build_parser()[0].parse_args(argv)
 
 
 def parse_exit(parse, argv, capsys):
@@ -908,7 +897,7 @@ def parse_exit(parse, argv, capsys):
 def test_usage_errors_match_the_top_level_parser(argv, capsys):
     through_main = parse_exit(cli.main, argv, capsys)
     assert through_main[0] == 2
-    assert through_main == parse_exit(cli._build_parser().parse_args, argv, capsys)
+    assert through_main == parse_exit(top_level_parse, argv, capsys)
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -918,14 +907,14 @@ def test_usage_errors_match_the_top_level_parser(argv, capsys):
 def test_requests_without_a_command_go_to_the_top_level_parser(argv, code, capsys):
     through_main = parse_exit(cli.main, argv, capsys)
     assert through_main[0] == code
-    assert through_main == parse_exit(cli._build_parser().parse_args, argv, capsys)
+    assert through_main == parse_exit(top_level_parse, argv, capsys)
 
 
-@pytest.mark.parametrize("name", list(cli._COMMANDS))
+@pytest.mark.parametrize("name", list(cli._build_parser()[1]))
 def test_command_help_matches_the_top_level_parser(name, capsys):
     through_main = parse_exit(cli.main, [name, "--help"], capsys)
     assert through_main[0] == 0 and through_main[1].startswith(f"usage: nodalcalc {name} ")
-    assert through_main == parse_exit(cli._build_parser().parse_args, [name, "--help"], capsys)
+    assert through_main == parse_exit(top_level_parse, [name, "--help"], capsys)
 
 
 def test_unrecognized_arguments_name_the_command(capsys):
@@ -935,43 +924,10 @@ def test_unrecognized_arguments_name_the_command(capsys):
         2, "", "usage: nodalcalc classify [-h] [--output OUTPUT] curve\n"
         "nodalcalc classify: error: unrecognized arguments: extra\n")
     assert parse_exit(cli.main, ["verify", "--nosuch", "x"], capsys) == (
-        2, "", subparser("verify").format_usage()
+        2, "", cli._build_parser()[1]["verify"].format_usage()
         + "nodalcalc verify: error: unrecognized arguments: --nosuch x\n")
-    assert parse_exit(cli._build_parser().parse_args, ["verify", "--nosuch"], capsys)[2] == (
-        cli._build_parser().format_usage() + "nodalcalc: error: unrecognized arguments: --nosuch\n")
-
-
-VALID_ARGV = [
-    ["classify", "curve.json"],
-    ["classify", "--", "curve.json"],
-    ["stable-model", "curve.json", "--output", "out.json"],
-    ["modify", "--output=out.json", "mod.json"],
-    ["pushforward", "mod.json", "deg.json"],
-    ["chain-h", "--degrees=-1,2", "--punctured"],
-    ["check-stability", "curve.json", "sheaf.json", "--polarization", "pol.json",
-     "--mode", "quasistable", "--base-vertex", "v"],
-    ["check-balanced", "curve.json", "deg.json", "--mode", "stably-balanced"],
-    ["phi", "mod.json", "deg.json"],
-    ["phi-inv", "curve.json", "sheaf.json"],
-    ["enumerate", "curve.json", "--degree", "3", "--mode", "semistable"],
-    ["certify", "--degree", "-2", "curve.json"],
-    ["verify", "--suite", "biss", "--suite", "roundtrip", "--seed", "-3", "--instances", "4",
-     "--max-vertices", "5", "--max-genus", "2", "--degree-window", "1",
-     "--chain-length-max", "2", "--dump-dir", "dumps"],
-    ["verify"],
-]
-
-
-def test_valid_argv_covers_every_command():
-    assert {argv[0] for argv in VALID_ARGV} == set(cli._COMMANDS)
-
-
-@pytest.mark.parametrize("argv", VALID_ARGV)
-def test_command_parser_gives_the_top_level_namespace(argv):
-    alone = vars(cli._command_parser(argv[0]).parse_args(argv[1:]))
-    full = vars(cli._build_parser().parse_args(argv))
-    assert full.pop("command") == argv[0]
-    assert alone == full
+    assert parse_exit(top_level_parse, ["verify", "--nosuch"], capsys)[2] == (
+        cli._build_parser()[0].format_usage() + "nodalcalc: error: unrecognized arguments: --nosuch\n")
 
 
 def test_main_reads_sys_argv(monkeypatch, capsys):
