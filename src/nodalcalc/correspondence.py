@@ -73,9 +73,8 @@ def phi_inverse(graph: DualGraph, model: SheafModel) -> tuple[Modification, Mult
         raise ValueError("sheaf model does not live on the given graph")
     mod = small_modification(graph, model.noninvertible)
     chain, values = mod.chain_vertices, model.multidegree.as_dict
-    deg = Multidegree._derived(mod.source, tuple(
-        (v, 1 if v in chain else values[v]) for v in mod.source.vertex_ids
-    ))
+    degrees = {v: 1 if v in chain else values[v] for v in mod.source.vertex_ids}
+    deg = Multidegree._derived(mod.source, degrees, sum(degrees.values()))
     if deg.total != model.degree:
         raise AssertionError("lifted bundle changed the total degree")
     return mod, deg

@@ -78,19 +78,18 @@ class ExceptionalCycleError(ValueError):
     """
 
 
-def _check_graph(verts: tuple, edges: tuple) -> None:
-    """Check normalized vertex and edge lists, all but connectivity.
+def _check_graph(verts: tuple, edges: tuple, genus_map: dict, edge_ends: dict) -> None:
+    """Check normalized vertex and edge lists and their dicts, all but connectivity.
 
     The vertex ids are distinct; the edges are sorted by id, so a repeated
     edge id shrinks their dict.
     """
     if not verts:
         raise ValueError("graph needs at least one vertex")
-    genus_map = dict(verts)
     for v, g in verts:
         if g < 0:
             raise ValueError(f"vertex {v!r} has negative genus")
-    if len(dict(edges)) != len(edges):
+    if len(edge_ends) != len(edges):
         raise ValueError("duplicate edge id")
     for e, (a, b) in edges:
         if a not in genus_map or b not in genus_map:
@@ -134,8 +133,9 @@ class DualGraph:
             edges.append((str(eid), (a, b)))
         edges.sort()
         edges = tuple(edges)
-        _check_graph(verts, edges)
-        self._set_views(verts, edges)
+        genus_map, edge_ends = dict(verts), dict(edges)
+        _check_graph(verts, edges, genus_map, edge_ends)
+        self._set_views(verts, edges, genus_map, edge_ends)
         if len(self._component_ids(set(self.vertex_ids))) > 1:
             raise ValueError("graph not connected")
 
@@ -148,29 +148,33 @@ class DualGraph:
         connected.  Nothing of this is checked.
         """
         graph = object.__new__(cls)
-        graph._set_views(verts, edges)
+        graph._set_views(verts, edges, dict(verts), dict(edges))
         return graph
 
-    def _set_views(self, verts: tuple, edges: tuple) -> None:
-        """Set the fields and every derived view from normalized, valid lists.
+    def _set_views(self, verts: tuple, edges: tuple, genus_map: dict, edge_ends: dict) -> None:
+        """Set the fields and every derived view from normalized, valid lists and
+        their dicts, which the views keep.
 
         The edges are sorted by id, so they reach each vertex in increasing id
         order.
         """
-        put = object.__setattr__
-        ids = tuple(v for v, _ in verts)
-        put(self, "vertices", verts)
-        put(self, "edges", edges)
-        put(self, "vertex_ids", ids)
-        put(self, "genus_map", MappingProxyType(dict(verts)))
-        put(self, "edge_ends", MappingProxyType(dict(edges)))
-        put(self, "genus", len(edges) - len(verts) + 1 + sum(g for _, g in verts))
-        put(self, "_hash", hash((verts, edges)))
+        ids = tuple(genus_map)
         inc: dict[str, list[tuple[str, str]]] = {v: [] for v in ids}
         for e, (a, b) in edges:
             inc[a].append((e, b))
             inc[b].append((e, a))
-        put(self, "incidence", MappingProxyType({v: tuple(pairs) for v, pairs in inc.items()}))
+        vars(self).update(vertices=verts, edges=edges, vertex_ids=ids, _hash=hash((verts, edges)),
+                          genus_map=MappingProxyType(genus_map),
+                          edge_ends=MappingProxyType(edge_ends),
+                          genus=len(edges) - len(verts) + 1 + sum(genus_map.values()),
+                          incidence=MappingProxyType({v: tuple(p) for v, p in inc.items()}))
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.vertices == other.vertices and self.edges == other.edges
 
     def __hash__(self) -> int:
         return self._hash

@@ -74,20 +74,17 @@ class Modification:
         """A modification whose source is by construction the subdivision of
         ``target`` that the canonical ``registry`` describes; nothing is checked."""
         mod = object.__new__(cls)
-        object.__setattr__(mod, "target", target)
-        object.__setattr__(mod, "source", source)
+        vars(mod).update(target=target, source=source)
         mod._set_views(registry)
         return mod
 
     def _set_views(self, reg: tuple) -> None:
         """Set ``chain_registry`` and its derived views from a canonical registry."""
-        put = object.__setattr__
         chains = dict(reg)
-        put(self, "chain_registry", reg)
-        put(self, "chains", MappingProxyType(chains))
-        put(self, "lengths", MappingProxyType({e: len(c) for e, c in reg}))
-        put(self, "chain_vertices", frozenset(v for _, c in reg for v in c))
-        put(self, "modified_edges", frozenset(chains))
+        vars(self).update(chain_registry=reg, chains=MappingProxyType(chains),
+                          lengths=MappingProxyType({e: len(c) for e, c in reg}),
+                          chain_vertices=frozenset(v for _, c in reg for v in c),
+                          modified_edges=frozenset(chains))
 
     __reduce__ = _reduce_to_fields
 
@@ -356,12 +353,12 @@ def pullback_multidegree(mod: Modification, deg: Multidegree) -> Multidegree:
 
     Values are copied to the surviving vertices and chain vertices get
     0, matching the degree of a pulled-back line bundle.  They are listed
-    in source vertex order with ``int`` degrees, so the result is built
-    through ``Multidegree._derived``.
+    in source vertex order with ``int`` degrees and keep ``deg``'s total,
+    so the result is built through ``Multidegree._derived``.
     """
     if deg.graph != mod.target:
         raise ValueError("multidegree does not live on the modification target")
     chain, values = mod.chain_vertices, deg.as_dict
-    return Multidegree._derived(mod.source, tuple(
-        (v, 0 if v in chain else values[v]) for v in mod.source.vertex_ids
-    ))
+    return Multidegree._derived(mod.source, {
+        v: 0 if v in chain else values[v] for v in mod.source.vertex_ids
+    }, deg.total)

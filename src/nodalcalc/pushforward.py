@@ -77,7 +77,7 @@ def _chain_scans(mod: Modification, deg: Multidegree) -> _Scans:
     read their answers off this list (``_flags_of``, ``_diagnostics_of``,
     ``_model_of``), so a caller that wants more than one scans once.
     """
-    if deg.graph != mod.source:
+    if deg.graph is not mod.source and deg.graph != mod.source:
         raise ValueError("multidegree does not live on the modification source")
     values = deg.as_dict
     scans = []
@@ -140,23 +140,22 @@ def pushforward_model(mod: Modification, deg: Multidegree) -> SheafModel:
 
 def _model_of(mod: Modification, deg: Multidegree, scans: _Scans) -> SheafModel:
     values = deg.as_dict
-    corrections = []
+    target = mod.target
+    ends = target.edge_ends
+    tilde = {v: values[v] for v in target.vertex_ids}
+    noninvertible = []
     for e, lo, hi, delta, head, tail in scans:
         if lo < -1 or hi > 1:
             raise NotAdmissibleError(
                 f"chain over {e!r} has a contiguous run of degree "
                 f"{lo if lo < -1 else hi}: {[values[c] for c in mod.chains[e]]}"
             )
-        if head:
-            corrections.append((e, delta, head, tail))
-
-    tilde = {v: values[v] for v in mod.target.vertex_ids}
-    noninvertible = set()
-    for e, delta, head, tail in corrections:
-        noninvertible.add(e)
-        a, b = mod.target.ends(e)  # a is side 0
+        if not head:
+            continue
+        noninvertible.append(e)
         if delta == 1:
             continue
+        a, b = ends[e]  # a is side 0
         if delta == 0:
             if (head == -1) == (tail == -1):
                 raise AssertionError("exactly one side must lead with -1")
@@ -166,14 +165,12 @@ def _model_of(mod: Modification, deg: Multidegree, scans: _Scans) -> SheafModel:
             tilde[b] -= 1
         else:  # admissibility bounds every chain total by 1 in absolute value
             raise AssertionError("unreachable chain total")
-    # canonical by construction: target vertex order, int degrees, target edge ids
-    model = SheafModel._derived(
-        mod.target, frozenset(noninvertible),
-        Multidegree._derived(mod.target, tuple(tilde.items())),
-    )
-    if model.degree != deg.total:
+    total = sum(tilde.values())
+    if total + len(noninvertible) != deg.total:
         raise AssertionError("pushforward changed the total degree")
-    return model
+    # canonical by construction: target vertex order, int degrees, target edge ids
+    return SheafModel._derived(target, frozenset(noninvertible),
+                               Multidegree._derived(target, tilde, total))
 
 
 def pushforward_degree_oracle(

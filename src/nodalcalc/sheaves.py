@@ -25,9 +25,13 @@ Every public way to build a ``Multidegree`` or a ``SheafModel`` checks:
 the constructors, ``from_json_dict``, ``replace``, pickling and copying.
 A private ``_derived`` classmethod on each skips the checks; it is used
 only where the library builds a value that holds them by construction: a
-tuple of ``(str, int)`` pairs in ``graph.vertex_ids`` order, each value
-an ``int`` computed from ``int`` inputs, and a non-invertible set of the
-graph's own edge ids.  Those sites are ``twist``, ``pushforward_model``,
+non-invertible set of the graph's own edge ids, and for a multidegree
+the one ``str`` -> ``int`` dict and the total that the caller computed.
+The dict lists the vertices in ``graph.vertex_ids`` order, each value an
+``int`` computed from ``int`` inputs, and the total is the sum of its
+values; the multidegree keeps the dict behind its read-only view and
+builds its ``values`` tuple from it, so nothing is summed or converted
+twice.  Those sites are ``twist``, ``pushforward_model``,
 ``phi_inverse``, the bundle side's lift and ``_model`` in ``stability``,
 ``pullback_multidegree``, ``canonical_polarization`` and
 ``omega_multidegree``; the public entries that feed them a degree d
@@ -45,16 +49,16 @@ from typing import Iterable, NamedTuple
 from .graphs import DualGraph, _check_members, _json_int, _read_ints, _reduce_to_fields
 
 
-def _vertex_values(graph: DualGraph, values) -> tuple[tuple[str, int], ...]:
+def _vertex_values(graph: DualGraph, values) -> dict[str, int]:
     """A value assignment covering exactly the vertices, in ``graph.vertex_ids`` order."""
     given = _read_ints(values, "degree at {!r}", "repeated vertex id in value assignment")
     known = graph.genus_map
-    extra = given.keys() - known.keys()
-    if extra:
-        raise ValueError(f"values given for unknown vertices: {sorted(extra)}")
+    if not given.keys() <= known.keys():
+        extra = sorted(given.keys() - known.keys())
+        raise ValueError(f"values given for unknown vertices: {extra}")
     if len(given) != len(known):
         raise ValueError(f"values missing for vertices: {sorted(known.keys() - given.keys())}")
-    return tuple((v, given[v]) for v in graph.vertex_ids)
+    return {v: given[v] for v in graph.vertex_ids}
 
 
 @dataclass(frozen=True)
@@ -76,24 +80,22 @@ class Multidegree:
     values: tuple[tuple[str, int], ...]
 
     def __post_init__(self) -> None:
-        self._set_views(self.graph, _vertex_values(self.graph, self.values))
+        degrees = _vertex_values(self.graph, self.values)
+        self._set_views(self.graph, degrees, sum(degrees.values()))
 
     @classmethod
-    def _derived(cls, graph: DualGraph, values: tuple) -> "Multidegree":
-        """A multidegree from values in canonical form by construction: a tuple of
-        ``(str, int)`` tuples in ``graph.vertex_ids`` order.  Nothing is checked."""
+    def _derived(cls, graph: DualGraph, degrees: dict, total: int) -> "Multidegree":
+        """A multidegree from a ``str`` -> ``int`` dict listed in ``graph.vertex_ids``
+        order and its sum ``total``, both as the caller computed them.  The dict is
+        kept as is.  Nothing is checked."""
         deg = object.__new__(cls)
-        deg._set_views(graph, values)
+        deg._set_views(graph, degrees, total)
         return deg
 
-    def _set_views(self, graph: DualGraph, values: tuple) -> None:
-        """Set the fields and the derived views from canonical values."""
-        put = object.__setattr__
-        degrees = dict(values)
-        put(self, "graph", graph)
-        put(self, "values", values)
-        put(self, "as_dict", MappingProxyType(degrees))
-        put(self, "total", sum(degrees.values()))
+    def _set_views(self, graph: DualGraph, degrees: dict, total: int) -> None:
+        """Set the fields and the derived views from canonical degrees and their sum."""
+        vars(self).update(graph=graph, values=tuple(degrees.items()),
+                          as_dict=MappingProxyType(degrees), total=total)
 
     __reduce__ = _reduce_to_fields
 
@@ -119,10 +121,11 @@ class Multidegree:
 
 def omega_multidegree(graph: DualGraph) -> Multidegree:
     """Multidegree of the dualizing sheaf; its total is 2g - 2."""
-    return Multidegree._derived(graph, tuple((v, graph.omega_degree(v)) for v in graph.vertex_ids))
+    omega = {v: graph.omega_degree(v) for v in graph.vertex_ids}
+    return Multidegree._derived(graph, omega, sum(omega.values()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Twister:
     """Integer coefficient vector for twisting by component divisors.
 
@@ -143,16 +146,16 @@ class Twister:
     graph: DualGraph
     coefficients: tuple[tuple[str, int], ...]
 
-    def __post_init__(self) -> None:
-        graph = self.graph
-        given = _read_ints(self.coefficients, "twister coefficient at {!r}",
+    def __init__(self, graph: DualGraph, coefficients) -> None:
+        given = _read_ints(coefficients, "twister coefficient at {!r}",
                            "repeated vertex id in value assignment")
-        extra = given.keys() - graph.genus_map.keys()
-        if extra:
-            raise ValueError(f"twister names unknown vertices: {sorted(extra)}")
+        known = graph.genus_map
+        if not given.keys() <= known.keys():
+            extra = sorted(given.keys() - known.keys())
+            raise ValueError(f"twister names unknown vertices: {extra}")
         c = dict.fromkeys(graph.vertex_ids, 0)
+        delta = c.copy()
         c.update(given)
-        delta = dict.fromkeys(graph.vertex_ids, 0)
         incidence = graph.incidence
         for u, cu in given.items():
             if cu:
@@ -160,9 +163,8 @@ class Twister:
                 delta[u] -= cu * len(ends)
                 for _, w in ends:
                     delta[w] += cu
-        object.__setattr__(self, "coefficients", tuple(c.items()))
-        object.__setattr__(self, "as_dict", MappingProxyType(c))
-        object.__setattr__(self, "degree_changes", MappingProxyType(delta))
+        vars(self).update(graph=graph, coefficients=tuple(c.items()),
+                          as_dict=MappingProxyType(c), degree_changes=MappingProxyType(delta))
 
     __reduce__ = _reduce_to_fields
 
@@ -171,12 +173,14 @@ def twist(deg: Multidegree, twister: Twister) -> Multidegree:
     """Apply a twister to a multidegree.  Total degree is preserved.
 
     The result keeps ``deg``'s canonical vertex order and adds ``int``
-    changes, so it is built through ``Multidegree._derived``.
+    changes that sum to 0, so it is built through ``Multidegree._derived``
+    with ``deg``'s total.
     """
-    if deg.graph != twister.graph:
+    graph = deg.graph
+    if graph is not twister.graph and graph != twister.graph:
         raise ValueError("multidegree and twister live on different graphs")
     delta = twister.degree_changes
-    return Multidegree._derived(deg.graph, tuple((v, d + delta[v]) for v, d in deg.values))
+    return Multidegree._derived(graph, {v: d + delta[v] for v, d in deg.values}, deg.total)
 
 
 @dataclass(frozen=True)
@@ -214,7 +218,7 @@ class SheafModel:
             raise ValueError(f"non-invertible set names unknown edges: {sorted(unknown)}")
         if self.multidegree.graph != self.graph:
             raise ValueError("sheaf multidegree lives on a different graph")
-        self._set_views(self.graph, edges, self.multidegree)
+        vars(self).update(noninvertible=edges)
 
     @classmethod
     def _derived(cls, graph: DualGraph, noninvertible: frozenset,
@@ -222,16 +226,8 @@ class SheafModel:
         """A model from a frozenset of the graph's own edge ids and a multidegree
         on the graph, as the library builds them.  Nothing is checked."""
         model = object.__new__(cls)
-        model._set_views(graph, noninvertible, multidegree)
+        vars(model).update(graph=graph, noninvertible=noninvertible, multidegree=multidegree)
         return model
-
-    def _set_views(self, graph: DualGraph, noninvertible: frozenset,
-                   multidegree: Multidegree) -> None:
-        """Set the fields from checked values."""
-        put = object.__setattr__
-        put(self, "graph", graph)
-        put(self, "noninvertible", noninvertible)
-        put(self, "multidegree", multidegree)
 
     __reduce__ = _reduce_to_fields
 

@@ -240,7 +240,7 @@ def canonical_polarization(graph: DualGraph, d: int) -> Polarization:
     is compatible with degree d for every graph of genus at least 2.
     """
     rank, e = _canonical(graph, _json_int(d, "degree"))  # e in vertex order, int values
-    return Polarization(rank, Multidegree._derived(graph, tuple(e.items())))
+    return Polarization(rank, Multidegree._derived(graph, e, sum(e.values())))
 
 
 def _canonical(graph: DualGraph, d: int) -> tuple[int, dict[str, int]]:
@@ -890,8 +890,8 @@ def _bundle_side(graph: DualGraph, ok: Callable, rows: list, rank: int, e_values
 
         def lift(vec: tuple[int, ...]) -> Multidegree | None:
             if accepts(vec):
-                return Multidegree._derived(source, tuple((v, 1 if i is None else vec[i])
-                                                          for v, i in slots))
+                return Multidegree._derived(source, {v: 1 if i is None else vec[i]
+                                                     for v, i in slots}, sum(vec) + len(chain))
             return None
 
         return mod, lift
@@ -939,7 +939,7 @@ def _strata(
 def _model(graph: DualGraph, subset: Iterable[str], vec: tuple[int, ...]) -> SheafModel:
     """The sheaf model with non-invertible set ``subset``, edge ids of the graph,
     and ``int`` degrees ``vec`` over graph.vertex_ids, built in canonical form."""
-    deg = Multidegree._derived(graph, tuple(zip(graph.vertex_ids, vec)))
+    deg = Multidegree._derived(graph, dict(zip(graph.vertex_ids, vec)), sum(vec))
     return SheafModel._derived(graph, frozenset(subset), deg)
 
 

@@ -21,7 +21,7 @@ from itertools import combinations, product, starmap
 from typing import Callable, Iterator
 
 from .catalog import elliptic_bridge, theta_graph
-from .graphs import DualGraph, _json_int, connected_subcurves, exceptional_vertices
+from .graphs import _MAX_SUBCURVES, DualGraph, _json_int, connected_subcurves, exceptional_vertices
 from .modifications import (
     Modification,
     contracted_edge_id,
@@ -230,9 +230,14 @@ def _repro(detail: str, graph: DualGraph | None = None, mod: Modification | None
 # -- suites -------------------------------------------------------------------
 
 
+# The degrees each chain vertex takes in the chain-cohomology suite, which walks
+# every sequence of them of each length up to ``chain_length_max``.
+_CHAIN_DEGREES = range(-3, 4)
+
+
 def _suite_chain_cohomology(cfg: VerifyConfig, rng: random.Random) -> Iterator[list[dict]]:
     for n in range(1, cfg.chain_length_max + 1):
-        for degs in product(range(-3, 4), repeat=n):
+        for degs in product(_CHAIN_DEGREES, repeat=n):
             lo, hi = interval_sum_range(degs)
             plain = chain_h(degs)
             punctured = chain_h(degs, puncture_ends=True)
@@ -490,7 +495,7 @@ def check_roundtrip_instance(rng: random.Random, cfg: VerifyConfig) -> list[dict
     if sum(tw.degree_changes.values()) != 0:
         failures.append(_repro("twister degree changes do not cancel", graph=graph))
     deg = random_multidegree(rng, graph, cfg.degree_window)
-    if twist(deg, tw).total != deg.total:
+    if sum(twist(deg, tw).as_dict.values()) != deg.total:
         failures.append(_repro("twisting changed the total degree", graph=graph, deg=deg))
 
     # contraction round trip on a random modification of a stable graph
@@ -545,6 +550,14 @@ class VerifyConfig:
                      "degree_window", "chain_length_max"):
             if _json_int(getattr(self, name), name) < 1:
                 raise ValueError(f"{name} must be positive")
+        if "chain-cohomology" in ordered:  # summed only up to the first length past the bound
+            length, base, cases = self.chain_length_max, len(_CHAIN_DEGREES), 0
+            for n in range(1, length + 1):
+                cases += base ** n
+                if cases > _MAX_SUBCURVES:
+                    raise ValueError(f"chain-cohomology walks {base}^1 + ... + {base}^{length} "
+                                     f"degree sequences, more than {_MAX_SUBCURVES}; "
+                                     "too many to enumerate")
 
     def to_json_dict(self) -> dict:
         return asdict(self) | {"suites": list(self.suites)}

@@ -21,8 +21,9 @@ def is_canonical(graph, values) -> bool:
 
 @pytest.fixture
 def canonical_checks(monkeypatch):
-    """Whether the values of every ``Multidegree._derived`` call made while the test
-    runs are canonical, as ``is_canonical`` decides.
+    """Whether every ``Multidegree._derived`` call made while the test runs hands
+    over a dict whose items are canonical, as ``is_canonical`` decides, and the
+    ``int`` sum of its values.
 
     ``_derived`` checks nothing, so each True confirms that a multidegree the
     library built itself holds by construction what the constructor would check.
@@ -30,9 +31,10 @@ def canonical_checks(monkeypatch):
     seen = []
     real = sheaves.Multidegree._derived.__func__
 
-    def recording(cls, graph, values):
-        seen.append(is_canonical(graph, values))
-        return real(cls, graph, values)
+    def recording(cls, graph, degrees, total):
+        seen.append(type(degrees) is dict and is_canonical(graph, tuple(degrees.items()))
+                    and type(total) is int and total == sum(degrees.values()))
+        return real(cls, graph, degrees, total)
 
     monkeypatch.setattr(sheaves.Multidegree, "_derived", classmethod(recording))
     return seen

@@ -618,6 +618,19 @@ class TestVerifyCommand:
         assert code == 2
         assert "instance_count" in err
 
+    def test_oversized_chain_cohomology_refused_before_any_suite(self, capsys, monkeypatch):
+        # length 12 once walked 7^1 + ... + 7^12 degree sequences and hung
+        monkeypatch.setattr(cli, "run_verification", lambda cfg: pytest.fail("a suite ran"))
+        for argv in (["--suite", "chain-cohomology", "--chain-length-max", "12"],
+                     ["--suite", "roundtrip", "--suite", "chain-cohomology",
+                      "--chain-length-max", "8"],
+                     ["--chain-length-max", "8"]):
+            code, out, err = run(capsys, ["verify"] + argv)
+            assert (code, out) == (2, "")
+            length = argv[-1]
+            assert err == (f"error: chain-cohomology walks 7^1 + ... + 7^{length} degree "
+                           "sequences, more than 1048576; too many to enumerate\n")
+
     # sha256 of the default run's stdout followed by "exit 0\n", the bytes CI pins
     DEFAULT_RUN_SHA256 = "c5cc9a13a83d95e11fdf13308041431160cbb915f40b72e10a43760b3f451ce4"
 

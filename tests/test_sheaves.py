@@ -206,10 +206,12 @@ def relabelled(rng, graph):
 class TestDerivedConstruction:
     """The library's canonical constructions skip the checks through ``_derived``.
 
-    Oracle: the validating constructor on the same arguments, at every call
+    Oracle: the validating constructor on the field arguments, at every call
     site, compared field by field, in every view, by hash, and after pickle,
-    ``copy`` and ``deepcopy``.  The graphs' ids interleave with the chain
-    ids, so a value listed out of vertex order shows.
+    ``copy`` and ``deepcopy``.  A multidegree's degree dict must list the
+    constructor's values in vertex order, and its total must be their sum.
+    The graphs' ids interleave with the chain ids, so a value listed out of
+    vertex order shows.
     """
 
     @staticmethod
@@ -252,7 +254,13 @@ class TestDerivedConstruction:
             pullback_multidegree(mod, random_multidegree(rng, graph, 3))
 
             for site, cls, args, built in calls:
-                want = cls(*args)
+                if cls is Multidegree:
+                    graph, degrees, total = args
+                    want = cls(graph, degrees)
+                    assert list(degrees.items()) == list(want.values)
+                    assert type(total) is int and total == sum(degrees.values())
+                else:
+                    want = cls(*args)
                 assert built == want and derived_views(built) == derived_views(want)
                 for clone in (pickle.loads(pickle.dumps(built)), copy.copy(built),
                               copy.deepcopy(built)):
@@ -261,6 +269,65 @@ class TestDerivedConstruction:
             calls.clear()
         assert set(checked) == DERIVED_SITES  # no other caller
         assert min(checked.values()) >= 400, checked
+
+
+class TestGraphIdentityFastPaths:
+    """``twist`` and ``pushforward_model`` test the graphs for identity before they
+    compare them, and ``Twister`` builds its fields in its own ``__init__``.
+    Oracle: equal graphs built separately, different graphs, and the twist
+    computed vertex by vertex."""
+
+    def test_equal_graphs_built_separately_are_accepted(self):
+        rng = random.Random(1503)
+        for _ in range(200):
+            graph = random_stable_graph(rng, 3, 3)
+            mod = random_modification(rng, graph, 2)
+            deg = random_admissible_multidegree(rng, mod, 2)
+            twin = modify(DualGraph(graph.vertices, graph.edges), dict(mod.lengths))
+            assert twin.source == mod.source and twin.source is not mod.source
+            assert hash(twin.source) == hash(mod.source)
+            coefficients = {}
+            for _, chain in mod.chain_registry:
+                coeffs, _ = rng.choice(chain_twister_options(tuple(deg[c] for c in chain)))
+                coefficients.update(zip(chain, coeffs))
+            tw = Twister(twin.source, coefficients)
+            twisted = twist(deg, tw)
+            assert twisted.graph is deg.graph
+            assert twisted.values == tuple((v, deg[v] + tw.degree_changes[v])
+                                           for v in mod.source.vertex_ids)
+            assert twisted.total == sum(twisted.as_dict.values()) == deg.total
+            model = pushforward_model(twin, twisted)
+            assert model.graph is twin.target
+            assert model == pushforward_model(mod, twisted) == pushforward_model(mod, deg)
+
+    def test_different_graphs_are_refused(self):
+        theta = theta_graph()
+        two_edges = DualGraph(theta.vertices, theta.edges[:2])  # same vertices
+        deg = Multidegree(theta, {"v": 0, "w": 2})
+        for other in (elliptic_bridge(), two_edges):
+            assert other != theta
+            with pytest.raises(ValueError) as exc:
+                twist(deg, Twister(other, {"v": 1}))
+            assert str(exc.value) == "multidegree and twister live on different graphs"
+        mod = modify(theta, {"e1": 1})
+        for other in (modify(theta, {"e2": 1}), modify(two_edges, {"e1": 1})):
+            bundle = Multidegree(other.source, dict.fromkeys(other.source.vertex_ids, 0))
+            with pytest.raises(ValueError) as exc:
+                pushforward_model(mod, bundle)
+            assert str(exc.value) == "multidegree does not live on the modification source"
+        assert theta != "theta" and theta.__eq__("theta") is NotImplemented
+
+    def test_twister_round_trips(self):
+        for graph in (theta_graph(), loop_vertex(), modify(theta_graph(), {"e2": 2}).source):
+            tw = Twister(graph, {graph.vertex_ids[0]: 2})
+            assert Twister(graph=graph, coefficients=tw.coefficients) == tw
+            for clone in (pickle.loads(pickle.dumps(tw)), copy.copy(tw), copy.deepcopy(tw)):
+                assert clone == tw and hash(clone) == hash(tw) and repr(clone) == repr(tw)
+                assert clone.coefficients == tw.coefficients
+                assert clone.as_dict == tw.as_dict
+                assert clone.degree_changes == tw.degree_changes
+                with pytest.raises(TypeError):
+                    clone.degree_changes[graph.vertex_ids[0]] = 0
 
 
 class TestReadOnlyViews:
@@ -480,7 +547,7 @@ class TestSheafModel:
         for clone in (pickle.loads(pickle.dumps(model)), copy.copy(model), copy.deepcopy(model)):
             assert clone == model and hash(clone) == hash(model)
         # values that skipped the checks are caught when rebuilt
-        bad_deg = Multidegree._derived(theta_graph(), (("v", 0), ("w", 2.7)))
+        bad_deg = Multidegree._derived(theta_graph(), {"v": 0, "w": 2.7}, 2.7)
         bad_model = SheafModel._derived(theta_graph(), frozenset({"zz"}), deg)
         for bad, message in ((bad_deg, "degree at 'w' must be an integer, got 2.7"),
                              (bad_model, "non-invertible set names unknown edges: ['zz']")):

@@ -22,6 +22,7 @@ from nodalcalc import (
     theta_graph,
     verify,
 )
+from nodalcalc.graphs import _MAX_SUBCURVES
 from nodalcalc.verify import (
     admissible_sequences,
     chain_twister_options,
@@ -67,6 +68,21 @@ class TestConfig:
                 with pytest.raises(ValueError) as exc:
                     VerifyConfig(**{name: value})
                 assert str(exc.value) == f"{name} must be an integer, got {value!r}"
+
+    def test_chain_cohomology_work_bounded(self):
+        # the suite walks 7^1 + ... + 7^n degree sequences: 960,799 at n = 7, within
+        # graphs._MAX_SUBCURVES, and 6,725,600 at n = 8, past it
+        assert sum(7 ** n for n in range(1, 8)) == 960_799 <= _MAX_SUBCURVES
+        assert sum(7 ** n for n in range(1, 9)) == 6_725_600 > _MAX_SUBCURVES
+        assert VerifyConfig(suites=("chain-cohomology",), chain_length_max=7).chain_length_max == 7
+        for length in (8, 12, 10 ** 9):
+            with pytest.raises(ValueError) as exc:
+                VerifyConfig(suites=("chain-cohomology",), chain_length_max=length)
+            assert str(exc.value) == (
+                f"chain-cohomology walks 7^1 + ... + 7^{length} degree sequences, "
+                f"more than {_MAX_SUBCURVES}; too many to enumerate")
+        # the other suites draw chains of at most that length instead
+        assert VerifyConfig(suites=("roundtrip",), chain_length_max=12).chain_length_max == 12
 
     def test_non_int_seed_rejected(self):
         # a float or list seed was once accepted and reached random.Random
