@@ -23,10 +23,10 @@ reading of the chain is kept.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from types import MappingProxyType
-from typing import Iterable, Mapping
 
 from .graphs import (
     DualGraph,

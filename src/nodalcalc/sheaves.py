@@ -9,9 +9,13 @@ some nodes is modelled by the set of those nodes together with a
 multidegree on the partial normalization.
 
 The module also computes cohomology of a line bundle on a chain of
-rational curves by explicit linear algebra over the rationals; that
-computation is deliberately independent of the interval-sum shortcuts
-used elsewhere, so the two can be checked against each other.
+rational curves, by a union-find over the values of the sections at the
+components' marked points: every matching condition is "value = value"
+or "value = 0", so h0 counts the free interior coefficients and the
+classes not joined to 0.  Its cost is linear in the chain's length and
+does not depend on the degrees.  That computation is deliberately
+independent of the interval-sum shortcuts used elsewhere, so the two can
+be checked against each other.
 
 Value assignments, a mapping or ``(vertex, value)`` pairs in any order,
 are read by the one reader ``graphs._read_ints`` that also reads a
@@ -42,7 +46,6 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
-from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, NamedTuple
 
@@ -279,29 +282,6 @@ class ChainCohomology(NamedTuple):
     h1: int
 
 
-def _rank(rows: list[list[int]]) -> int:
-    """Rank over the rationals by Gaussian elimination with exact fractions."""
-    mat = [[Fraction(x) for x in row] for row in rows if any(row)]
-    rank = 0
-    col = 0
-    width = len(mat[0]) if mat else 0
-    while rank < len(mat) and col < width:
-        pivot = next((r for r in range(rank, len(mat)) if mat[r][col] != 0), None)
-        if pivot is None:
-            col += 1
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = 1 / mat[rank][col]
-        mat[rank] = [x * inv for x in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col] != 0:
-                factor = mat[r][col]
-                mat[r] = [x - factor * y for x, y in zip(mat[r], mat[rank])]
-        rank += 1
-        col += 1
-    return rank
-
-
 def chain_h(degrees: Iterable[int], puncture_ends: bool = False) -> ChainCohomology:
     """Cohomology of a line bundle on a chain of rational curves.
 
@@ -309,53 +289,62 @@ def chain_h(degrees: Iterable[int], puncture_ends: bool = False) -> ChainCohomol
     components glued at one node each, with all gluing identifications
     normalized to 1.  Sections on a degree-d component are the d+1
     coefficients of a binary form (none when d < 0); matching conditions
-    at the nodes cut out the global sections, whose dimension h0 is
-    computed by exact rank.  h1 follows from the Euler characteristic.
-    The conditions read each form only at its two marked points, the
-    first and last coefficients, so only those columns are ranked; every
-    other coefficient is free and adds one to h0.
+    at the nodes cut out the global sections, whose dimension is h0.  h1
+    follows from the Euler characteristic.
 
     With ``puncture_ends`` the bundle is twisted down by one smooth
     point on each of the two extreme components (two distinct points on
     the single component when the chain has length one).
+
+    The rule.  Each component has a left and a right marked point.  A
+    component of degree d >= 1 has two marked-point values, its first and
+    last coefficients, and d - 1 free interior coefficients; one of
+    degree 0 has one value at both points; one of negative degree has
+    both points fixed to 0.  Each node joins the right value of component
+    i to the left value of component i + 1, and ``puncture_ends`` joins
+    the free end of the first and of the last component to 0 (both points
+    of a single component).  Then h0 = free coefficients + the classes of
+    the union-find over marked-point values that are not joined to 0.
+
+    Proof.  No condition reads an interior coefficient, and every
+    condition on the marked-point values is "value = value" or "value =
+    0".  So a solution is constant on each class of the equivalence these
+    generate and 0 on the class of 0, and any one number per other class
+    is a solution: one free coordinate per class not joined to 0.
+
+    The cost is linear in the length and does not depend on the degrees.
+    Nothing here reads an interval sum, so ``interval_sum_range`` can be
+    checked against it.
     """
     degs = [_json_int(d, "chain degree") for d in degrees]
     if not degs:
         raise ValueError("chain must have at least one component")
-    n = len(degs)
+    parent = [0]  # marked-point values; value 0 is the zero class
+    ends = []  # each component's (left, right) value
+    for d in degs:
+        if d < 0:
+            ends.append((0, 0))
+            continue
+        left = len(parent)
+        parent += range(left, left + min(d, 1) + 1)
+        ends.append((left, len(parent) - 1))
 
-    offset: dict[int, int] = {}
-    ncols = 0  # marked-point columns: one for a degree-0 form, else two
-    for i, d in enumerate(degs):
-        if d >= 0:
-            offset[i] = ncols
-            ncols += min(d, 1) + 1
-    free = sum(d - 1 for d in degs if d >= 1)
+    def find(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
 
-    def value_row(i: int, at_far_end: bool) -> list[int]:
-        # Linear functional giving the section's value at one of the two
-        # marked points of component i (zero functional when d_i < 0).
-        row = [0] * ncols
-        if i in offset:
-            row[offset[i] + (min(degs[i], 1) if at_far_end else 0)] = 1
-        return row
-
-    rows = []
-    for i in range(n - 1):
-        left = value_row(i, at_far_end=True)
-        right = value_row(i + 1, at_far_end=False)
-        rows.append([a - b for a, b in zip(left, right)])
+    joins = [(right, left) for (_, right), (left, _) in zip(ends, ends[1:])]
     if puncture_ends:
-        if n == 1:
-            rows.append(value_row(0, at_far_end=False))
-            rows.append(value_row(0, at_far_end=True))
-        else:
-            # the far ends of the extreme components carry the nodes, so
-            # puncture at their free ends
-            rows.append(value_row(0, at_far_end=False))
-            rows.append(value_row(n - 1, at_far_end=True))
-
-    h0 = ncols + free - _rank(rows)
+        joins += [(ends[0][0], 0), (ends[-1][1], 0)]
+    # the free coefficients, and each value but 0 in a class of its own
+    h0 = sum(d - 1 for d in degs if d >= 1) + len(parent) - 1
+    for a, b in joins:
+        a, b = find(a), find(b)
+        if a != b:  # two classes become one
+            parent[max(a, b)] = min(a, b)
+            h0 -= 1
     chi = sum(degs) + 1 - (2 if puncture_ends else 0)
     return ChainCohomology(h0, h0 - chi)
 

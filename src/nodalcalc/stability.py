@@ -177,12 +177,12 @@ before it pass.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 from copy import copy
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, starmap, tee
 from math import inf
-from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 from . import graphs
 from .graphs import (DualGraph, _json_int, _members, _per_graph, _subcurve_masks, classify,

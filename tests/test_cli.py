@@ -13,7 +13,7 @@ from string import Template
 
 import pytest
 
-from nodalcalc import cli, graphs, stability
+from nodalcalc import cli, graphs, interval_sum_range, stability
 from nodalcalc import verify as verify_module
 
 THETA = {
@@ -181,6 +181,25 @@ class TestChainH:
         code, data = run_json(capsys, ["chain-h", "--degrees=-1,2"])
         assert code == 0
         assert data["degrees"] == [-1, 2]
+
+    def test_interval_sums_match_every_run(self, capsys):
+        # the command bounds the run sums in one pass; oracle: interval_sum_range
+        rng = random.Random(26)
+        chains = [(0,), (-3,), (4, -4), (1, -1) * 5] + [
+            tuple(rng.randint(-3, 3) for _ in range(rng.randint(1, 30))) for _ in range(200)]
+        for degs in chains:
+            code, data = run_json(capsys, ["chain-h", "--degrees=" + ",".join(map(str, degs))])
+            assert code == 0
+            assert (data["interval_min"], data["interval_max"]) == interval_sum_range(degs), degs
+
+    def test_long_chain_answers_at_once(self, capsys):
+        # 20,000 zeros once took 13.7 s, all of it in summing every run
+        start = time.perf_counter()
+        code, data = run_json(capsys, ["chain-h", "--degrees=" + ",".join(["0"] * 20000),
+                                       "--punctured"])
+        assert time.perf_counter() - start < 5
+        assert code == 0
+        assert (data["h0"], data["h1"], data["interval_min"], data["interval_max"]) == (0, 1, 0, 0)
 
 
 class TestChecks:
@@ -619,17 +638,19 @@ class TestVerifyCommand:
         assert "instance_count" in err
 
     def test_oversized_chain_cohomology_refused_before_any_suite(self, capsys, monkeypatch):
-        # length 12 once walked 7^1 + ... + 7^12 degree sequences and hung
+        # length 12 once walked 7^1 + ... + 7^12 degree sequences and hung; length 7
+        # (960,799 of them) ran about 25 s
         monkeypatch.setattr(cli, "run_verification", lambda cfg: pytest.fail("a suite ran"))
         for argv in (["--suite", "chain-cohomology", "--chain-length-max", "12"],
+                     ["--suite", "chain-cohomology", "--chain-length-max", "7"],
                      ["--suite", "roundtrip", "--suite", "chain-cohomology",
-                      "--chain-length-max", "8"],
-                     ["--chain-length-max", "8"]):
+                      "--chain-length-max", "7"],
+                     ["--chain-length-max", "7"]):
             code, out, err = run(capsys, ["verify"] + argv)
             assert (code, out) == (2, "")
             length = argv[-1]
             assert err == (f"error: chain-cohomology walks 7^1 + ... + 7^{length} degree "
-                           "sequences, more than 1048576; too many to enumerate\n")
+                           "sequences, more than 262144; too many to enumerate\n")
 
     # sha256 of the default run's stdout followed by "exit 0\n", the bytes CI pins
     DEFAULT_RUN_SHA256 = "c5cc9a13a83d95e11fdf13308041431160cbb915f40b72e10a43760b3f451ce4"

@@ -22,8 +22,8 @@ from nodalcalc import (
     theta_graph,
     verify,
 )
-from nodalcalc.graphs import _MAX_SUBCURVES
 from nodalcalc.verify import (
+    _MAX_CHAIN_SEQUENCES,
     admissible_sequences,
     chain_twister_options,
     check_biss_instance,
@@ -70,17 +70,19 @@ class TestConfig:
                 assert str(exc.value) == f"{name} must be an integer, got {value!r}"
 
     def test_chain_cohomology_work_bounded(self):
-        # the suite walks 7^1 + ... + 7^n degree sequences: 960,799 at n = 7, within
-        # graphs._MAX_SUBCURVES, and 6,725,600 at n = 8, past it
-        assert sum(7 ** n for n in range(1, 8)) == 960_799 <= _MAX_SUBCURVES
-        assert sum(7 ** n for n in range(1, 9)) == 6_725_600 > _MAX_SUBCURVES
-        assert VerifyConfig(suites=("chain-cohomology",), chain_length_max=7).chain_length_max == 7
-        for length in (8, 12, 10 ** 9):
+        # the suite walks 7^1 + ... + 7^n degree sequences: 137,256 at n = 6, within
+        # its own bound of 2^18, and 960,799 at n = 7, past it (length 7 ran about
+        # 25 s, past the 10 s a run may take)
+        assert _MAX_CHAIN_SEQUENCES == 2 ** 18
+        assert sum(7 ** n for n in range(1, 7)) == 137_256 <= _MAX_CHAIN_SEQUENCES
+        assert sum(7 ** n for n in range(1, 8)) == 960_799 > _MAX_CHAIN_SEQUENCES
+        assert VerifyConfig(suites=("chain-cohomology",), chain_length_max=6).chain_length_max == 6
+        for length in (7, 8, 12, 10 ** 9):
             with pytest.raises(ValueError) as exc:
                 VerifyConfig(suites=("chain-cohomology",), chain_length_max=length)
             assert str(exc.value) == (
                 f"chain-cohomology walks 7^1 + ... + 7^{length} degree sequences, "
-                f"more than {_MAX_SUBCURVES}; too many to enumerate")
+                "more than 262144; too many to enumerate")
         # the other suites draw chains of at most that length instead
         assert VerifyConfig(suites=("roundtrip",), chain_length_max=12).chain_length_max == 12
 
