@@ -62,7 +62,6 @@ from .stability import (
     check_balanced,
     check_bundle_stability,
     check_sheaf_stability,
-    check_ssI2,
     chi_twisted,
     enumerate_balanced,
     enumerate_semistable_models,
@@ -108,7 +107,6 @@ __all__ = [
     "check_balanced",
     "check_bundle_stability",
     "check_sheaf_stability",
-    "check_ssI2",
     "chi_structure",
     "chi_twisted",
     "classify",

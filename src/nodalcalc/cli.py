@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
@@ -255,17 +256,8 @@ def cmd_pushforward(args) -> tuple[dict, int]:
     flags = _flags_of(scans)
     diag = _diagnostics_of(scans)
     payload: dict = {
-        "admissibility": {
-            "admissible": flags.admissible,
-            "negatively": flags.negatively,
-            "positively": flags.positively,
-            "invertible": flags.invertible,
-        },
-        "diagnostics": {
-            "has_torsion": diag.has_torsion,
-            "degree_drops": diag.degree_drops,
-            "noninvertible_edges": sorted(diag.noninvertible_edges),
-        },
+        "admissibility": asdict(flags),
+        "diagnostics": asdict(diag),  # its noninvertible_edges are sorted
         "model": None,
         "oracle_agrees": None,
     }

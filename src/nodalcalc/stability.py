@@ -23,10 +23,12 @@ each chain contracted to one edge: one chain row per cut and one interval
 record per chain, so neither its subcurves nor its sides are ever built,
 and a verdict decides a chain row from the margin of one set and each
 chain's least prefix sums, and an interval record from its least interval
-sums, all integers (the last two lemmas).  Any other graph's table has no
-chains, no interval records and rows with no arms, whose windows are the
-kernel's.  Every verdict checks a quasistable base vertex against the
-graph it reads, the reports' included.
+sums, all integers (the chain-window and interval lemmas).  A quasistable
+verdict at a vertex on a chain reads the same windows under the
+polarization perturbed there (the last remark).  Any other graph's table
+has no chains, no interval records and rows with no arms, whose windows
+are the kernel's.  Every verdict checks a quasistable base vertex
+against the graph it reads, the reports' included.
 
 The enumerators are one walk of the edge subsets, ``_strata``, that
 hands each vector of a stratum's box to a model side and a bundle side,
@@ -133,46 +135,58 @@ before it pass.
     where P(j) is the sum over t <= j of rank (d(c_t) + [f_(t-1) in N]) +
     e(c_t) and Q(j) = -P(j) - rank [f_j in N].  Each window is M >= a and
     S >= b with a = b = 0 (semistable), a = b = 1 (stable), or a = [p in
-    Z] and b = [p not in Z] (quasistable at p), and whether p is in Z
-    depends on at most one chain.  So every side of the row passes
-    exactly when, within each class of p's membership, the least M and
-    the least S pass: M_0 plus the sum of each chain's least P, and S_0
-    plus the sum of its least Q, on p's chain over the parts that hold p
-    or over those that do not.  Read from its other end, a chain has
-    P'(j) = Q(m - j) - Q(m) and Q'(j) - Q'(0) = P(m - j) - P(m), so one
-    reading serves both ends.
+    Z] and b = [p not in Z] (quasistable at p), fixed on the row when p is
+    off the chains.  So every side of the row passes exactly when the
+    least M and the least S pass: M_0 plus the sum of each chain's least
+    P, and S_0 plus the sum of its least Q.  Read from its other end, a
+    chain has P'(j) = Q(m - j) - Q(m) and Q'(j) - Q'(0) = P(m - j) - P(m),
+    so one reading serves both ends.
 
     Proof.  Adding c_1..c_j to a side adds j vertices of genus 0 and the
     j edges f_0..f_(j-1), so chi is unchanged, d_Z and e_Z grow by the
     terms of P(j), and the one crossing edge of the chain moves from f_0
     to f_j; M_0 and S_0 do not depend on the parts.  Margins are
     integers, so M > 0 is M >= 1 and M < rank (k - |dZ & N|) is S >= 1,
-    which gives a and b in each mode.  Within a class, a and b are fixed
-    and the parts range independently, so the least M is the sum of the
-    per-chain least P, and likewise for S: every side passes exactly when
-    these two do, though they may be reached at different sides.  The
-    other reading takes c_m..c_(m-j+1) with the edges f_m..f_(m-j+1), so
-    P'(j) = P(m) - P(m - j) + rank ([f_m in N] - [f_(m-j) in N]) = Q(m - j)
-    - Q(m), and Q'(j) = -P'(j) - rank [f_(m-j) in N] = P(m - j) + Q(m).
+    which gives a and b in each mode.  With a and b fixed, the parts range
+    independently, so the least M is the sum of the per-chain least P, and
+    likewise for S: every side passes exactly when these two do, though
+    they may be reached at different sides.  The other reading takes
+    c_m..c_(m-j+1) with the edges f_m..f_(m-j+1), so P'(j) = P(m) - P(m -
+    j) + rank ([f_m in N] - [f_(m-j) in N]) = Q(m - j) - Q(m), and Q'(j) =
+    -P'(j) - rank [f_(m-j) in N] = P(m - j) + Q(m).
 
     Lemma (intervals).  With a chain of (ii) read as in the chain-window
     lemma and P and Q as there, the interval c_(s+1)..c_j, 0 <= s < j <= m,
     has margin M = rank + P(j) + Q(s) and slack S = rank + Q(j) + P(s).
-    So every interval passes its window exactly when, within each class
-    of p's membership, the least M and the least S pass: over all s < j
-    when p is off the chain; for p = c_q, over s < q <= j for the
-    intervals holding p, where M and S split into a least over j >= q and
-    one over s < q, and over s < j < q and q <= s < j for the others.  On
-    a span of indices the least of A(j) + B(s) over s < j is one pass
-    over j, keeping the least B(s) met before it.
+    So with a and b fixed, as they are when p is off the chains, every
+    interval passes exactly when the least M and the least S over s < j
+    pass.  The least of A(j) + B(s) over s < j is one pass over j,
+    keeping the least B(s) met before it.
 
     Proof.  An interval has chi 1 and k 2 (the bond lemma), holds the
     nodes among f_(s+1)..f_(j-1), and is crossed by f_s and f_j.  So M =
     rank (1 + sum d(c_t) + #(N among f_(s+1)..f_(j-1))) + sum e(c_t), over
     s < t <= j, which is rank + P(j) - P(s) - rank [f_s in N] = rank + P(j)
-    + Q(s); and M + S = rank (2 - [f_s in N] - [f_j in N]) gives S.  Whether
-    p is in the interval is fixed within a class, and so are a and b of
-    the window, as in the chain-window lemma.
+    + Q(s); and M + S = rank (2 - [f_s in N] - [f_j in N]) gives S.  An
+    interval holds no vertex off its chain, and s and j range
+    independently but for s < j.
+
+    Neither lemma asks the polarization to be compatible with d.
+
+    Remark (quasistable as a perturbation).  Quasistability at p is
+    semistability under the polarization perturbed at p (Esteves 2001):
+    with (2 rank, 2e - 1_p), the window a = 0, b = 1 on every row and
+    interval decides quasistability at p, wherever p is.  So at p on a
+    chain, a and b are fixed again and the two lemmas apply.
+
+    Proof.  Under (2 rank, 2e - 1_p) the margin of Z is 2 rank (d_Z +
+    chi_Z) + 2 e_Z - [p in Z] = 2 m(Z) - [p in Z] and its upper end is 2
+    rank (k - |dZ & N|) = 2 hi.  For integers m and hi and x = [p in Z],
+    0 <= 2m - x < 2 hi reads 0 <= m < hi when x = 0 and 1/2 <= m < hi +
+    1/2, that is 0 < m <= hi, when x = 1: exactly the tie rules of (c) in
+    the first lemma.  The perturbed polarization is not compatible with d,
+    so (a) becomes m'(Z) + m'(Z^c) = 2 hi - 1; the window 0 <= m' < 2 hi
+    on Z is then the same window on Z^c, so one side per cut still serves.
 """
 
 from __future__ import annotations
@@ -362,10 +376,10 @@ def _series_cuts(
     return _CutTable(tuple(chains), tuple(rows), intervals)
 
 
-def _least_pair(later: list[int], earlier: list[int], lo: int, hi: int) -> int:
-    """The least later[j] + earlier[s] over lo <= s < j <= hi; needs lo < hi."""
-    least, best = later[lo + 1] + earlier[lo], earlier[lo]
-    for j in range(lo + 2, hi + 1):
+def _least_pair(later: list[int], earlier: list[int]) -> int:
+    """The least later[j] + earlier[s] over s < j; needs two entries or more."""
+    least, best = later[1] + earlier[0], earlier[0]
+    for j in range(2, len(later)):
         if earlier[j - 1] < best:
             best = earlier[j - 1]
         if later[j] + best < least:
@@ -376,19 +390,19 @@ def _least_pair(later: list[int], earlier: list[int], lo: int, hi: int) -> int:
 def _cut_windows(
     cuts: _CutTable, ends: Mapping[str, tuple[str, str]],
     values: Mapping[str, int], noninvertible: Collection[str], rank: int,
-    e_values: Mapping[str, int], base_vertex: str | None = None,
+    e_values: Mapping[str, int],
 ) -> Iterator[tuple]:
     """Window rows (z, m, hi) that decide every cut of ``cuts`` under one model, lazily.
 
-    One row (z, least M, least M + least S) per row of the table, from the
+    One row (W+, least M, least M + least S) per row of the table, from the
     kernel margin of W+ and each arm's least prefix sums (the chain-window
-    lemma of the module), and one per interval record, from its least
-    interval sums (the interval lemma); on the arm or chain holding
-    ``base_vertex``, one per class of its membership.  A row with no arms
-    is the kernel's window as it is.  A window reads m >= a and hi - m >= b
-    apart, so that one row decides its class, and z holds ``base_vertex``
-    exactly when the class's sides do.  Without a base vertex the rows
-    decide every mode at any base vertex off the chains.  No side is built.
+    lemma of the module), and one row ((), least M, least M + least S) per
+    interval record, from its least interval sums (the interval lemma).  A
+    row with no arms is the kernel's window as it is.  A window reads m >= a
+    and hi - m >= b apart, so the rows decide every mode at any base vertex
+    off the chains, and under the polarization perturbed at a base vertex
+    on a chain, quasistability there (the perturbation remark).  No side is
+    built.
     """
     nodes = set(noninvertible)
     sums, lows = [], []  # per chain P and Q; per arm its least P and least Q - Q(0)
@@ -409,47 +423,17 @@ def _cut_windows(
         # read from the other end, P(j) is Q(m - j) - Q(m) and Q(j) - Q(0) is P(m - j) - P(m)
         low_p, low_q = min(prefix), min(slack)
         lows += [(low_p, low_q - slack[0]), (low_q - slack[-1], low_p - prefix[-1])]
-    held, at, split = (base_vertex,), {}, {}  # the chain holding base_vertex = c_q
-    for i, (vertices, _) in enumerate(cuts.chains):
-        if base_vertex is not None and base_vertex in vertices:
-            q = at[i] = vertices.index(base_vertex) + 1
-            prefix, slack = sums[i]
-            head, tail = slice(None, q), slice(q, None)
-            # per arm: the parts that miss c_q, then those that hold it
-            split[2 * i] = [(min(prefix[part]), min(slack[part]) - slack[0])
-                            for part in (head, tail)]
-            split[2 * i + 1] = [(min(slack[part]) - slack[-1], min(prefix[part]) - prefix[-1])
-                                for part in (tail, head)]
-            break
     kernel = _margins(cuts.rows, ends, values, noninvertible, rank, e_values)
-    for (w, _, _, arms), (_, m, hi) in zip(cuts.rows, kernel):
-        classes = None  # from W+, each arm adds its least M to m and least M + least S to hi
-        for a in arms:
-            if a in split:
-                classes = split[a]
-                continue
+    for (_, _, _, arms), (w, m, hi) in zip(cuts.rows, kernel):
+        for a in arms:  # each arm adds its least M to m and least M + least S to hi
             low_m, low_s = lows[a]
             m += low_m
             hi += low_m + low_s
-        if classes is None:
-            yield w, m, hi
-            continue
-        for z, (low_m, low_s) in zip((w, held), classes):
-            yield z, m + low_m, hi + low_m + low_s
-    for i in cuts.intervals:
+        yield w, m, hi
+    for i in cuts.intervals:  # the intervals c_(s+1)..c_j, s < j
         prefix, slack = sums[i]
-        m, q = len(prefix) - 1, at.get(i)
-        # intervals c_(s+1)..c_j with s < j in one span: all, or those missing c_q
-        spans = ((0, m),) if q is None else [span for span in ((0, q - 1), (q, m))
-                                             if span[0] < span[1]]
-        if spans:
-            low_m = min(_least_pair(prefix, slack, lo, hi) for lo, hi in spans)
-            low_s = min(_least_pair(slack, prefix, lo, hi) for lo, hi in spans)
-            yield (), rank + low_m, 2 * rank + low_m + low_s
-        if q is not None:  # the intervals holding c_q: s < q <= j, the ends apart
-            low_m = min(prefix[q:]) + min(slack[:q])
-            low_s = min(slack[q:]) + min(prefix[:q])
-            yield held, rank + low_m, 2 * rank + low_m + low_s
+        low_m, low_s = _least_pair(prefix, slack), _least_pair(slack, prefix)
+        yield (), rank + low_m, 2 * rank + low_m + low_s
 
 
 @dataclass(frozen=True)
@@ -559,11 +543,12 @@ def _verdicts(
     """The verdict path: holds(mode, base_vertex=None) of one model on its cut windows.
 
     The windows are those of ``cuts``, the graph's own cut table by
-    default, under the polarization (rank, e_values).  The windows with no
-    base vertex are decided lazily and at most once, and serve every mode
-    at every base vertex off the chains of ``cuts``; at a base vertex on
-    one of them the windows are decided afresh (the chain-window and
-    interval lemmas).  Each verdict stops at its first failing window.
+    default, under the polarization (rank, e_values).  The windows are
+    decided lazily and at most once, and serve every mode at every base
+    vertex, except quasistable at a base vertex on a chain of ``cuts``:
+    that verdict reads the windows afresh under the polarization perturbed
+    there, (2 rank, 2 e_values - 1 at the base vertex), as 0 <= m < hi (the
+    perturbation remark).  Each verdict stops at its first failing window.
     """
     cuts = _cut_table(graph) if cuts is None else cuts
     ends, values = graph.edge_ends, dict(values)
@@ -572,19 +557,21 @@ def _verdicts(
 
     def holds(mode: str, base_vertex: str | None = None) -> bool:
         ok = _stability_test(mode, base_vertex, graph)
-        rows = (_cut_windows(cuts, ends, values, noninvertible, rank, e_values, base_vertex)
-                if base_vertex in on_chains else copy(shared))
-        return all(starmap(ok, rows))
+        if mode == "quasistable" and base_vertex in on_chains:  # the perturbation remark
+            twice = {v: 2 * x for v, x in e_values.items()}
+            twice[base_vertex] -= 1
+            rows = _cut_windows(cuts, ends, values, noninvertible, 2 * rank, twice)
+            return all(0 <= m < hi for _, m, hi in rows)
+        return all(starmap(ok, copy(shared)))
 
     return holds
 
 
-def _canonical_scan(
-    graph: DualGraph, values: Mapping[str, int], noninvertible: Collection[str], d: int,
-) -> SubcurveScan:
-    """Degree-bound margins: canonical chi margins divided by the canonical rank."""
+def _canonical_scan(graph: DualGraph, values: Mapping[str, int], d: int) -> SubcurveScan:
+    """Degree-bound margins of a line bundle: canonical chi margins divided by the
+    canonical rank."""
     scale, e_values = _canonical(graph, d)
-    margins = _report(graph, values, noninvertible, scale, e_values)
+    margins = _report(graph, values, (), scale, e_values)
     return SubcurveScan(graph, tuple((z, Fraction(m, scale)) for z, m in margins))
 
 
@@ -621,22 +608,6 @@ def check_bundle_stability(
     graph = deg.graph
     _stability_test(mode, base_vertex, graph)  # refused before a bad polarization
     return _verdicts(graph, deg.as_dict, (), *_polarized(pol, graph, deg.total))(mode, base_vertex)
-
-
-def check_ssI2(model: SheafModel, d: int) -> SubcurveScan:
-    """Degree lower bound equivalent to canonical-polarization semistability.
-
-    On every connected proper subcurve Z the model's degree must be at
-    least d deg_Z(omega) / (2g - 2) - k_Z / 2.  Margins are exact
-    rationals; the scan's verdict in each mode agrees with
-    check_sheaf_stability against canonical_polarization(graph, d).
-    """
-    graph = model.graph
-    if graph.genus < 2:
-        raise ValueError("degree bound requires genus at least 2")
-    if _json_int(d, "degree") != model.degree:
-        raise ValueError(f"sheaf model has degree {model.degree}, not {d}")
-    return _canonical_scan(graph, model.multidegree.as_dict, model.noninvertible, d)
 
 
 # -- balanced multidegrees --------------------------------------------------
@@ -692,7 +663,7 @@ def balanced_report(deg: Multidegree) -> BalancedScan:
     if graph.genus < 2:
         raise ValueError("balanced check requires genus at least 2")
     violations = tuple(v for v in exceptional_vertices(graph) if deg[v] != 1)
-    return BalancedScan(graph, violations, _canonical_scan(graph, deg.as_dict, (), deg.total))
+    return BalancedScan(graph, violations, _canonical_scan(graph, deg.as_dict, deg.total))
 
 
 def check_balanced(deg: Multidegree, mode: str = "balanced") -> bool:

@@ -623,7 +623,8 @@ class TestChainCohomology:
                 if pivot is None:
                     continue
                 rows.remove(pivot)
-                rows = [[x - r[col] / pivot[col] * y for x, y in zip(r, pivot)] for r in rows]
+                rows = [[x - r[col] / pivot[col] * y for x, y in zip(r, pivot)] if r[col] else r
+                        for r in rows]
                 rank += 1
             return width - rank
 

@@ -25,7 +25,6 @@ from nodalcalc import (
     check_balanced,
     check_bundle_stability,
     check_sheaf_stability,
-    check_ssI2,
     chi_structure,
     chi_twisted,
     connected_subcurves,
@@ -44,9 +43,9 @@ from nodalcalc import (
 from nodalcalc import stability
 from nodalcalc.modifications import _series_reduction
 from nodalcalc.stability import (
-    _bounded_vectors, _boxes, _bundle_side, _cut_table, _cut_windows, _lifted_rows,
+    _bounded_vectors, _boxes, _bundle_side, _cut_table, _lifted_rows,
     _canonical, _margins, _model_side, _series_cuts, _stability_test, _subcurve_table,
-    _vertex_windows,
+    _verdicts, _vertex_windows,
 )
 from nodalcalc.verify import random_stable_graph
 
@@ -198,28 +197,20 @@ class TestSheafStability:
         assert scan.verdict("quasistable", "w")
 
 
-class TestSsI2:
-    def test_margin_interval(self):
-        scan = check_ssI2(theta_model((), 0, 2), 2)
+class TestDegreeBound:
+    """The degree-bound margins d_Z - d omega_Z / (2g - 2) + k_Z / 2 that
+    balanced_report reads, against the chi margins of the reports."""
+
+    def test_margins(self):
+        scan = balanced_report(theta_model((), 0, 2).multidegree).scan
         entry = {frozenset(z): m for z, m in scan.entries}
         assert entry[frozenset({"v"})] == Fraction(1, 2)
-
-    def test_skewed_fails_at_w(self):
-        scan = check_ssI2(theta_model((), 3, -1), 2)
+        scan = balanced_report(theta_model((), 3, -1).multidegree).scan
         assert [sorted(z) for z, _ in scan.failures] == [["w"]]
-
-    def test_banana_strict(self):
-        scan = check_ssI2(theta_model((), 1, 1).__class__(
-            elliptic_bridge(), frozenset(),
-            Multidegree(elliptic_bridge(), (("v", 1), ("w", 1))),
-        ), 2)
+        scan = balanced_report(Multidegree(elliptic_bridge(), (("v", 1), ("w", 1)))).scan
         assert scan.holds and not scan.equality_sites
 
-    def test_degree_must_match_model(self):
-        with pytest.raises(ValueError):
-            check_ssI2(theta_model((), 1, 1), 5)
-
-    def test_equivalent_to_canonical_scan(self):
+    def test_reports_match_the_subcurve_formulas(self):
         # Every scan entry, exactly and in order, against per-subcurve
         # formulas built from public functions that never read the
         # subcurve table; verdicts of the chi form against the
@@ -263,15 +254,14 @@ class TestSsI2:
                 d = model.degree
                 pol = canonical_polarization(graph, d)
                 chi_scan = sheaf_stability_report(model, pol)
-                ssi = check_ssI2(model, d)
                 on = functools.partial(sheaf_degree, model)
                 assert chi_scan.entries == chi_margins(graph, on, pol)
-                assert ssi.entries == degree_bound(graph, on, d)
-                assert [m * scale for _, m in ssi.entries] == [m for _, m in chi_scan.entries]
+                bound = stability.SubcurveScan(graph, degree_bound(graph, on, d))
+                assert [m * scale for _, m in bound.entries] == [m for _, m in chi_scan.entries]
                 for mode in ("semistable", "stable"):
-                    assert chi_scan.verdict(mode) == ssi.verdict(mode)
+                    assert chi_scan.verdict(mode) == bound.verdict(mode)
                 for p in graph.vertex_ids:
-                    assert chi_scan.verdict("quasistable", p) == ssi.verdict("quasistable", p)
+                    assert chi_scan.verdict("quasistable", p) == bound.verdict("quasistable", p)
 
                 # a bundle on a modification, against the pulled-back polarization
                 lengths = {e: rng.randint(1, 2) for e in graph.edge_ends if rng.random() < 0.4}
@@ -385,9 +375,7 @@ class TestEnumeration:
                          lambda: enumerate_semistable_models(K4, d, "quasistable", "a"),
                          lambda: enumerate_balanced(theta_graph(), d),
                          lambda: enumerate_balanced(K4, d, "stably_balanced"),
-                         lambda: canonical_polarization(theta_graph(), d),
-                         # 2.0 == 2 once passed its degree check, then Fraction raised TypeError
-                         lambda: check_ssI2(theta_model((), 1, 1), d)):
+                         lambda: canonical_polarization(theta_graph(), d)):
                 with pytest.raises(ValueError) as exc:
                     call()
                 assert str(exc.value) == f"degree must be an integer, got {d!r}"
@@ -439,9 +427,9 @@ class TestEnumeration:
 
     def test_every_enumerated_model_verifies(self):
         for d in (-1, 0, 3):
-            pol_checked = enumerate_semistable_models(theta_graph(), d)
-            for model in pol_checked:
-                assert check_ssI2(model, d).holds
+            pol = canonical_polarization(theta_graph(), d)
+            for model in enumerate_semistable_models(theta_graph(), d):
+                assert sheaf_stability_report(model, pol).holds
 
     def test_every_balanced_pair_verifies(self):
         for d in (0, 2):
@@ -518,6 +506,7 @@ class TestEnumeration:
 
         for graph, d in cases:
             vids = list(graph.vertex_ids)
+            pol = canonical_polarization(graph, d)
             sheaf_modes = [("semistable", None), ("stable", None)]
             sheaf_modes += [("quasistable", p) for p in vids]
             models = {key: [] for key in sheaf_modes}
@@ -531,7 +520,7 @@ class TestEnumeration:
                 for vec in box(graph, vids, d, d - len(subset), loops):
                     model = SheafModel(graph, frozenset(subset),
                                        Multidegree(graph, tuple(zip(vids, vec))))
-                    scan = check_ssI2(model, d)
+                    scan = sheaf_stability_report(model, pol)
                     for key in sheaf_modes:
                         if scan.verdict(*key):
                             models[key].append(model)
@@ -1085,15 +1074,44 @@ class TestSeriesCuts:
                         checked += 1
                         held = mode[1] in inner
                         inside += held
-                        ok = _stability_test(*mode, src)
                         for part, kept in (("intervals", replace(table, intervals=())),
                                            ("rows", replace(table, rows=()))):
-                            rows = _cut_windows(kept, src.edge_ends, values, nodes, rank, e,
-                                                mode[1])
-                            decisive[part, held] += all(ok(*row) for row in rows) != verdict
+                            holds = _verdicts(src, values, nodes, rank, e, kept)
+                            decisive[part, held] += holds(*mode) != verdict
         assert checked > 7000 and inside > 2000, (checked, inside)
         assert len(outcomes) == 6 and min(outcomes.values()) > 40, outcomes
         assert len(decisive) == 4 and min(decisive.values()) > 100, decisive
+
+    def test_quasistable_ties_are_a_perturbed_window(self):
+        # the tie rules at p, exhaustively: a window holds exactly when
+        # 0 <= 2m - [p in z] < 2 hi (the perturbation remark of the module)
+        ok = _stability_test("quasistable", "v", theta_graph())
+        for m, hi in product(range(-3, 6), repeat=2):
+            for z in (frozenset({"v"}), frozenset({"w"})):
+                assert ok(z, m, hi) == (0 <= 2 * m - ("v" in z) < 2 * hi), (z, m, hi)
+
+    def test_chain_base_vertex_moves_only_quasistable_verdicts(self):
+        # semistable and stable verdicts ignore a base vertex on a chain, where
+        # only a quasistable verdict reads the perturbed polarization; decisive:
+        # models semistable but not quasistable at a chain vertex
+        rng = random.Random(2027)
+        checked, decisive = 0, 0
+        for src in self.sources(longest=3)[::3]:
+            chains = [c for vertices, _ in _cut_table(src).chains for c in vertices]
+            if not chains:
+                continue
+            d = rng.randint(src.genus - 2, src.genus + 1)
+            pol = canonical_polarization(src, d)
+            vals = self.centered(rng, src, frozenset(), pol, d)
+            deg = Multidegree(src, vals)
+            for p in chains:
+                for mode in ("semistable", "stable"):
+                    assert (check_bundle_stability(deg, pol, mode, p)
+                            == check_bundle_stability(deg, pol, mode)), (src, mode, p)
+                    checked += 1
+                decisive += (check_bundle_stability(deg, pol, "semistable")
+                             and not check_bundle_stability(deg, pol, "quasistable", p))
+        assert checked > 500 and decisive > 50, (checked, decisive)
 
 
 class TestSeriesCutBound:

@@ -8,6 +8,8 @@ import pytest
 from nodalcalc import (
     ALL_SUITES,
     DualGraph,
+    Multidegree,
+    SheafModel,
     VerifyConfig,
     bundle_stability_report,
     canonical_polarization,
@@ -15,6 +17,7 @@ from nodalcalc import (
     elliptic_bridge,
     interval_sum_range,
     modify,
+    pushforward_model,
     run_suite,
     run_verification,
     stability,
@@ -209,14 +212,27 @@ class TestInstanceChecks:
             assert check_pushforward_instance(mod, deg) == []
             assert check_famchain2_instance(mod, deg) == []
 
+    def test_pushforward_locus_is_read_off_the_chain_degrees(self, monkeypatch):
+        # a model that drops a chain carrying degree from its locus is caught
+        mod = modify(theta_graph(), {"e1": 1, "e2": 2})
+        deg = Multidegree(mod.source, {"v": 1, "w": 0, "e1#1": 1, "e2#1": 0, "e2#2": 0})
+        model = pushforward_model(mod, deg)
+        assert model.noninvertible == {"e1"}
+        assert check_pushforward_instance(mod, deg) == []
+        wrong = SheafModel(mod.target, frozenset(), model.multidegree)
+        monkeypatch.setattr(verify, "pushforward_model", lambda *_: wrong)
+        details = [f["detail"] for f in check_pushforward_instance(mod, deg)]
+        assert "non-invertible locus disagrees with the chain degrees" in details
+
     def test_source_verdicts_match_the_report(self, monkeypatch):
         # the source verdicts check_famchain2_instance reads through the
         # verdict reader of stability, against the full-table report in every
         # mode and at every target vertex.  On the exhaustive theta and bridge
         # families each side's windows are decided once, with no base vertex.
         # A target with an exceptional vertex has chain rows of its own, so the
-        # source keeps its own table, and the windows are decided again at a
-        # base vertex on one of its chains.
+        # source keeps its own table, and the windows are decided again, under
+        # the perturbed polarization, at a quasistable base vertex on one of its
+        # chains.
         verdicts, cut_windows = stability._verdicts, stability._cut_windows
         seen, decided = [], []
 
@@ -224,9 +240,9 @@ class TestInstanceChecks:
             seen.append((graph, verdicts(graph, *args)))
             return seen[-1][1]
 
-        def spy_windows(cuts, ends, values, nodes, rank, e_values, base_vertex=None):
-            decided.append(base_vertex)
-            return cut_windows(cuts, ends, values, nodes, rank, e_values, base_vertex)
+        def spy_windows(*args):
+            decided.append(args)
+            return cut_windows(*args)
 
         monkeypatch.setattr(verify, "_verdicts", spy_verdicts)
         monkeypatch.setattr(stability, "_cut_windows", spy_windows)
@@ -241,9 +257,9 @@ class TestInstanceChecks:
             decided.clear()
             assert check_famchain2_instance(mod, deg) == []
             if mod.target is quasistable_target:
-                decided_again += sum(p is not None for p in decided)
+                decided_again += len(decided) - len(seen)
             else:
-                assert decided == [None] * len(seen)
+                assert len(decided) == len(seen)
             [holds] = [at for graph, at in seen if graph is mod.source]
             pol = canonical_polarization(mod.target, deg.total).pullback(mod)
             report = bundle_stability_report(deg, pol)
