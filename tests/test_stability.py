@@ -197,18 +197,27 @@ class TestSheafStability:
         assert scan.verdict("quasistable", "w")
 
 
-class TestDegreeBound:
-    """The degree-bound margins d_Z - d omega_Z / (2g - 2) + k_Z / 2 that
-    balanced_report reads, against the chi margins of the reports."""
+class TestSsI2:
+    """Condition (ssI2), the degree bound d_Z - d omega_Z / (2g - 2) + k_Z / 2
+    >= 0 on every proper connected subcurve, as balanced_report scans it."""
 
-    def test_margins(self):
+    def test_margin_interval(self):
         scan = balanced_report(theta_model((), 0, 2).multidegree).scan
         entry = {frozenset(z): m for z, m in scan.entries}
         assert entry[frozenset({"v"})] == Fraction(1, 2)
+
+    def test_skewed_fails_at_w(self):
         scan = balanced_report(theta_model((), 3, -1).multidegree).scan
         assert [sorted(z) for z, _ in scan.failures] == [["w"]]
+
+    def test_banana_strict(self):
         scan = balanced_report(Multidegree(elliptic_bridge(), (("v", 1), ("w", 1)))).scan
         assert scan.holds and not scan.equality_sites
+
+
+class TestDegreeBound:
+    """The degree-bound margins that balanced_report reads, against the chi
+    margins of the reports."""
 
     def test_reports_match_the_subcurve_formulas(self):
         # Every scan entry, exactly and in order, against per-subcurve
