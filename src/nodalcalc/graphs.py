@@ -480,36 +480,22 @@ def maximal_exceptional_chains(graph: DualGraph) -> tuple[ExceptionalChain, ...]
     if len(exc) == len(graph.vertices):
         raise ExceptionalCycleError("entire graph is a cycle of exceptional vertices")
 
-    def walk(start: str, via: str) -> tuple[list[str], str]:
-        # follow the run leaving `start` through edge `via`
-        run: list[str] = []
-        cur, e = start, via
-        while True:
-            a, b = graph.ends(e)
-            nxt = b if a == cur else a
-            if nxt not in exc:
-                return run, nxt
-            if nxt == start or nxt in run:
-                raise AssertionError("exceptional cycle not detected upfront")
-            run.append(nxt)
-            first, second = [pair[0] for pair in graph.incidence[nxt]]
-            e = second if first == e else first
-            cur = nxt
-
-    chains = []
-    seen: set[str] = set()
-    for v in sorted(exc):
-        if v in seen:
+    chains = set()
+    for left in graph.vertex_ids:
+        if left in exc:
             continue
-        e1, e2 = [pair[0] for pair in graph.incidence[v]]
-        run_a, attach_a = walk(v, e1)
-        run_b, attach_b = walk(v, e2)
-        vertices = tuple(reversed(run_a)) + (v,) + tuple(run_b)
-        left, right = attach_a, attach_b
-        if right < left or (right == left and tuple(reversed(vertices)) < vertices):
-            left, right = right, left
-            vertices = tuple(reversed(vertices))
-        chains.append(ExceptionalChain(left, vertices, right))
-        seen.update(vertices)
-    chains.sort(key=lambda c: (c.left, c.right, c.vertices))
-    return tuple(chains)
+        for e, v in graph.incidence[left]:
+            # each exceptional vertex has two edges and no loop, so the run entered from a
+            # non-exceptional vertex is a path and the walk leaves it at its other end
+            run = []
+            while v in exc:
+                run.append(v)
+                (f, x), (g, y) = graph.incidence[v]
+                e, v = (g, y) if f == e else (f, x)
+            if run:
+                vertices, right = tuple(run), v
+                if right < left or (right == left and vertices[::-1] < vertices):
+                    chains.add(ExceptionalChain(right, vertices[::-1], left))
+                else:
+                    chains.add(ExceptionalChain(left, vertices, right))
+    return tuple(sorted(chains, key=lambda c: (c.left, c.right, c.vertices)))

@@ -39,7 +39,10 @@ twice.  Those sites are ``twist``, ``pushforward_model``,
 ``phi_inverse``, the bundle side's lift and ``_model`` in ``stability``,
 ``pullback_multidegree``, ``canonical_polarization`` and
 ``omega_multidegree``; the public entries that feed them a degree d
-check that it is an ``int``.
+check that it is an ``int``.  ``bundle_stability_report`` and
+``check_bundle_stability`` build ``SheafModel._derived`` from a bundle's
+graph, the empty set and the bundle, a sheaf model with no non-invertible
+node.
 """
 
 from __future__ import annotations

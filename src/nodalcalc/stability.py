@@ -10,25 +10,27 @@ exceptional vertex, is the balanced condition.
 
 One kernel, ``_margins``, turns each row (Z, chi, k) into a window (Z,
 m(Z), rank (k - |dZ & N|)), and each verdict mode is one window predicate
-(``_stability_test``, (c) of the first lemma).  There is one report path
-and one verdict path.  The reports read a graph's full subcurve table and
-keep (Z, m(Z)); a report's verdict reads each margin as a window with no
-upper end.  The verdict path is one reader, ``_verdicts``, which the
-check_* verdicts and the famchain2 check of ``verify`` call: it reads one
-two-sided window per cut (Caporaso's basic inequality), decides one
-model's windows with no base vertex lazily and once for every mode, and
-stops each verdict at its first failing window.  Each graph has one cut
-table.  A graph with exceptional chains reads its cuts off the graph with
-each chain contracted to one edge: one chain row per cut and one interval
-record per chain, so neither its subcurves nor its sides are ever built,
-and a verdict decides a chain row from the margin of one set and each
-chain's least prefix sums, and an interval record from its least interval
-sums, all integers (the chain-window and interval lemmas).  A quasistable
-verdict at a vertex on a chain reads the same windows under the
-polarization perturbed there (the last remark).  Any other graph's table
-has no chains, no interval records and rows with no arms, whose windows
-are the kernel's.  Every verdict checks a quasistable base vertex
-against the graph it reads, the reports' included.
+(``_stability_test``, (c) of the first lemma).  A line bundle is the
+sheaf model with no non-invertible node, and the bundle entry points read
+it as one.  There is one report path and one verdict path.  The reports
+read a graph's full subcurve table and keep (Z, m(Z)); a report's verdict
+reads each margin as a window with no upper end.  The verdict path is one
+reader, ``_verdicts``, which the check_* verdicts and the famchain2 check
+of ``verify`` call: it reads one two-sided window per cut (Caporaso's
+basic inequality), decides one model's windows with no base vertex lazily
+and once for every mode, and stops each verdict at its first failing
+window.  Each graph has one cut table.  A graph with exceptional chains
+reads its cuts off the graph with each chain contracted to one edge: one
+chain row per cut and one interval record per chain, so neither its
+subcurves nor its sides are ever built, and a verdict decides a chain row
+from the margin of one set and each chain's least prefix sums, and an
+interval record from its least interval sums, all integers (the
+chain-window and interval lemmas).  A quasistable verdict at a vertex on
+a chain reads the same windows under the polarization perturbed there
+(the last remark).  Any other graph's table has no chains, no interval
+records and rows with no arms, whose windows are the kernel's.  Every
+verdict checks a quasistable base vertex against the graph it reads, the
+reports' included.
 
 The enumerators are one walk of the edge subsets, ``_strata``, that
 hands each vector of a stratum's box to a model side and a bundle side,
@@ -187,6 +189,9 @@ before it pass.
     the first lemma.  The perturbed polarization is not compatible with d,
     so (a) becomes m'(Z) + m'(Z^c) = 2 hi - 1; the window 0 <= m' < 2 hi
     on Z is then the same window on Z^c, so one side per cut still serves.
+    The identity needs integer margins, and a balanced scan's margins are
+    Fractions: at m = 1/4 with p in Z the tie rules pass and 2m - 1 < 0,
+    so ``_stability_test``, which the reports' verdicts read, keeps them.
 """
 
 from __future__ import annotations
@@ -449,7 +454,7 @@ class SubcurveScan:
 
     @property
     def holds(self) -> bool:
-        return all(margin >= 0 for _, margin in self.entries)
+        return self.verdict("semistable")
 
     @property
     def equality_sites(self) -> tuple[frozenset[str], ...]:
@@ -567,14 +572,6 @@ def _verdicts(
     return holds
 
 
-def _canonical_scan(graph: DualGraph, values: Mapping[str, int], d: int) -> SubcurveScan:
-    """Degree-bound margins of a line bundle: canonical chi margins divided by the
-    canonical rank."""
-    scale, e_values = _canonical(graph, d)
-    margins = _report(graph, values, (), scale, e_values)
-    return SubcurveScan(graph, tuple((z, Fraction(m, scale)) for z, m in margins))
-
-
 def sheaf_stability_report(model: SheafModel, pol: Polarization) -> SubcurveScan:
     """Twisted Euler characteristic of the model on every connected proper subcurve."""
     graph = model.graph
@@ -583,10 +580,9 @@ def sheaf_stability_report(model: SheafModel, pol: Polarization) -> SubcurveScan
 
 
 def bundle_stability_report(deg: Multidegree, pol: Polarization) -> SubcurveScan:
-    """Same scan for an honest line bundle given by its multidegree."""
-    graph = deg.graph
-    return SubcurveScan(graph, tuple(_report(graph, deg.as_dict, (),
-                                             *_polarized(pol, graph, deg.total))))
+    """Same scan for an honest line bundle given by its multidegree: the sheaf model with
+    no non-invertible node."""
+    return sheaf_stability_report(SheafModel._derived(deg.graph, frozenset(), deg), pol)
 
 
 def check_sheaf_stability(
@@ -604,10 +600,9 @@ def check_bundle_stability(
     deg: Multidegree, pol: Polarization, mode: str = "semistable",
     base_vertex: str | None = None,
 ) -> bool:
-    """Verdict of bundle_stability_report, on the cut windows, stopping at the first failure."""
-    graph = deg.graph
-    _stability_test(mode, base_vertex, graph)  # refused before a bad polarization
-    return _verdicts(graph, deg.as_dict, (), *_polarized(pol, graph, deg.total))(mode, base_vertex)
+    """Verdict of bundle_stability_report: that of the sheaf model with no non-invertible node."""
+    return check_sheaf_stability(SheafModel._derived(deg.graph, frozenset(), deg), pol, mode,
+                                 base_vertex)
 
 
 # -- balanced multidegrees --------------------------------------------------
@@ -622,23 +617,13 @@ class BalancedScan:
     scan: SubcurveScan
 
     def verdict(self, mode: str = "balanced") -> bool:
-        ok = _balanced_test(mode, self.graph)
-        return not self.exceptional_violations and all(ok(z, m) for z, m in self.scan.entries)
-
-
-def _balanced_test(
-    mode: str, graph: DualGraph,
-) -> Callable[[frozenset[str], int | Fraction], bool]:
-    """The per-row predicate of a balanced mode, checked by ``_sheaf_mode``.
-
-    Stably balanced allows equality only on subcurves whose complement
-    is exceptional.
-    """
-    if _sheaf_mode(mode) == "semistable":
-        return lambda z, m: m >= 0
-    whole = frozenset(graph.vertex_ids)
-    exc = frozenset(exceptional_vertices(graph))
-    return lambda z, m: m > 0 or (m == 0 and whole - z <= exc)
+        """Balanced: the scan holds.  Stably balanced: every margin is positive, or 0 on a
+        subcurve whose complement is exceptional.  The mode is checked by ``_sheaf_mode``."""
+        if _sheaf_mode(mode) == "semistable":
+            return not self.exceptional_violations and self.scan.holds
+        plain = frozenset(self.graph.vertex_ids) - frozenset(exceptional_vertices(self.graph))
+        return not self.exceptional_violations and all(
+            m > 0 or m == 0 and plain <= z for z, m in self.scan.entries)
 
 
 def _sheaf_mode(mode: str) -> str:
@@ -663,7 +648,11 @@ def balanced_report(deg: Multidegree) -> BalancedScan:
     if graph.genus < 2:
         raise ValueError("balanced check requires genus at least 2")
     violations = tuple(v for v in exceptional_vertices(graph) if deg[v] != 1)
-    return BalancedScan(graph, violations, _canonical_scan(graph, deg.as_dict, deg.total))
+    # degree-bound margins: the canonical chi margins divided by the canonical rank
+    scale, e_values = _canonical(graph, deg.total)
+    margins = _report(graph, deg.as_dict, (), scale, e_values)
+    scan = SubcurveScan(graph, tuple((z, Fraction(m, scale)) for z, m in margins))
+    return BalancedScan(graph, violations, scan)
 
 
 def check_balanced(deg: Multidegree, mode: str = "balanced") -> bool:

@@ -5,6 +5,20 @@ import pytest
 from nodalcalc import sheaves
 
 
+def registry_chains(mod):
+    """The exceptional chains of a stable target's modification, read off its registry.
+
+    Each modified edge (a, b) of the target, a <= b, gives the chain of its
+    registry entry read from a; on a loop the smaller of its two readings is
+    kept.  The chains are sorted by (left, right, vertices).
+    """
+    chains = []
+    for e, chain in mod.chain_registry:
+        a, b = mod.target.edge_ends[e]
+        chains.append((a, min(chain, chain[::-1]) if a == b else chain, b))
+    return sorted(chains, key=lambda c: (c[0], c[2], c[1]))
+
+
 def is_canonical(graph, values) -> bool:
     """Whether ``values`` is a tuple of ``(str, int)`` tuples keyed by exactly
     ``graph.vertex_ids``, in that order: the form every multidegree stores."""

@@ -13,7 +13,8 @@ from string import Template
 
 import pytest
 
-from nodalcalc import cli, graphs, interval_sum_range, stability
+from conftest import registry_chains
+from nodalcalc import cli, graphs, interval_sum_range, modify, stability
 from nodalcalc import verify as verify_module
 
 THETA = {
@@ -764,6 +765,7 @@ def test_repeated_json_keys_rejected(tmp_path, capsys, argv, text, key):
 
 SOURCE = MOD_WITH_CHAINS["source"]
 SHEAF = {"noninvertible": [], "multidegree": {"v": 1, "w": 1}}
+GENUS_ONE = {"vertices": [{"id": "v", "genus": 1}], "edges": []}
 
 
 @pytest.mark.parametrize("argv, files, message", [
@@ -793,13 +795,40 @@ SHEAF = {"noninvertible": [], "multidegree": {"v": 1, "w": 1}}
     (["check-stability", "curve", "sheaf", "--polarization", "in"],
      {"curve": THETA, "sheaf": SHEAF, "in": {"rank": 2}},
      "polarization data missing key 'e'"),
+    (["enumerate", "in", "--degree", "0"], {"in": GENUS_ONE},
+     "enumeration requires genus at least 2"),
+    (["certify", "in", "--degree", "0"], {"in": GENUS_ONE},
+     "enumeration requires genus at least 2"),
+    (["modify", "in"], {"in": {**MOD_WITH_CHAINS, "chains": {"e1": ["c"]}, "source": {
+        "vertices": [{"id": "v"}, {"id": "w"}, {"id": "c"}],
+        "edges": [{"id": "f1", "ends": ["v", "c"]}, {"id": "f2", "ends": ["c", "w"]},
+                  {"id": "f3", "ends": ["c", "v"]}, *SOURCE["edges"][2:]]}}},
+     "chain vertex 'c' does not have valence 2"),
 ], ids=["empty_chain", "shared_chain_vertex", "extra_source_vertex", "chain_not_a_path",
         "modification_list", "multidegree_list", "sheaf_list", "polarization_int",
-        "sheaf_missing_key", "polarization_missing_key"])
+        "sheaf_missing_key", "polarization_missing_key", "enumerate_genus_one",
+        "certify_genus_one", "chain_vertex_valence"])
 def test_refusal_names_its_cause(tmp_path, capsys, argv, files, message):
     paths = {name: write(tmp_path, f"{name}.json", data) for name, data in files.items()}
     code, out, err = run(capsys, [paths.get(arg, arg) for arg in argv])
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_classify_prints_the_registered_chains(tmp_path, capsys):
+    # two modification sources of seeded random stable graphs, a loop and a parallel
+    # pair among their modified edges
+    rng = random.Random(7)
+    seen = set()
+    while len(seen) < 2:
+        target = verify_module.random_stable_graph(rng, 4, 4)
+        mod = modify(target, {e: rng.randint(1, 3) for e in target.edge_ends})
+        ends = list(target.edge_ends.values())
+        if any(a == b for a, b in ends) and len(set(ends)) < len(ends):
+            curve = write(tmp_path, "source.json", mod.source.to_json_dict())
+            code, data = run_json(capsys, ["classify", curve])
+            assert code == 0
+            assert data["chains"] == [list(chain) for _, chain, _ in registry_chains(mod)]
+            seen.add(mod.source)
 
 
 @pytest.mark.parametrize("curve, chains, klass", [

@@ -40,6 +40,12 @@ K4 = DualGraph(
 
 
 class TestPhi:
+    def test_multidegree_on_the_target_is_refused(self):
+        mod = small_modification(theta_graph(), ["e1"])
+        with pytest.raises(ValueError) as exc:
+            phi(mod, Multidegree(theta_graph(), {"v": 1, "w": 1}))
+        assert str(exc.value) == "multidegree does not live on the modification source"
+
     def test_single_chain(self):
         mod = small_modification(theta_graph(), ["e1"])
         deg = Multidegree(mod.source, (("v", 0), ("w", 1), ("e1#1", 1)))
@@ -86,6 +92,12 @@ class TestPhi:
 
 
 class TestPhiInverse:
+    def test_model_on_another_graph_is_refused(self):
+        model = SheafModel(theta_graph(), (), Multidegree(theta_graph(), {"v": 1, "w": 1}))
+        with pytest.raises(ValueError) as exc:
+            phi_inverse(elliptic_bridge(), model)
+        assert str(exc.value) == "sheaf model does not live on the given graph"
+
     def test_single_node(self):
         deg = Multidegree(theta_graph(), (("v", 0), ("w", 1)))
         model = SheafModel(theta_graph(), frozenset({"e1"}), deg)

@@ -9,6 +9,7 @@ from itertools import combinations
 
 import pytest
 
+from conftest import registry_chains
 from nodalcalc import (
     DualGraph,
     ExceptionalCycleError,
@@ -29,7 +30,7 @@ from nodalcalc import (
 from nodalcalc import graphs
 from nodalcalc.graphs import internal_edge_count
 from nodalcalc.stability import _cut_table, _subcurve_table
-from nodalcalc.verify import random_graph, random_modification
+from nodalcalc.verify import random_graph, random_modification, random_stable_graph
 
 
 def loop_vertex():
@@ -432,6 +433,23 @@ class TestExceptionalChains:
         g = DualGraph((("v", 0), ("w", 2)), (("e", ("v", "w")),))
         with pytest.raises(ValueError):
             maximal_exceptional_chains(g)
+
+    def test_walk_matches_the_registry(self):
+        # a stable target has no exceptional vertex, so the chains of its modification's
+        # source are exactly the registered ones, attached at the ends of their edges
+        rng = random.Random(2014)
+        loops = parallel = 0
+        for _ in range(300):
+            target = random_stable_graph(rng, 4, 4)
+            ends = list(target.edge_ends.values())
+            loops += any(a == b for a, b in ends)
+            parallel += len(set(ends)) < len(ends)
+            mod = modify(target, {e: rng.randint(1, 3) for e, _ in target.edges
+                                  if rng.random() < 0.6})
+            found = [(c.left, c.vertices, c.right)
+                     for c in maximal_exceptional_chains(mod.source)]
+            assert found == registry_chains(mod)
+        assert loops > 50 and parallel > 50
 
 
 class TestPerGraphMemo:

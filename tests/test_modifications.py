@@ -387,6 +387,16 @@ class TestModificationValidation:
         with pytest.raises(ValueError):
             Modification(theta_graph(), bad_source, (("e1", ("e1#1",)),))
 
+    def test_chain_vertex_with_an_extra_edge_is_refused(self):
+        source = DualGraph(
+            (("v", 0), ("w", 0), ("c", 0)),
+            (("f1", ("v", "c")), ("f2", ("c", "w")), ("f3", ("c", "v")),
+             ("e2", ("v", "w")), ("e3", ("v", "w"))),
+        )
+        with pytest.raises(ValueError) as exc:
+            Modification(theta_graph(), source, {"e1": ("c",)})
+        assert str(exc.value) == "chain vertex 'c' does not have valence 2"
+
     def test_untouched_edges_must_survive(self):
         mod = modify(theta_graph(), {"e1": 1})
         pruned = DualGraph(

@@ -219,6 +219,15 @@ class TestBoundary:
 
 
 class TestOracle:
+    def test_multidegree_on_the_target_is_refused(self):
+        mod = modify(theta_graph(), {"e1": 2})
+        deg = Multidegree(theta_graph(), {"v": 1, "w": 1})
+        for call in (lambda: chain_degrees(mod, deg),
+                     lambda: pushforward_degree_oracle(mod, deg, {"v"})):
+            with pytest.raises(ValueError) as exc:
+                call()
+            assert str(exc.value) == "multidegree does not live on the modification source"
+
     def test_boundary_chain_takes_worst_prefix(self):
         mod = modify(elliptic_bridge(), {"e1": 1})
         deg = theta_deg(mod, {"e1": (-1,)}, v=2, w=0)

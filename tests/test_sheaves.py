@@ -654,6 +654,11 @@ class TestIntervalSums:
 
     def test_single(self):
         assert interval_sum_range((0,)) == (0, 0)
+
+    def test_empty_is_refused(self):
+        with pytest.raises(ValueError) as exc:
+            interval_sum_range([])
+        assert str(exc.value) == "need at least one entry"
     def test_matches_brute_force(self):
         for n in (1, 2, 3, 4):
             for degs in product(range(-2, 3), repeat=n):

@@ -138,6 +138,12 @@ class TestSheafStability:
         pol = canonical_polarization(theta_graph(), 2)
         assert check_sheaf_stability(theta_model(("e1",), 0, 1), pol, "stable")
 
+    def test_polarization_on_another_graph_is_refused(self):
+        pol = canonical_polarization(K4, 2)
+        with pytest.raises(ValueError) as exc:
+            check_sheaf_stability(theta_model((), 1, 1), pol)
+        assert str(exc.value) == "polarization lives on a different graph"
+
     def test_quasistable_needs_base_vertex(self):
         pol = canonical_polarization(theta_graph(), 2)
         scan = sheaf_stability_report(theta_model((), 1, 1), pol)
@@ -378,6 +384,12 @@ class TestBalanced:
 
 
 class TestEnumeration:
+    def test_genus_one_is_refused(self):
+        curve = DualGraph((("v", 1),), ())
+        with pytest.raises(ValueError) as exc:
+            enumerate_semistable_models(curve, 0)
+        assert str(exc.value) == "enumeration requires genus at least 2"
+
     def test_non_int_degree_is_refused(self):
         for d in (2.0, 2.5, True, "2", None):
             for call in (lambda: enumerate_semistable_models(theta_graph(), d),
