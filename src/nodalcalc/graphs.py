@@ -492,10 +492,7 @@ def maximal_exceptional_chains(graph: DualGraph) -> tuple[ExceptionalChain, ...]
                 run.append(v)
                 (f, x), (g, y) = graph.incidence[v]
                 e, v = (g, y) if f == e else (f, x)
-            if run:
-                vertices, right = tuple(run), v
-                if right < left or (right == left and vertices[::-1] < vertices):
-                    chains.add(ExceptionalChain(right, vertices[::-1], left))
-                else:
-                    chains.add(ExceptionalChain(left, vertices, right))
+            # a run is walked from both ends: keep the canonical reading
+            if run and (left, run) <= (v, run[::-1]):
+                chains.add(ExceptionalChain(left, tuple(run), v))
     return tuple(sorted(chains, key=lambda c: (c.left, c.right, c.vertices)))
