@@ -7,6 +7,23 @@ rank-1 sheaf of the same total degree, and this module computes its
 model: which target nodes become non-invertible and how the degrees on
 the surviving components are corrected.
 
+Lemma (alternation).  Every contiguous run of a degree sequence sums to
+-1, 0 or 1 exactly when its entries lie in {-1, 0, 1} and its nonzero
+entries alternate in sign.
+
+Proof.  If every run sums within [-1, 1], the runs of length one put
+each entry in {-1, 0, 1}, and two nonzero entries of the same sign with
+only zeros between them would make a run of sum 2 or -2.  Conversely,
+the nonzero entries of any run of an alternating sequence alternate
+too, so the run sums to 0 when it holds an even number of them and to
+its first nonzero entry when it holds an odd number.  QED
+
+So an admissible chain is decided by its two ends.  It carries a
+nonzero degree exactly when its first nonzero entry ``head`` is not 0,
+its total is 0 when ``head`` and the last nonzero entry ``tail``
+differ and ``head`` when they agree, and the end rule of
+``pushforward_model`` reads off ``head`` and ``tail`` alone.
+
 Two independent computations of the same thing are kept side by side.
 ``pushforward_model`` applies the per-chain normal-form rules, while
 ``pushforward_degree_oracle`` evaluates the degree of the direct image
@@ -60,18 +77,19 @@ def chain_degrees(mod: Modification, deg: Multidegree) -> list[tuple[str, tuple[
     return [(e, tuple(values[c] for c in chain)) for e, chain in mod.chain_registry]
 
 
-_Scans = list[tuple[str, int, int, int, int, int]]
+_Scans = list[tuple[str, int, int, int, int]]
 
 
 def _chain_scans(mod: Modification, deg: Multidegree) -> _Scans:
-    """(e, lo, hi, total, head, tail) per chain, side 0 first, in one pass each.
+    """(e, lo, hi, head, tail) per chain, side 0 first, in one pass each.
 
     lo and hi bound the sums of nonempty contiguous runs, read off running
     prefix sums: the run ending at an entry ranges between its prefix sum
     minus the largest and minus the smallest earlier prefix sum (0
-    included).  head and tail are the first and last nonzero entries, 0
-    when there is none.  ``interval_sum_range`` is the independent
-    reference.
+    included).  head and tail are the first nonzero entries read from side
+    0 and from side 1, 0 when there is none; the end rule of
+    ``pushforward_model`` reads nothing else.  ``interval_sum_range`` is
+    the independent reference.
 
     ``admissibility``, ``pushforward_diagnostics`` and ``pushforward_model``
     read their answers off this list (``_flags_of``, ``_diagnostics_of``,
@@ -100,7 +118,7 @@ def _chain_scans(mod: Modification, deg: Multidegree) -> _Scans:
                 low_prefix = prefix
             elif prefix > high_prefix:
                 high_prefix = prefix
-        scans.append((e, lo, hi, prefix, head, tail))
+        scans.append((e, lo, hi, head, tail))
     return scans
 
 
@@ -110,7 +128,7 @@ def admissibility(mod: Modification, deg: Multidegree) -> AdmissibilityFlags:
 
 def _flags_of(scans: _Scans) -> AdmissibilityFlags:
     admissible = negatively = positively = invertible = True
-    for _, lo, hi, _, _, _ in scans:
+    for _, lo, hi, _, _ in scans:
         admissible &= -1 <= lo and hi <= 1
         negatively &= -1 <= lo and hi <= 0
         positively &= 0 <= lo and hi <= 1
@@ -132,6 +150,12 @@ def pushforward_model(mod: Modification, deg: Multidegree) -> SheafModel:
     Vertices away from the chains keep their degrees.  The total degree
     of the model equals the total degree of the bundle.
 
+    By the alternation lemma of the module the table is one end rule:
+    the edge is non-invertible exactly when ``head`` is not 0, and the
+    endpoint on each side loses one unit exactly when the first nonzero
+    entry read from that side is -1 (``head`` for side 0, ``tail`` for
+    side 1).  Then delta is 1 less the units lost, as the table says.
+
     Each chain is read in one pass (``_chain_scans``).  The model is
     built in canonical form, through the ``_derived`` constructors.
     """
@@ -144,7 +168,7 @@ def _model_of(mod: Modification, deg: Multidegree, scans: _Scans) -> SheafModel:
     ends = target.edge_ends
     tilde = {v: values[v] for v in target.vertex_ids}
     noninvertible = []
-    for e, lo, hi, delta, head, tail in scans:
+    for e, lo, hi, head, tail in scans:
         if lo < -1 or hi > 1:
             raise NotAdmissibleError(
                 f"chain over {e!r} has a contiguous run of degree "
@@ -153,18 +177,11 @@ def _model_of(mod: Modification, deg: Multidegree, scans: _Scans) -> SheafModel:
         if not head:
             continue
         noninvertible.append(e)
-        if delta == 1:
-            continue
         a, b = ends[e]  # a is side 0
-        if delta == 0:
-            if (head == -1) == (tail == -1):
-                raise AssertionError("exactly one side must lead with -1")
-            tilde[a if head == -1 else b] -= 1
-        elif delta == -1:
+        if head == -1:
             tilde[a] -= 1
+        if tail == -1:
             tilde[b] -= 1
-        else:  # admissibility bounds every chain total by 1 in absolute value
-            raise AssertionError("unreachable chain total")
     total = sum(tilde.values())
     if total + len(noninvertible) != deg.total:
         raise AssertionError("pushforward changed the total degree")
@@ -236,7 +253,7 @@ def pushforward_diagnostics(mod: Modification, deg: Multidegree) -> PushforwardD
 def _diagnostics_of(scans: _Scans) -> PushforwardDiagnostics:
     torsion = drops = False
     bad = []
-    for e, lo, hi, _, head, _ in scans:
+    for e, lo, hi, head, _ in scans:
         torsion |= hi >= 2
         drops |= lo <= -2
         if head:

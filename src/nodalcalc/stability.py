@@ -409,21 +409,14 @@ def _cut_windows(
     on a chain, quasistability there (the perturbation remark).  No side is
     built.
     """
-    nodes = set(noninvertible)
     sums, lows = [], []  # per chain P and Q; per arm its least P and least Q - Q(0)
     for vertices, edges in cuts.chains:
         margin, prefix = 0, [0]
-        if nodes:
-            crossing = [rank if f in nodes else 0 for f in edges]
-            for c, f in zip(vertices, crossing):
-                margin += rank * values[c] + e_values[c] + f
-                prefix.append(margin)
-            slack = [-m - f for m, f in zip(prefix, crossing)]
-        else:
-            for c in vertices:
-                margin += rank * values[c] + e_values[c]
-                prefix.append(margin)
-            slack = [-m for m in prefix]
+        crossing = [rank if f in noninvertible else 0 for f in edges]
+        for c, f in zip(vertices, crossing):
+            margin += rank * values[c] + e_values[c] + f
+            prefix.append(margin)
+        slack = [-m - f for m, f in zip(prefix, crossing)]
         sums.append((prefix, slack))
         # read from the other end, P(j) is Q(m - j) - Q(m) and Q(j) - Q(0) is P(m - j) - P(m)
         low_p, low_q = min(prefix), min(slack)

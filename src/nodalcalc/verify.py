@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import asdict, dataclass
 from functools import lru_cache
-from itertools import combinations, product, starmap
+from itertools import accumulate, combinations, product, starmap
 from typing import Callable, Iterator
 
 from .catalog import elliptic_bridge, theta_graph
@@ -89,15 +89,10 @@ def exhaustive_instances(
     plain_window].  Deterministic order throughout.
     """
     edge_ids = [e for e, _ in graph.edges]
-    per_edge = []
-    for _ in edge_ids:
-        opts: list[tuple[int, ...] | None] = [None]
-        for k in range(1, max_eta + 1):
-            opts.extend(admissible_sequences(k))
-        per_edge.append(opts)
+    options = [None, *(seq for k in range(1, max_eta + 1) for seq in admissible_sequences(k))]
     mods: dict[tuple, Modification] = {}
     plain_values = range(-plain_window, plain_window + 1)
-    for combo in product(*per_edge):
+    for combo in product(options, repeat=len(edge_ids)):
         lengths = {e: len(seq) for e, seq in zip(edge_ids, combo) if seq is not None}
         key = tuple(sorted(lengths.items()))
         if key not in mods:
@@ -234,7 +229,9 @@ def _repro(detail: str, graph: DualGraph | None = None, mod: Modification | None
 # every sequence of them of each length up to ``chain_length_max``, and the most
 # sequences it may walk.  Each costs two ``chain_h`` calls and one
 # ``interval_sum_range``: lengths up to 6 (137,256 sequences) take about 3 s with
-# Python 3.11 on a shared 2-vCPU machine, and up to 7 (960,799) about 25 s.
+# Python 3.11 on a shared 2-vCPU machine, and up to 7 (960,799) about 25 s.  The
+# pushforward and compadm suites are held to the same bound: ``admissible_sequences``
+# walks all 3^n sequences of a chain length n, and length 12 (531,441) took 9.5 s.
 _CHAIN_DEGREES = range(-3, 4)
 _MAX_CHAIN_SEQUENCES = 1 << 18
 
@@ -556,14 +553,18 @@ class VerifyConfig:
                      "degree_window", "chain_length_max"):
             if _json_int(getattr(self, name), name) < 1:
                 raise ValueError(f"{name} must be positive")
-        if "chain-cohomology" in ordered:  # summed only up to the first length past the bound
-            length, base, cases = self.chain_length_max, len(_CHAIN_DEGREES), 0
-            for n in range(1, length + 1):
-                cases += base ** n
-                if cases > _MAX_CHAIN_SEQUENCES:
-                    raise ValueError(f"chain-cohomology walks {base}^1 + ... + {base}^{length} "
-                                     f"degree sequences, more than {_MAX_CHAIN_SEQUENCES}; "
-                                     "too many to enumerate")
+        # each count is read only up to the first length past the bound
+        length, base = self.chain_length_max, len(_CHAIN_DEGREES)
+        lengths = range(1, length + 1)
+        for suite, walked, counts in (
+            ("chain-cohomology", f"{base}^1 + ... + {base}^{length}",
+             accumulate(base ** n for n in lengths)),
+            ("pushforward", f"3^{length}", (3 ** n for n in lengths)),
+            ("compadm", f"3^{length}", (3 ** n for n in lengths)),
+        ):
+            if suite in ordered and any(n > _MAX_CHAIN_SEQUENCES for n in counts):
+                raise ValueError(f"{suite} walks {walked} degree sequences, more than "
+                                 f"{_MAX_CHAIN_SEQUENCES}; too many to enumerate")
 
     def to_json_dict(self) -> dict:
         return asdict(self) | {"suites": list(self.suites)}

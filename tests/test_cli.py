@@ -14,7 +14,7 @@ from string import Template
 import pytest
 
 from conftest import registry_chains
-from nodalcalc import cli, graphs, interval_sum_range, modify, stability
+from nodalcalc import cli, graphs, interval_sum_range, modify
 from nodalcalc import verify as verify_module
 
 THETA = {
@@ -652,6 +652,16 @@ class TestVerifyCommand:
             length = argv[-1]
             assert err == (f"error: chain-cohomology walks 7^1 + ... + 7^{length} degree "
                            "sequences, more than 262144; too many to enumerate\n")
+
+    def test_oversized_admissible_chains_refused_before_any_suite(self, capsys, monkeypatch):
+        # pushforward and compadm walk all 3^n sequences of a chain length n for its
+        # admissible ones: 12 ran 9.5 s and 14 was still running at 60 s
+        monkeypatch.setattr(cli, "run_verification", lambda cfg: pytest.fail("a suite ran"))
+        for suite in ("pushforward", "compadm"):
+            code, out, err = run(capsys, ["verify", "--suite", suite, "--chain-length-max", "12"])
+            assert (code, out) == (2, "")
+            assert err == (f"error: {suite} walks 3^12 degree sequences, more than 262144; "
+                           "too many to enumerate\n")
 
     # sha256 of the default run's stdout followed by "exit 0\n", the bytes CI pins
     DEFAULT_RUN_SHA256 = "c5cc9a13a83d95e11fdf13308041431160cbb915f40b72e10a43760b3f451ce4"

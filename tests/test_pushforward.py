@@ -168,6 +168,48 @@ class TestPushforwardModel:
         assert model.multidegree == deg
 
 
+
+def alternates(seq):
+    """The condition of the alternation lemma, read off the entries themselves."""
+    nonzero = [d for d in seq if d]
+    return (all(d in (-1, 0, 1) for d in seq)
+            and all(a == -b for a, b in zip(nonzero, nonzero[1:])))
+
+
+class TestEndRule:
+    """The alternation lemma of ``pushforward`` and the end rule it gives
+    ``pushforward_model``; oracles: ``interval_sum_range`` and
+    ``pushforward_degree_oracle``."""
+
+    def test_alternation_lemma_on_every_short_sequence(self):
+        admissible = 0
+        for k in range(1, 8):
+            for seq in product(range(-2, 3), repeat=k):
+                lo, hi = interval_sum_range(seq)
+                assert (-1 <= lo and hi <= 1) == alternates(seq), seq
+                admissible += alternates(seq)
+        # 2^(k+1) - 1 alternating sequences of each length k
+        assert admissible == 501
+
+    def test_model_matches_the_oracle_on_every_admissible_chain(self):
+        cases = 0
+        for graph, edge, plain in ((theta_graph(), "e1", {"v": 1, "w": 0}),
+                                   (loop_vertex(), "l", {"v": 1})):
+            for k in range(1, 7):
+                mod = modify(graph, {edge: k})
+                for seq in product((-1, 0, 1), repeat=k):
+                    if not alternates(seq):
+                        continue
+                    deg = theta_deg(mod, {edge: seq}, **plain)
+                    model = pushforward_model(mod, deg)
+                    assert model.noninvertible == ({edge} if any(seq) else set())
+                    assert model.degree == deg.total
+                    for w in connected_subcurves(mod.target):
+                        want = pushforward_degree_oracle(mod, deg, w)
+                        assert sheaf_degree(model, w) == want, (edge, seq, w)
+                    cases += 1
+        assert cases == 2 * 246
+
 def boundary_instances():
     """Every chain sequence in [-2, 2]^k, k <= 3, on one edge; pairs with k <= 2 on theta."""
     window = range(-2, 3)

@@ -33,7 +33,6 @@ from nodalcalc import (
     enumerate_semistable_models,
     modify,
     omega_multidegree,
-    pullback_multidegree,
     pushforward_model,
     sheaf_degree,
     sheaf_stability_report,

@@ -7,7 +7,6 @@ import pytest
 
 from nodalcalc import (
     ALL_SUITES,
-    DualGraph,
     Multidegree,
     SheafModel,
     VerifyConfig,
@@ -88,6 +87,21 @@ class TestConfig:
                 "more than 262144; too many to enumerate")
         # the other suites draw chains of at most that length instead
         assert VerifyConfig(suites=("roundtrip",), chain_length_max=12).chain_length_max == 12
+
+    def test_admissible_draws_bounded(self):
+        # pushforward and compadm draw each chain's degrees from admissible_sequences,
+        # which walks all 3^n sequences of a length n: 177,147 at n = 11, within the
+        # bound of 2^18, and 531,441 at n = 12, past it (12 ran 9.5 s, 14 over 60 s)
+        assert 3 ** 11 == 177_147 <= _MAX_CHAIN_SEQUENCES < 531_441 == 3 ** 12
+        for suite in ("pushforward", "compadm"):
+            assert VerifyConfig(suites=(suite,), chain_length_max=11).chain_length_max == 11
+            for length in (12, 13, 10 ** 9):
+                with pytest.raises(ValueError) as exc:
+                    VerifyConfig(suites=(suite,), chain_length_max=length)
+                assert str(exc.value) == (f"{suite} walks 3^{length} degree sequences, "
+                                          "more than 262144; too many to enumerate")
+        # famchain2 draws its chain degrees at random, so any length is accepted
+        assert VerifyConfig(suites=("famchain2",), chain_length_max=12).chain_length_max == 12
 
     def test_non_int_seed_rejected(self):
         # a float or list seed was once accepted and reached random.Random
