@@ -23,6 +23,14 @@ strata: ``stability._strata`` walks each edge subset once, hands every
 vector of its box to the bundle side and to the model side, and the
 stratum is matched on degree vectors and dropped.  Memory is bounded by
 the largest stratum; a ``SheafModel`` is built only for a mismatch.
+
+The lift (Y_N, vec plus 1 on each chain vertex) is written once, as a
+gather over vec followed by a 1 that each small modification keeps
+(``Modification._lift``); the walk's bundle side and ``phi_inverse``
+both read it, so a modification shared through ``small_modification``
+computes it once.  Every accepted bundle is still chased through
+``phi``, ``pushforward_model`` and ``phi_inverse``, and the chase tests
+graphs and modifications for identity before it compares them.
 """
 
 from __future__ import annotations
@@ -43,13 +51,16 @@ def phi(mod: Modification, deg: Multidegree) -> tuple[DualGraph, SheafModel]:
     chain of two or more vertices has two exceptional vertices that meet),
     and the multidegree must be 1 on every exceptional vertex of the source.
     The resulting model keeps the degrees away from the chains and marks
-    every modified edge non-invertible.
+    every modified edge non-invertible.  The graphs are tested for
+    identity before they are compared.
     """
-    if deg.graph != mod.source:
+    source = mod.source
+    if deg.graph is not source and deg.graph != source:
         raise ValueError("multidegree does not live on the modification source")
-    if classify(mod.source) not in ("stable", "quasistable"):
+    if classify(source) not in ("stable", "quasistable"):
         raise ValueError("source of the modification is not quasistable")
-    off = [v for v in exceptional_vertices(mod.source) if deg[v] != 1]
+    values = deg.as_dict
+    off = [v for v in exceptional_vertices(source) if values[v] != 1]
     if off:
         raise ValueError(f"degree must be 1 on exceptional vertices, violated at {off}")
     model = pushforward_model(mod, deg)
@@ -66,14 +77,17 @@ def phi_inverse(graph: DualGraph, model: SheafModel) -> tuple[Modification, Mult
     the model.  The modification is ``small_modification`` of the
     non-invertible set: the object that answered any of the 512 most
     recent requests for this graph (or an equal one) and edge set, and an
-    equal object always.  The bundle lists the source's vertices in order
-    with ``int`` degrees, so it is built through ``Multidegree._derived``.
+    equal object always.  The bundle's degrees are read by the
+    modification's one lift rule, the one the enumeration's walk reads,
+    from the model's degrees followed by a 1; they are listed in source
+    vertex order with ``int`` degrees, so the bundle is built through
+    ``Multidegree._derived``.
     """
-    if model.graph != graph:
+    if model.graph is not graph and model.graph != graph:
         raise ValueError("sheaf model does not live on the given graph")
     mod = small_modification(graph, model.noninvertible)
-    chain, values = mod.chain_vertices, model.multidegree.as_dict
-    degrees = {v: 1 if v in chain else values[v] for v in mod.source.vertex_ids}
+    lifted = mod._lift((*model.multidegree.as_dict.values(), 1))
+    degrees = dict(zip(mod.source.vertex_ids, lifted))
     deg = Multidegree._derived(mod.source, degrees, sum(degrees.values()))
     if deg.total != model.degree:
         raise AssertionError("lifted bundle changed the total degree")
@@ -129,17 +143,18 @@ def certify_bijection(graph: DualGraph, d: int, mode: str = "balanced") -> Corre
         balanced_count += len(bundles)
         semistable_count += len(models)
         images: dict[tuple[int, ...], SheafModel] = {}
+        edges = mod.modified_edges
         for deg in bundles:
             target, image = phi(mod, deg)
-            if target != graph:
+            if target is not graph and target != graph:
                 mismatches.append(f"pushforward changed the graph for {deg.to_json_dict()}")
             back_mod, back_deg = phi_inverse(graph, image)
-            if back_mod != mod or back_deg != deg:
+            if back_mod is not mod and back_mod != mod or back_deg != deg:
                 mismatches.append(f"round trip failed for model {image.to_json_dict()}")
             # matching on degree vectors is sound only inside the stratum
-            if image.graph != graph or image.noninvertible != mod.modified_edges:
+            if image.graph is not graph and image.graph != graph or image.noninvertible != edges:
                 raise AssertionError("pushforward left its stratum")
-            vec = tuple(value for _, value in image.multidegree.values)
+            vec = tuple(image.multidegree.as_dict.values())
             if vec in images:
                 injective = False
             images[vec] = image

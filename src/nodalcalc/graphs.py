@@ -316,7 +316,14 @@ def is_exceptional(graph: DualGraph, v: str) -> bool:
 
 @_per_graph
 def exceptional_vertices(graph: DualGraph) -> tuple[str, ...]:
-    return tuple(v for v in graph.vertex_ids if is_exceptional(graph, v))
+    """The vertices ``is_exceptional`` accepts, in id order, listed in one pass
+    over ``genus_map`` and ``incidence``.  No loop needs a test of its own: in
+    a connected graph of two or more vertices, a vertex with a loop has an
+    edge to another vertex too, so its valence is at least 3."""
+    if len(graph.vertices) == 1:
+        return ()
+    incidence = graph.incidence
+    return tuple(v for v, g in graph.genus_map.items() if not g and len(incidence[v]) <= 2)
 
 
 @_per_graph

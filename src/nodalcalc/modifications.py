@@ -23,9 +23,10 @@ reading of the chain is kept.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import itemgetter
 from types import MappingProxyType
 
 from .graphs import (
@@ -101,6 +102,21 @@ class Modification:
             for pos, c in enumerate(chain, start=1):
                 image[c] = (e, pos)
         return MappingProxyType(image)
+
+    @cached_property
+    def _lift(self) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
+        """The lift rule of the correspondence as one gather, kept on the modification.
+
+        Applied to degrees over ``target.vertex_ids`` followed by a 1, it
+        returns the degrees over ``source.vertex_ids`` that are 1 on each
+        chain vertex and the target's degree at every other vertex.  An
+        ``itemgetter`` of one index returns its item, not a tuple, so a
+        source of one vertex reads a slice.
+        """
+        place = {v: i for i, v in enumerate(self.target.vertex_ids)}
+        one = len(place)  # the position of the trailing 1
+        at = [place.get(v, one) for v in self.source.vertex_ids]
+        return itemgetter(*at) if len(at) > 1 else itemgetter(slice(at[0], at[0] + 1))
 
     # -- validation --------------------------------------------------------
 

@@ -35,16 +35,24 @@ reports' included.
 The enumerators are one walk of the edge subsets, ``_strata``, that
 hands each vector of a stratum's box to a model side and a bundle side,
 with the second lemma below; certify_bijection takes both sides from one
-walk.  There is one canonical polarization, ``_canonical``, the one place
-its rank 2g - 2 is computed: the walk reads it once and hands it to the
-box, which reads each vertex's window off the kernel on the row {v}, and
-to both sides; the bundle side reads it pulled back to each source, the
-same e with 0 on the chain vertices.  A balanced mode is read as the
-stability mode of its models by ``_sheaf_mode``.  Both sides read the
-graph's cut rows, each with its positions in a box vector found once per
-graph, compile a stratum's windows once, by the remark after the first
-lemma, and read each vector off them, one row further only when the rows
-before it pass.
+walk.  The subsets are walked depth first, in ascending order, and one
+whose box is empty is not extended (the monotone-box remark); each box
+is walked by one ``itertools.product`` over every coordinate but the
+last, which the total fixes.  There is one canonical polarization,
+``_canonical``, the one place its rank 2g - 2 is computed: the walk reads
+it once and hands it to the box, which reads each vertex's window off
+the kernel on the row {v}, and to both sides; the bundle side reads it
+pulled back to each source, the same e with 0 on the chain vertices.  A
+balanced mode is read as the stability mode of its models by
+``_sheaf_mode``.  Both sides read the graph's cut rows, each with its
+positions in a box vector found once per graph, compile a stratum's
+windows once, by the remarks after the first lemma, into integer bounds
+on each row's degree sum, and read each vector off them, one row further
+only when the rows before it pass; no window predicate runs per vector.
+The bundle side lifts a vector by the one lift rule of the
+correspondence, 1 on each chain vertex and the vector's degrees
+elsewhere: a gather kept on the shared small modification, which
+``phi_inverse`` reads too.
 
     Lemma.  Let N be a model's non-invertible set, the polarization
     compatible with its degree, and for a vertex set S let d_S count the
@@ -74,6 +82,24 @@ before it pass.
     So a stratum's windows are read off one kernel pass at the zero
     vector (1 on the chain vertices on the bundle side), one row
     (Z, m(Z) at 0, upper end) each, and a vector only adds its sum.
+
+    Remark (sum bounds).  On integer margins each mode's window on a row
+    Z is a <= m <= hi - b, with a = 1 where the low end is strict on Z
+    and b = 1 where the high end is, else 0, by (c).  The predicate
+    decides the ties at each end on the windows (0, 1) and (1, 1): m = 0
+    is the low tie below hi, and m = hi = 1 the high tie above 0.  So a
+    = [not ok(Z, 0, 1)] and b = [not ok(Z, 1, 1)], and with m = m0 +
+    rank s the window holds exactly when ceil((a - m0) / rank) <= s <=
+    floor((hi - b - m0) / rank); in integers the ceiling is -((m0 - a)
+    // rank).  The same bounds give each vertex's window on its row {v}.
+
+    Remark (monotone boxes).  The box of N is nonempty exactly when
+    each vertex's low end is at most its high end and d - |N| lies
+    between the sums of the low and of the high ends.  Adding a loop to
+    N lowers one low end, one high end and d - |N| by 1 each, which
+    changes none of these; adding another edge lowers two high ends and
+    d - |N| by 1 each, which can only break them.  So no superset of a
+    subset with an empty box has a nonempty one.
 
     Lemma.  Let Y be a small modification of a stable graph X with
     modified set N, with degree 1 on every chain vertex.  Lift each cut
@@ -200,8 +226,9 @@ from collections.abc import Callable, Collection, Iterable, Iterator, Mapping, S
 from copy import copy
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, starmap, tee
+from itertools import product, starmap, tee
 from math import inf
+from operator import itemgetter
 
 from . import graphs
 from .graphs import (DualGraph, _json_int, _members, _per_graph, _subcurve_masks, classify,
@@ -659,43 +686,26 @@ def check_balanced(deg: Multidegree, mode: str = "balanced") -> bool:
 _MAX_EDGE_SUBSETS = 1 << 20
 
 
-def _edge_subsets(graph: DualGraph) -> list[tuple[str, ...]]:
-    ids = [e for e, _ in graph.edges]
-    if 1 << len(ids) > _MAX_EDGE_SUBSETS:
-        raise ValueError(f"graph has {len(ids)} edges, more than {_MAX_EDGE_SUBSETS} edge "
-                         "subsets; too many to enumerate")
-    subsets: list[tuple[str, ...]] = []
-    for r in range(len(ids) + 1):
-        subsets.extend(combinations(ids, r))
-    subsets.sort()
-    return subsets
+def _bounded_vectors(lows: list[int], highs: list[int], total: int) -> list[tuple[int, ...]]:
+    """All integer vectors within the box summing to total, ascending lex.
+
+    One ``product`` walks every coordinate but the last, which the total
+    fixes, so the order is the product's; a vector whose last entry
+    leaves its range is skipped.
+    """
+    if not lows:
+        return [()] if total == 0 else []
+    low, high = lows[-1], highs[-1]
+    return [head + (last,)
+            for head in product(*map(range, lows[:-1], [hi + 1 for hi in highs[:-1]]))
+            if low <= (last := total - sum(head)) <= high]
 
 
-def _bounded_vectors(lows: list[int], highs: list[int], total: int) -> Iterator[tuple[int, ...]]:
-    """All integer vectors within the box summing to total, ascending lex."""
-    n = len(lows)
-    # the least and the greatest sum of the entries after i, for each i
-    rest_lo, rest_hi = [0] * n, [0] * n
-    for i in range(n - 1, 0, -1):
-        rest_lo[i - 1] = rest_lo[i] + lows[i]
-        rest_hi[i - 1] = rest_hi[i] + highs[i]
-
-    def rec(i: int, remaining: int) -> Iterator[tuple[int, ...]]:
-        if i == n - 1:
-            if lows[i] <= remaining <= highs[i]:
-                yield (remaining,)
-            return
-        start = max(lows[i], remaining - rest_hi[i])
-        stop = min(highs[i], remaining - rest_lo[i])
-        for x in range(start, stop + 1):
-            for tail in rec(i + 1, remaining - x):
-                yield (x,) + tail
-
-    if n == 0:
-        if total == 0:
-            yield ()
-        return
-    yield from rec(0, total)
+def _sum_window(ok: Callable, z: Collection[str], m0: int, hi: int, rank: int) -> tuple[int, int]:
+    """The least and the greatest integer s with ok(z, m0 + rank s, hi), the first
+    above the second when there is none: the sum-bound remark of the module, which
+    reads ``ok`` twice."""
+    return -((m0 - (not ok(z, 0, 1))) // rank), (hi - m0 - (not ok(z, 1, 1))) // rank
 
 
 def _vertex_windows(graph: DualGraph, ok: Callable, rank: int, e_values: dict) -> list:
@@ -703,17 +713,17 @@ def _vertex_windows(graph: DualGraph, ok: Callable, rank: int, e_values: dict) -
 
     The window of {v} is the kernel's on its singleton row at the zero
     vector, (m0, hi) under (rank, e_values), with chi and k from the
-    graph's enumeration of its subcurves: m({v}) = m0 + rank d_v must be at
-    least 1 where the mode is strict low on {v}, else 0, and at most hi,
-    less 1 where it is strict high, as ``ok`` reads the windows (0, 1) and
-    (1, 1).  A lone vertex is the whole curve, not a row: no end is strict.
+    graph's enumeration of its subcurves, read as bounds on d_v by
+    ``_sum_window``.  A lone vertex is the whole curve, not a row: no end
+    is strict, as in the semistable window.
     """
     vids = graph.vertex_ids
-    masks, proper = _subcurve_masks(graph), len(vids) > 1
+    masks = _subcurve_masks(graph)
     singles = [(frozenset((v,)), *masks[1 << i][:2]) for i, v in enumerate(vids)]
     kernel = _margins(singles, graph.edge_ends, dict.fromkeys(vids, 0), (), rank, e_values)
-    return [(-((m0 - (proper and not ok(z, 0, 1))) // rank),
-             (hi - m0 - (proper and not ok(z, 1, 1))) // rank) for z, m0, hi in kernel]
+    if len(vids) == 1:
+        ok = _stability_test("semistable", None, graph)
+    return [_sum_window(ok, z, m0, hi, rank) for z, m0, hi in kernel]
 
 
 def _boxes(graph: DualGraph, d: int, ok: Callable, rank: int, e_values: dict) -> Iterator:
@@ -725,24 +735,39 @@ def _boxes(graph: DualGraph, d: int, ok: Callable, rank: int, e_values: dict) ->
     v and the upper one also by its other edges in N, so no scan reads a
     row {v}.  By (a) and (b) of the first lemma no model is lost where the
     complement of {v} is split.
+
+    The subsets come in ascending order of their sorted edge ids, walked
+    depth first: N, then N with each later edge added.  A subset whose box
+    is empty is not extended, by the monotone-box remark of the module.
+    More than ``_MAX_EDGE_SUBSETS`` edge subsets are refused before any is
+    walked.
     """
+    edges = graph.edges
+    if 1 << len(edges) > _MAX_EDGE_SUBSETS:
+        raise ValueError(f"graph has {len(edges)} edges, more than {_MAX_EDGE_SUBSETS} edge "
+                         "subsets; too many to enumerate")
     windows = _vertex_windows(graph, ok, rank, e_values)
     place = {v: i for i, v in enumerate(graph.vertex_ids)}
-    ends = {e: (place[a], place[b]) for e, (a, b) in graph.edge_ends.items()}
-    for subset in _edge_subsets(graph):
-        lows, highs = [lo for lo, _ in windows], [hi for _, hi in windows]
-        for e in subset:
-            a, b = ends[e]
-            highs[a] -= 1
+    ends = [(e, place[a], place[b]) for e, (a, b) in edges]
+    stack = [((), [lo for lo, _ in windows], [hi for _, hi in windows], 0)]
+    while stack:
+        subset, lows, highs, start = stack.pop()
+        budget, low_sum = d - len(subset), sum(lows)
+        if not (low_sum <= budget <= sum(highs) and all(map(int.__le__, lows, highs))):
+            continue
+        spare = budget - low_sum
+        yield subset, _bounded_vectors(lows, [min(hi, lo + spare) for lo, hi in zip(lows, highs)],
+                                       budget)
+        for j in range(len(ends) - 1, start - 1, -1):  # the last pushed is popped first
+            e, a, b = ends[j]
+            grown_lows, grown_highs = lows, highs.copy()  # a list is never changed once stacked
+            grown_highs[a] -= 1
             if a == b:
-                lows[a] -= 1
+                grown_lows = lows.copy()
+                grown_lows[a] -= 1
             else:
-                highs[b] -= 1
-        budget = d - len(subset)
-        if sum(lows) <= budget <= sum(highs) and all(map(int.__le__, lows, highs)):
-            spare = budget - sum(lows)
-            highs = [min(hi, lo + spare) for lo, hi in zip(lows, highs)]
-            yield subset, _bounded_vectors(lows, highs, budget)
+                grown_highs[b] -= 1
+            stack.append((subset + (e,), grown_lows, grown_highs, j + 1))
 
 
 def _check_enumerable(graph: DualGraph) -> None:
@@ -755,14 +780,22 @@ def _check_enumerable(graph: DualGraph) -> None:
 def _lifted_rows(mod: Modification, rows: Iterable[tuple]) -> list[tuple]:
     """Cut rows (W, chi, k, places) of a small modification's target, lifted to its
     source: W plus the chain vertex of each modified edge inside it, chi, k less
-    the modified edges crossing W (the second lemma of the module), and places."""
+    the modified edges crossing W (the second lemma of the module), and places.
+    Each row reads each chain once."""
     ends = mod.target.edge_ends
     chains = [(ends[e], c) for e, (c,) in mod.chain_registry]
     lifted = []
     for w, chi, k, places in rows:
-        inside = [c for (a, b), c in chains if a in w and b in w]
-        crossing = sum((a in w) != (b in w) for (a, b), _ in chains)
-        lifted.append((w.union(inside) if inside else w, chi, k - crossing, places))
+        inside = []
+        for (a, b), c in chains:
+            if a in w:
+                if b in w:
+                    inside.append(c)
+                else:
+                    k -= 1
+            elif b in w:
+                k -= 1
+        lifted.append((w.union(inside) if inside else w, chi, k, places))
     return lifted
 
 
@@ -773,23 +806,26 @@ def _compiled_windows(
 
     ``kernel`` yields the window (Z, m0, hi) of each row of ``rows`` with
     the box vertices at degree 0, and each row ends with its box vertices'
-    positions in a vector.  The margins are affine in the degrees (the
-    affine-margin remark of the module), so a vector's margin on Z is m0 +
-    rank sum(vec at those positions), and hi does not move.  Rows are
-    compiled as the vectors read them: the kernel runs one row further only
-    when every compiled row has passed.
+    positions in a vector, two or more.  The margins are affine in the
+    degrees (the affine-margin remark of the module), so a vector's margin
+    on Z is m0 + rank sum(vec at those positions), and hi does not move:
+    each window compiles to bounds on that sum (``_sum_window``), read
+    through an ``itemgetter`` of the positions, and no predicate runs per
+    vector.  Rows are compiled as the vectors read them: the kernel runs
+    one row further only when every compiled row has passed.
     """
     compiled: list[tuple] = []
     pending = zip(rows, kernel)
 
     def accepts(vec: tuple[int, ...]) -> bool:
-        at = vec.__getitem__
-        for z, places, m0, hi in compiled:
-            if not ok(z, m0 + rank * sum(map(at, places)), hi):
+        for at, low, high in compiled:
+            if not low <= sum(at(vec)) <= high:
                 return False
         for (_, _, _, places), (z, m0, hi) in pending:
-            compiled.append((z, places, m0, hi))
-            if not ok(z, m0 + rank * sum(map(at, places)), hi):
+            at = itemgetter(*places)
+            low, high = _sum_window(ok, z, m0, hi, rank)
+            compiled.append((at, low, high))
+            if not low <= sum(at(vec)) <= high:
                 return False
         return True
 
@@ -819,17 +855,17 @@ def _bundle_side(graph: DualGraph, ok: Callable, rows: list, rank: int, e_values
 
     The modification is small_modification(graph, N); its source is not
     classified, as it is quasistable: the graph is stable and each chain
-    vertex has genus 0 and two edges into it.  The lift takes a box vector,
-    puts 1 on every chain vertex, and returns the bundle's ``Multidegree``
-    on the source when every window of the rows lifted from ``rows``
+    vertex has genus 0 and two edges into it.  The lift takes a box vector
+    and returns the bundle's ``Multidegree`` on the source, read by the
+    modification's one lift rule (1 on every chain vertex, the vector's
+    degree elsewhere), when every window of the rows lifted from ``rows``
     (``_lifted_rows``) holds, else None.  No source table is built.
     The polarization is (rank, e_values) pulled back to the source: the
     same rank and values, 0 on the chain vertices (the lifted-row lemma).
     The windows are compiled once per stratum from the kernel at the vector
     that is 0 on the box vertices and 1 on the chain vertices.
     """
-    vids = graph.vertex_ids  # the sources' other vertices, in the same order
-    index, zeros = {v: i for i, v in enumerate(vids)}, dict.fromkeys(vids, 0)
+    zeros = dict.fromkeys(graph.vertex_ids, 0)
 
     def stratum(subset: tuple[str, ...]) -> tuple[Modification, Callable]:
         mod = small_modification(graph, subset)
@@ -838,13 +874,12 @@ def _bundle_side(graph: DualGraph, ok: Callable, rows: list, rank: int, e_values
         kernel = _margins(lifted, source.edge_ends, zeros | dict.fromkeys(chain, 1), (), rank,
                           e_values | dict.fromkeys(chain, 0))
         accepts = _compiled_windows(lifted, kernel, rank, ok)
-        # each source vertex's place in a box vector, or None for a chain vertex
-        slots = tuple((v, index.get(v)) for v in source.vertex_ids)
+        ids, gather, ones = source.vertex_ids, mod._lift, len(chain)
 
         def lift(vec: tuple[int, ...]) -> Multidegree | None:
             if accepts(vec):
-                return Multidegree._derived(source, {v: 1 if i is None else vec[i]
-                                                     for v, i in slots}, sum(vec) + len(chain))
+                return Multidegree._derived(source, dict(zip(ids, gather(vec + (1,)))),
+                                            sum(vec) + ones)
             return None
 
         return mod, lift
@@ -857,7 +892,7 @@ def _strata(
 ) -> Iterator[tuple[tuple[str, ...], Modification | None, list, list]]:
     """One walk of the edge subsets for both sides of the correspondence.
 
-    Per edge subset N with a nonempty box, in ``_edge_subsets`` order, yields
+    Per edge subset N with a nonempty box, in ``_boxes`` order, yields
     (N, mod, model vectors, bundle multidegrees).  Each vector of the box,
     in its order, goes to the model side (``_model_side``) when ``models``
     is set, and to the bundle side (``_bundle_side``, on its modification
@@ -876,16 +911,9 @@ def _strata(
     model_side = _model_side(graph, ok, rows, rank, e_values) if models else None
     bundle_side = _bundle_side(graph, ok, rows, rank, e_values) if bundles else None
     for subset, vectors in _boxes(graph, d, ok, rank, e_values):
-        accepts = model_side(subset) if model_side else None
+        kept = list(filter(model_side(subset), vectors)) if model_side else []
         mod, lift = bundle_side(subset) if bundle_side else (None, None)
-        kept, lifted = [], []
-        for vec in vectors:
-            if accepts is not None and accepts(vec):
-                kept.append(vec)
-            if lift is not None:
-                deg = lift(vec)
-                if deg is not None:
-                    lifted.append(deg)
+        lifted = [deg for deg in map(lift, vectors) if deg is not None] if lift else []
         yield subset, mod, kept, lifted
 
 

@@ -437,3 +437,28 @@ class TestStreamedCertify:
             "rejecting_models": {"pushforward image not semistable"},
         }[fault]
         assert kinds == want_kinds
+
+
+class TestChaseCount:
+    """Every balanced bundle goes through the whole chase, once.
+
+    Oracle: the report's own ``balanced_count``, against the calls that
+    ``certify_bijection`` makes through the module to ``phi``,
+    ``phi_inverse`` and ``pushforward_model``; a fast path that matched a
+    stratum without chasing its bundles would call them fewer times.
+    """
+
+    def test_each_bundle_is_chased_once(self, monkeypatch):
+        names = ("phi", "phi_inverse", "pushforward_model")
+        for graph, d in ((theta_graph(), 2), (K4, 2), (K4, 3)):
+            for mode in MODES:
+                calls = dict.fromkeys(names, 0)
+                with monkeypatch.context() as patch:
+                    for name in names:
+                        def counted(*args, _name=name, _real=getattr(correspondence, name)):
+                            calls[_name] += 1
+                            return _real(*args)
+                        patch.setattr(correspondence, name, counted)
+                    report = certify_bijection(graph, d, mode)
+                assert report.bijection and report.balanced_count > 0, (graph, d, mode)
+                assert calls == dict.fromkeys(names, report.balanced_count), (graph, d, mode)

@@ -27,7 +27,7 @@ from nodalcalc import (
     theta_graph,
     elliptic_bridge,
 )
-from nodalcalc import graphs
+from nodalcalc import correspondence, graphs, stability
 from nodalcalc.graphs import internal_edge_count
 from nodalcalc.stability import _cut_table, _subcurve_table
 from nodalcalc.verify import random_graph, random_modification, random_stable_graph
@@ -486,25 +486,45 @@ class TestPerGraphMemo:
         assert calls == [graph]
 
     def test_is_exceptional_once_per_vertex(self, monkeypatch):
-        seen = []  # (graph, vertex), holding each graph so no id is reused
-        test = graphs.is_exceptional
+        # one classification per graph object: the one-pass listing runs once
+        # for each graph, however often and from wherever it is asked for
+        built = []  # holding each graph, so no id is reused
+        listing = graphs.exceptional_vertices.__wrapped__
 
-        def counted(graph, v):
-            seen.append((graph, v))
-            return test(graph, v)
+        def counted(graph):
+            built.append(graph)
+            return listing(graph)
 
-        monkeypatch.setattr(graphs, "is_exceptional", counted)
+        memo = graphs._per_graph(counted)
+        for module in (graphs, stability, correspondence):
+            monkeypatch.setattr(module, "exceptional_vertices", memo)
         source = modify(theta_graph(), {"e1": 2, "e2": 1}).source
         for _ in range(2):
             assert classify(source) == "semistable"
-            assert exceptional_vertices(source) == ("e1#1", "e1#2", "e2#1")
+            assert graphs.exceptional_vertices(source) == ("e1#1", "e1#2", "e2#1")
             assert len(maximal_exceptional_chains(source)) == 2
             mod = stable_model(source)
             _cut_table(source)
-        asked = [(id(g), v) for g, v in seen]
-        assert len(asked) == len(set(asked))
-        assert sorted(v for g, v in seen if g is source) == list(source.vertex_ids)
-        assert sum(g is mod.target for g, _ in seen) == len(mod.target.vertices)
+        assert len(built) == len({id(g) for g in built})
+        assert sum(g is source for g in built) == sum(g is mod.target for g in built) == 1
+
+    def test_listing_matches_is_exceptional(self):
+        # oracle: is_exceptional asked vertex by vertex
+        rng = random.Random(3001)
+        counts = dict.fromkeys(("lone", "looped", "parallel", "exceptional", "chained"), 0)
+        for _ in range(400):
+            graph = random_graph(rng, 5, 4)
+            if rng.random() < 0.5:
+                graph = random_modification(rng, graph, 3).source
+            want = tuple(v for v in graph.vertex_ids if is_exceptional(graph, v))
+            assert exceptional_vertices(graph) == want, graph
+            pairs = [tuple(ends) for _, ends in graph.edges]
+            counts["lone"] += len(graph.vertices) == 1
+            counts["looped"] += any(a == b for a, b in pairs)
+            counts["parallel"] += len(set(pairs)) < len(pairs)
+            counts["exceptional"] += bool(want)
+            counts["chained"] += "#" in "".join(graph.vertex_ids)
+        assert min(counts.values()) > 30, counts
 
     def test_equal_graphs_do_not_share(self, monkeypatch):
         calls = self.count_enumerations(monkeypatch)

@@ -44,7 +44,7 @@ from nodalcalc.modifications import _series_reduction
 from nodalcalc.stability import (
     _bounded_vectors, _boxes, _bundle_side, _cut_table, _lifted_rows,
     _canonical, _margins, _model_side, _series_cuts, _stability_test, _subcurve_table,
-    _verdicts, _vertex_windows,
+    _sum_window, _verdicts, _vertex_windows,
 )
 from nodalcalc.verify import random_stable_graph
 
@@ -482,14 +482,14 @@ class TestEnumeration:
             enumerate_balanced(y, 2, "unbalanced")
 
     def test_too_many_edge_subsets(self, monkeypatch):
-        # 2^21 non-invertible sets, refused before any subset is built
+        # 2^21 non-invertible sets, refused before the walk reads any window
         dense = DualGraph((("v", 0), ("w", 0)),
                           tuple((f"e{i:02d}", ("v", "w")) for i in range(21)))
 
-        def no_subsets(*args):
-            raise AssertionError("an edge subset was built")
+        def no_walk(*args):
+            raise AssertionError("the edge subsets were walked")
 
-        monkeypatch.setattr("nodalcalc.stability.combinations", no_subsets)
+        monkeypatch.setattr("nodalcalc.stability._vertex_windows", no_walk)
         for enumerate_ in (enumerate_semistable_models, enumerate_balanced):
             with pytest.raises(ValueError, match="21 edges, more than 1048576 edge subsets"):
                 enumerate_(dense, dense.genus)
@@ -1313,6 +1313,54 @@ class TestVertexWindows:
         assert lone > 5 and looped > 20, (lone, looped)
 
 
+class TestBoxes:
+    """The depth-first walk of the edge subsets that stops at an empty box.
+
+    Oracle: every edge subset, in sorted order, with its box built from
+    the vertex windows by the rule of ``_boxes`` (a loop in N lowers both
+    ends at its vertex, another edge the high ends at its two), kept when
+    some vector of it sums to d - |N|, and its vectors filtered from
+    ``itertools.product`` by their total.
+    """
+
+    @staticmethod
+    def every_box(graph, d, ok):
+        windows = _vertex_windows(graph, ok, *_canonical(graph, d))
+        place = {v: i for i, v in enumerate(graph.vertex_ids)}
+        ids = [e for e, _ in graph.edges]
+        for subset in sorted(c for r in range(len(ids) + 1) for c in combinations(ids, r)):
+            lows, highs = [lo for lo, _ in windows], [hi for _, hi in windows]
+            for e in subset:
+                a, b = (place[v] for v in graph.ends(e))
+                highs[a] -= 1
+                if a == b:
+                    lows[a] -= 1
+                else:
+                    highs[b] -= 1
+            vectors = [vec for vec in product(*map(range, lows, [hi + 1 for hi in highs]))
+                       if sum(vec) == d - len(subset)]
+            if vectors:
+                yield subset, vectors
+
+    def test_pruned_walk_matches_every_subset(self):
+        rng = random.Random(3003)
+        graphs = [theta_graph(), elliptic_bridge(), K4]
+        graphs += [random_stable_graph(rng, 4, 4) for _ in range(40)]
+        strata = pruned = looped = 0
+        for graph in graphs:
+            looped += any(a == b for _, (a, b) in graph.edges)
+            for d in range(graph.genus - 2, graph.genus + 3):
+                for mode in ("semistable", "stable"):
+                    ok = _stability_test(mode, None, graph)
+                    got = [(subset, list(vectors)) for subset, vectors
+                           in _boxes(graph, d, ok, *_canonical(graph, d))]
+                    want = list(self.every_box(graph, d, ok))
+                    assert got == want, (graph, d, mode)
+                    strata += len(want)
+                    pruned += 2 ** len(graph.edges) - len(want)
+        assert strata > 1000 and pruned > 1000 and looped > 5, (strata, pruned, looped)
+
+
 class TestBoundedVectors:
     """Oracle: ``itertools.product`` over the box, filtered by the total."""
 
@@ -1427,6 +1475,28 @@ class TestCompiledWindows:
             for side, seen in positions.items():
                 assert seen == set(range(rows)), (graph, side)
         assert max(rows for _, rows in failed_at.values()) == 10
+
+    def test_sum_bounds_match_the_predicate(self):
+        # Oracle: the window predicate itself, asked at every sum s of a range
+        # wide enough to hold each window with room on both sides.
+        z = frozenset("ab")
+        oks = {"semistable": _stability_test("semistable", None, K4),
+               "stable": _stability_test("stable", None, K4),
+               "quasistable, p in Z": _stability_test("quasistable", "a", K4),
+               "quasistable, p off Z": _stability_test("quasistable", "c", K4)}
+        sums = range(-40, 41)
+        empty = nonempty = 0
+        for mode, ok in oks.items():
+            for rank, m0, hi in product(range(1, 5), range(-9, 10), range(0, 9)):
+                low, high = _sum_window(ok, z, m0, hi, rank)
+                want = [s for s in sums if ok(z, m0 + rank * s, hi)]
+                assert list(range(low, high + 1)) == want, (mode, rank, m0, hi)
+                if want:
+                    assert sums[0] < want[0] and want[-1] < sums[-1]
+                    nonempty += 1
+                else:
+                    empty += 1
+        assert empty > 100 and nonempty > 1000, (empty, nonempty)
 
     @staticmethod
     def count_rows(monkeypatch):
