@@ -438,6 +438,22 @@ class TestStreamedCertify:
         }[fault]
         assert kinds == want_kinds
 
+    def test_graph_checks_on_an_equal_graph(self, monkeypatch):
+        # a copy of K4 gets its strata from the modification cache, built on
+        # an equal graph; the chase compares the two graphs once per stratum
+        # and must still catch a target that is neither
+        first, copy = (DualGraph(K4.vertices, K4.edges) for _ in range(2))
+        want = certify_bijection(first, 3).to_json_dict()
+        assert small_modification(copy, ["ab", "cd"]).target is not copy
+        assert certify_bijection(copy, 3).to_json_dict() == want
+        with monkeypatch.context() as patch:
+            self.moved_target(patch)
+            report = certify_bijection(copy, 3)
+            assert report.to_json_dict() == listed_certify(copy, 3, "balanced")
+        assert not report.bijection
+        assert {line.split(" for ")[0] for line in report.mismatches} == {
+            "pushforward changed the graph"}
+
 
 class TestChaseCount:
     """Every balanced bundle goes through the whole chase, once.
